@@ -16,7 +16,6 @@ from .errors import (
     TuningError,
 )
 from .spectral import (
-    EmpiricalSpectralDistribution,
     SpectralDecomposition,
     SymmetricMatrix,
     eigh,
@@ -31,13 +30,10 @@ from .shrinkage import (
     ShrinkageRule,
     ShrunkCovariance,
     default_bandwidth,
-    delta_star_over,
-    delta_star_under,
     empirical_loss,
     shrink_covariance,
     stein_transform,
     stein_transform_derivative,
-    zero_eigenvalue_value,
 )
 from .tuning import (
     BandwidthSelection,

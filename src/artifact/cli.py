@@ -37,7 +37,7 @@ from .fileio import (
     write_files,
 )
 from .regress import SourceBundle, fit_ols, global_shrink, local_shrink, predictive_error
-from .shrinkage import delta_star_over, delta_star_under, shrink_covariance
+from .shrinkage import shrink_covariance
 from .simlab import (
     COEFFICIENT_DESIGNS,
     ExperimentResult,
@@ -217,7 +217,14 @@ def resolve_output_dir(args, config):
     return os.environ.get(OUTPUT_DIR_ENV, ".")
 
 
-def base_manifest(subcommand, opts, outputs):
+def write_outputs(subcommand, opts, outdir, suffix, text, results, lines):
+    """Write one data file, then its manifest, then report on stdout.
+
+    The manifest is renamed into place last, so it never describes data
+    that failed to land.  results holds the manifest's result_* entries.
+    """
+    data_path = os.path.join(outdir, opts["prefix"] + suffix)
+    manifest_path = os.path.join(outdir, opts["prefix"] + "_manifest.txt")
     manifest = {"subcommand": subcommand, "artifact_version": __version__,
                 "numpy_version": np.__version__}
     hashable = {}
@@ -227,8 +234,13 @@ def base_manifest(subcommand, opts, outputs):
         manifest["opt_%s" % key] = value
         hashable[key] = str(value)
     manifest["config_hash"] = config_hash(hashable)
-    manifest["outputs"] = ";".join(sorted(os.path.basename(o) for o in outputs))
-    return manifest
+    manifest["outputs"] = os.path.basename(data_path)
+    manifest.update(results)
+    write_files({data_path: text, manifest_path: format_manifest(manifest)})
+    for line in lines:
+        print(line)
+    print("wrote %s" % data_path)
+    return 0
 
 
 def _resolve_design(token):
@@ -271,25 +283,17 @@ def cmd_fit(opts, outdir):
         parse_method(method)  # raises with the canonical message
         raise DomainError("method %r is not available in fit" % method)
     extra["result_sigma2"] = est.diagnostics.get("sigma2", float("nan"))
+    extra["result_method"] = est.method
 
-    coef_path = os.path.join(outdir, opts["prefix"] + "_coefficients.csv")
-    manifest_path = os.path.join(outdir, opts["prefix"] + "_manifest.txt")
-    manifest = base_manifest("fit", opts, [coef_path])
-    manifest.update(extra)
-    manifest["result_method"] = est.method
-    write_files({
-        coef_path: format_matrix(est.coefficients),
-        manifest_path: format_manifest(manifest),
-    })
-    print("fit method=%s sources=%d predictors=%d sigma2=%s"
-          % (est.method, bundle.n_sources, bundle.n_predictors,
-             fmt(est.diagnostics.get("sigma2", float("nan")))))
+    lines = ["fit method=%s sources=%d predictors=%d sigma2=%s"
+             % (est.method, bundle.n_sources, bundle.n_predictors,
+                fmt(extra["result_sigma2"]))]
     if "result_h" in extra:
         note = " (fallback to default)" if extra["result_h_fallback"] else ""
-        print("bandwidth h=%s policy=%s%s" % (fmt(extra["result_h"]),
-                                              extra["result_h_policy"], note))
-    print("wrote %s" % coef_path)
-    return 0
+        lines.append("bandwidth h=%s policy=%s%s" % (fmt(extra["result_h"]),
+                                                    extra["result_h_policy"], note))
+    return write_outputs("fit", opts, outdir, "_coefficients.csv",
+                         format_matrix(est.coefficients), extra, lines)
 
 
 def cmd_tune(opts, outdir):
@@ -302,22 +306,13 @@ def cmd_tune(opts, outdir):
     diagonals = precision_diagonals(z)
     sel = select_bandwidth(s, n, grid, diagonals)
 
-    risk_path = os.path.join(outdir, opts["prefix"] + "_risk.csv")
-    manifest_path = os.path.join(outdir, opts["prefix"] + "_manifest.txt")
     table = np.column_stack([sel.grid, sel.risks])
-    manifest = base_manifest("tune", opts, [risk_path])
-    manifest["result_h"] = sel.h
-    manifest["result_risk"] = sel.risks[sel.index]
-    manifest["result_n"] = n
-    manifest["result_p"] = p
-    write_files({
-        risk_path: format_matrix(table, header=["h", "risk"]),
-        manifest_path: format_manifest(manifest),
-    })
-    print("selected h=%s risk=%s over %d grid points"
-          % (fmt(sel.h), fmt(sel.risks[sel.index]), sel.grid.size))
-    print("wrote %s" % risk_path)
-    return 0
+    results = {"result_h": sel.h, "result_risk": sel.risks[sel.index],
+               "result_n": n, "result_p": p}
+    lines = ["selected h=%s risk=%s over %d grid points"
+             % (fmt(sel.h), fmt(sel.risks[sel.index]), sel.grid.size)]
+    return write_outputs("tune", opts, outdir, "_risk.csv",
+                         format_matrix(table, header=["h", "risk"]), results, lines)
 
 
 def cmd_shrink_curve(opts, outdir):
@@ -335,27 +330,16 @@ def cmd_shrink_curve(opts, outdir):
     lam = shrunk.decomposition.eigenvalues
     nonzero = lam[lam > shrunk.decomposition.zero_tolerance]
     grid = np.linspace(0.9 * nonzero[0], 1.1 * lam[-1], points)
-    if rule.regime == "under":
-        values = delta_star_under(grid, rule)
-    else:
-        values = delta_star_over(grid, rule)
+    values, _ = rule.evaluate(grid)
 
-    curve_path = os.path.join(outdir, opts["prefix"] + "_curve.csv")
-    manifest_path = os.path.join(outdir, opts["prefix"] + "_manifest.txt")
-    manifest = base_manifest("shrink-curve", opts, [curve_path])
-    manifest["result_h"] = rule.h
-    manifest["result_regime"] = rule.regime
-    manifest["result_n"] = n
-    manifest["result_p"] = p
-    write_files({
-        curve_path: format_matrix(np.column_stack([grid, values]),
-                                  header=["x", "delta"]),
-        manifest_path: format_manifest(manifest),
-    })
-    print("curve regime=%s h=%s range=[%s, %s] points=%d"
-          % (rule.regime, fmt(rule.h), fmt(grid[0]), fmt(grid[-1]), points))
-    print("wrote %s" % curve_path)
-    return 0
+    results = {"result_h": rule.h, "result_regime": rule.regime,
+               "result_n": n, "result_p": p}
+    lines = ["curve regime=%s h=%s range=[%s, %s] points=%d"
+             % (rule.regime, fmt(rule.h), fmt(grid[0]), fmt(grid[-1]), points)]
+    return write_outputs("shrink-curve", opts, outdir, "_curve.csv",
+                         format_matrix(np.column_stack([grid, values]),
+                                       header=["x", "delta"]),
+                         results, lines)
 
 
 def cmd_simulate(opts, outdir):
@@ -368,26 +352,19 @@ def cmd_simulate(opts, outdir):
         n_test=opts["test_samples"], methods=opts["methods"], reps=opts["reps"],
         seed=opts["seed"], sweeps=opts["sweeps"], burn_in=opts["burn_in"],
     )
-    results_path = os.path.join(outdir, opts["prefix"] + "_results.csv")
-    manifest_path = os.path.join(outdir, opts["prefix"] + "_manifest.txt")
-    manifest = base_manifest("simulate", opts, [results_path])
     summary = result.summary()
+    results = {}
     lines = []
     for method in opts["methods"]:
         mean_mse, sd_mse = summary[(method, "mse")]
         mean_pe, sd_pe = summary[(method, "pe")]
-        manifest["result_mse_%s" % method] = mean_mse
-        manifest["result_pe_%s" % method] = mean_pe
+        results["result_mse_%s" % method] = mean_mse
+        results["result_pe_%s" % method] = mean_pe
         lines.append("method=%s mse=%s (sd %s) pe=%s (sd %s)"
                      % (method, fmt(mean_mse), fmt(sd_mse), fmt(mean_pe), fmt(sd_pe)))
-    write_files({
-        results_path: format_rows(result.to_rows(), ExperimentResult.COLUMNS),
-        manifest_path: format_manifest(manifest),
-    })
-    for line in lines:
-        print(line)
-    print("wrote %s" % results_path)
-    return 0
+    return write_outputs("simulate", opts, outdir, "_results.csv",
+                         format_rows(result.to_rows(), ExperimentResult.COLUMNS),
+                         results, lines)
 
 
 def cmd_crossval(opts, outdir):
@@ -429,28 +406,21 @@ def cmd_crossval(opts, outdir):
             scores[m].append(pmse)
             rows.append([m, f, pmse, "ok"])
 
-    scores_path = os.path.join(outdir, opts["prefix"] + "_scores.csv")
-    manifest_path = os.path.join(outdir, opts["prefix"] + "_manifest.txt")
-    manifest = base_manifest("crossval", opts, [scores_path])
+    results = {}
     lines = []
     for m in methods:
         vals = np.asarray(scores[m])
         if vals.size == 0:
             lines.append("method=%s pmse=NA (all folds skipped)" % m)
-            manifest["result_pmse_%s" % m] = "NA"
+            results["result_pmse_%s" % m] = "NA"
             continue
         sd = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
         lines.append("method=%s pmse=%s (sd %s) folds=%d"
                      % (m, fmt(vals.mean()), fmt(sd), vals.size))
-        manifest["result_pmse_%s" % m] = float(vals.mean())
-    write_files({
-        scores_path: format_rows(rows, ("method", "fold", "pmse", "status")),
-        manifest_path: format_manifest(manifest),
-    })
-    for line in lines:
-        print(line)
-    print("wrote %s" % scores_path)
-    return 0
+        results["result_pmse_%s" % m] = float(vals.mean())
+    return write_outputs("crossval", opts, outdir, "_scores.csv",
+                         format_rows(rows, ("method", "fold", "pmse", "status")),
+                         results, lines)
 
 
 def cmd_prial(opts, outdir):
@@ -462,18 +432,11 @@ def cmd_prial(opts, outdir):
     columns = ("aspect", "n", "p", "policy", "prial", "mean_loss",
                "raw_mean_loss", "oracle_h", "undefined")
     rows = [[r[c] for c in columns] for r in records]
-    prial_path = os.path.join(outdir, opts["prefix"] + "_prial.csv")
-    manifest_path = os.path.join(outdir, opts["prefix"] + "_manifest.txt")
-    manifest = base_manifest("prial", opts, [prial_path])
-    write_files({
-        prial_path: format_rows(rows, columns),
-        manifest_path: format_manifest(manifest),
-    })
-    for r in records:
-        print("aspect=%s n=%d p=%d policy=%s prial=%s"
-              % (fmt(r["aspect"]), r["n"], r["p"], r["policy"], fmt(r["prial"])))
-    print("wrote %s" % prial_path)
-    return 0
+    lines = ["aspect=%s n=%d p=%d policy=%s prial=%s"
+             % (fmt(r["aspect"]), r["n"], r["p"], r["policy"], fmt(r["prial"]))
+             for r in records]
+    return write_outputs("prial", opts, outdir, "_prial.csv",
+                         format_rows(rows, columns), {}, lines)
 
 
 COMMANDS = {

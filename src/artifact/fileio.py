@@ -18,16 +18,7 @@ from .errors import ParseError
 
 def atomic_write_text(path, text):
     """Write text to path via a same-directory temp file and an atomic rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_files({path: text})
 
 
 def _looks_numeric(line):
@@ -103,10 +94,13 @@ def write_files(files):
     """Write several files all-or-nothing: stage every temp, then rename.
 
     `files` maps path -> text.  If any stage fails, no destination is touched.
+    Renames follow the mapping's order: put a file that marks the run
+    complete (a manifest) last, and it is never newer than the data it
+    describes, even if a later rename fails.
     """
     staged = []
     try:
-        for path in sorted(files):
+        for path in files:
             directory = os.path.dirname(os.path.abspath(path)) or "."
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -124,11 +118,8 @@ def write_files(files):
 def parse_config(path):
     """Read a flat key=value config file; '#' starts a comment."""
     out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -18,7 +18,7 @@ from .errors import (
     RegimeError,
     SingularityError,
 )
-from .shrinkage import ShrinkageRule, _shrink_spectrum, default_bandwidth, shrink_covariance
+from .shrinkage import _shrink_spectrum, default_bandwidth, shrink_covariance
 from .spectral import (
     SymmetricMatrix,
     as_matrix,
@@ -115,7 +115,7 @@ def _coefficient_second_moment(standardized):
     return SymmetricMatrix(standardized.T @ standardized / n)
 
 
-def _resolve_bandwidth(s, n, p, h):
+def _resolve_bandwidth(decomp, n, p, h):
     """Translate an h policy into a value.  Returns (h, policy, fell_back)."""
     if isinstance(h, str):
         policy = h.lower()
@@ -123,7 +123,7 @@ def _resolve_bandwidth(s, n, p, h):
             return default_bandwidth(n, p), policy, False
         if policy == "auto":
             if n > p + 1:
-                chosen = select_bandwidth(s, n, default_bandwidth_grid(n, p))
+                chosen = select_bandwidth(decomp, n, default_bandwidth_grid(n, p))
                 return chosen.h, policy, False
             return default_bandwidth(n, p), policy, True
         raise DomainError("unknown bandwidth policy %r" % h)
@@ -147,9 +147,9 @@ def global_shrink(bundle, h="default"):
         raise RegimeError(
             "source count equals predictor count (%d); the pooled rule is undefined" % p
         )
-    s = _coefficient_second_moment(bstar)
-    hv, policy, fell_back = _resolve_bandwidth(s, n, p, h)
-    shrunk = shrink_covariance(s, n, hv)
+    decomp = eigh(_coefficient_second_moment(bstar))
+    hv, policy, fell_back = _resolve_bandwidth(decomp, n, p, h)
+    shrunk = shrink_covariance(decomp, n, hv)
     rotate = noise.q_half.values @ shrunk.inverse().values @ noise.q_half_inv.values
     coef = estimate.coefficients @ (np.eye(p) - rotate).T
     if not np.all(np.isfinite(coef)):

@@ -17,7 +17,13 @@ from .errors import (
     RegimeError,
     SingularityError,
 )
-from .spectral import SymmetricMatrix, as_symmetric, eigh, zero_tolerance
+from .spectral import (
+    SpectralDecomposition,
+    SymmetricMatrix,
+    as_symmetric,
+    eigh,
+    zero_tolerance,
+)
 
 # Lower bound on the inverse shrunk eigenvalue, relative to 1/x.  Evaluations
 # hitting it are counted so callers can see when the raw rule went negative.
@@ -84,7 +90,7 @@ class ShrinkageRule:
     which is None when p == n (the constant is undefined there).
 
     Instances are immutable after construction; evaluation is pure and
-    returns clamp counts to the caller instead of mutating state.
+    returns the clamp mask to the caller instead of mutating state.
     """
 
     def __init__(self, eigenvalues, n, p, h):
@@ -139,19 +145,19 @@ class ShrinkageRule:
                 # p == n: the null-space constant is undefined
                 self.zero_rule_value = None
 
-    def _evaluate_masked(self, x):
-        """Map positive eigenvalues through the regime rule.
+    def evaluate(self, x):
+        """Map positive sample eigenvalues x through the rule.
 
-        Returns (values, clamped) where clamped marks entries whose raw
-        bracket fell below the floor.  x may be scalar or 1-d; entries must
-        be strictly positive (zeros are the caller's job via zero_rule_value).
+        Returns (values, clamped) as 1-d arrays, where clamped marks entries
+        whose raw bracket fell below the floor.  x may be scalar or 1-d;
+        entries must be strictly positive (zeros are the caller's job via
+        zero_rule_value).
         """
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xv <= 0) or not np.all(np.isfinite(xv)):
             raise DomainError("rule evaluation needs strictly positive finite x")
         inv_x = 1.0 / xv
         g = stein_transform(inv_x, self.kernel, self.h, self.divisor)
-        g = np.atleast_1d(g)
         if self.regime == "under":
             bracket = (1.0 - self.aspect) * inv_x + 2.0 * self.aspect * inv_x * g
         else:
@@ -160,34 +166,6 @@ class ShrinkageRule:
         clamped = bracket < floor
         bracket = np.where(clamped, floor, bracket)
         return 1.0 / bracket, clamped
-
-    def _evaluate(self, x):
-        """Like _evaluate_masked but returns (values, clamp_count)."""
-        values, clamped = self._evaluate_masked(x)
-        return values, int(np.sum(clamped))
-
-
-def delta_star_under(x, rule):
-    """Shrunk eigenvalue in the p < n regime."""
-    if rule.regime != "under":
-        raise RegimeError("rule was built for the over regime")
-    values, _ = rule._evaluate(x)
-    return float(values[0]) if np.ndim(x) == 0 else values
-
-
-def delta_star_over(x, rule):
-    """Shrunk eigenvalue for nonzero sample eigenvalues in the p >= n regime."""
-    if rule.regime != "over":
-        raise RegimeError("rule was built for the under regime")
-    values, _ = rule._evaluate(x)
-    return float(values[0]) if np.ndim(x) == 0 else values
-
-
-def zero_eigenvalue_value(rule):
-    """Shrunk value assigned to null-space directions (p > n only)."""
-    if rule.regime != "over" or rule.zero_rule_value is None:
-        raise RegimeError("zero-eigenvalue rule requires p > n")
-    return rule.zero_rule_value
 
 
 class ShrunkCovariance:
@@ -200,10 +178,6 @@ class ShrunkCovariance:
         self.clamp_count = int(clamp_count)
         if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
             raise SingularityError("shrunk eigenvalues must be positive and finite")
-
-    def matrix(self):
-        u = self.decomposition.eigenvectors
-        return SymmetricMatrix(u @ np.diag(self.values) @ u.T)
 
     def inverse(self):
         u = self.decomposition.eigenvectors
@@ -219,8 +193,9 @@ def _shrink_spectrum(decomp, n, p, h):
     clamps = 0
     positive = lam > tol
     if np.any(positive):
-        mapped, clamps = rule._evaluate(lam[positive])
+        mapped, clamped = rule.evaluate(lam[positive])
         values[positive] = mapped
+        clamps = int(np.sum(clamped))
     if np.any(~positive):
         if rule.zero_rule_value is None:
             raise SingularityError(
@@ -233,12 +208,12 @@ def _shrink_spectrum(decomp, n, p, h):
 def shrink_covariance(s, n, h=None):
     """Shrink a sample covariance matrix given its sample count n.
 
-    s is the p-by-p second-moment matrix (Z'Z / n).  h defaults to
-    default_bandwidth(n, p).  p == n is rejected: neither regime's formulas
-    are complete there.
+    s is the p-by-p second-moment matrix (Z'Z / n) or its decomposition.  h
+    defaults to default_bandwidth(n, p).  p == n is rejected: neither
+    regime's formulas are complete there.
     """
-    sym = as_symmetric(s)
-    p = sym.dim
+    decomp = s if isinstance(s, SpectralDecomposition) else eigh(as_symmetric(s))
+    p = decomp.dim
     if int(n) != n or n < 1:
         raise DomainError("n must be a positive integer")
     n = int(n)
@@ -248,7 +223,6 @@ def shrink_covariance(s, n, h=None):
         )
     if h is None:
         h = default_bandwidth(n, p)
-    decomp = eigh(sym)
     return _shrink_spectrum(decomp, n, p, h)
 
 

@@ -67,10 +67,6 @@ class SpectralDecomposition:
         self.zero_tolerance = zero_tolerance(self.eigenvalues)
         self.rank = int(np.sum(self.eigenvalues > self.zero_tolerance))
 
-    def reconstruct(self):
-        u = self.eigenvectors
-        return SymmetricMatrix(u @ np.diag(self.eigenvalues) @ u.T)
-
 
 def eigh(matrix):
     """Decompose a symmetric matrix, fixing eigenvector signs deterministically.
@@ -153,19 +149,3 @@ def sample_covariance(data):
         raise DimensionError("data must have at least one row and one column")
     return SymmetricMatrix(z.T @ z / n)
 
-
-class EmpiricalSpectralDistribution:
-    """Step-function CDF placing mass 1/p at each eigenvalue."""
-
-    def __init__(self, eigenvalues):
-        lam = np.asarray(eigenvalues, dtype=float).ravel()
-        if lam.size < 1:
-            raise DimensionError("need at least one eigenvalue")
-        if not np.all(np.isfinite(lam)):
-            raise InputError("eigenvalues must be finite")
-        self.support = np.sort(lam)
-
-    def cdf(self, x):
-        pos = np.searchsorted(self.support, np.asarray(x, dtype=float), side="right")
-        out = pos / self.support.size
-        return float(out) if np.isscalar(x) else out

@@ -16,7 +16,6 @@ from .errors import (
 from .shrinkage import (
     ShrinkageRule,
     default_bandwidth,
-    stein_transform,
     stein_transform_derivative,
 )
 from .spectral import SpectralDecomposition, as_matrix, as_symmetric, eigh
@@ -65,41 +64,37 @@ def precision_diagonals(data):
     return out
 
 
-def _rule_for(decomp, n, h):
-    p = decomp.dim
-    if n <= p + 1:
-        raise InsufficientDataError(
-            "risk estimation needs n > p + 1 (n=%d, p=%d)" % (n, p)
-        )
-    return ShrinkageRule(decomp.eigenvalues, n, p, h)
-
-
 def zeta_derivative_trace(decomp, n, h):
     """Trace of the Jacobian of j -> lambda*_j / delta(lambda_j).
 
     lambda*_j = n lambda_j are the eigenvalues of the unnormalized matrix.
+    This is the derivative_trace component of risk_estimate; decomp may be
+    a SpectralDecomposition or a plain second-moment matrix.
+    """
+    return risk_estimate(decomp, n, h).derivative_trace
+
+
+def _derivative_trace(rule, delta, clamped):
+    """Derivative trace from one evaluation of the rule at its own kernel.
+
     The diagonal part differentiates through both the evaluation point and
     the j-th kernel entry (the self-term contributes 2(p/n)/(p h^2) inside
     the bracket); cross-kernel terms cancel and the remaining off-diagonal
     contribution is the usual half-sum of divided differences.  Coalescent
     pairs fall back to the diagonal derivative at the shared eigenvalue.
     """
-    if not isinstance(decomp, SpectralDecomposition):
-        decomp = eigh(decomp)
-    rule = _rule_for(decomp, n, h)
-    p, n = rule.p, rule.n
+    p, n, h = rule.p, rule.n, rule.h
     lam = rule.kernel
-    delta, clamped = rule._evaluate_masked(lam)
     lamstar = n * lam
     zeta = lamstar / delta
 
-    c1 = 1.0 - p / n
     c2 = 2.0 * p / n
     inv_lam = 1.0 / lam
-    g = np.atleast_1d(stein_transform(inv_lam, lam, h, p))
-    dg = np.atleast_1d(stein_transform_derivative(inv_lam, lam, h, p))
-    dinv_bracket = c1 + c2 * g + c2 * inv_lam * dg + c2 / (p * h * h)
-    diag = 1.0 / delta - inv_lam * dinv_bracket
+    dg = stein_transform_derivative(inv_lam, lam, h, p)
+    # unclamped, 1/delta is the bracket (c1 + c2 g) / lam with c1 = 1 - p/n,
+    # so the diagonal 1/delta - (c1 + c2 g + c2 dg / lam + c2 / (p h^2)) / lam
+    # reduces to the c2 terms alone
+    diag = -c2 * inv_lam * (inv_lam * dg + 1.0 / (p * h * h))
     # on a clamped stretch the realized rule is delta(x) = x / CLAMP_FLOOR,
     # so zeta there is constant and its derivative is exactly zero
     diag = np.where(clamped, 0.0, diag)
@@ -158,8 +153,12 @@ def risk_estimate(s, n, h, diagonals=None):
     itself instead of the risk up to a constant).
     """
     decomp = s if isinstance(s, SpectralDecomposition) else eigh(as_symmetric(s))
-    rule = _rule_for(decomp, n, h)
-    p = rule.p
+    p = decomp.dim
+    if n <= p + 1:
+        raise InsufficientDataError(
+            "risk estimation needs n > p + 1 (n=%d, p=%d)" % (n, p)
+        )
+    rule = ShrinkageRule(decomp.eigenvalues, n, p, h)
     if diagonals is not None:
         diagonals = np.asarray(diagonals, dtype=float).ravel()
         if diagonals.size != p:
@@ -167,13 +166,14 @@ def risk_estimate(s, n, h, diagonals=None):
         if np.any(diagonals <= 0):
             raise DomainError("precision diagonals must be positive")
     lam = rule.kernel
-    delta, clamps = rule._evaluate(lam)
+    delta, clamped = rule.evaluate(lam)
     lamstar = rule.n * lam
     quadratic = float(np.sum(lamstar / delta ** 2))
     inverse_sum = float(np.sum(1.0 / delta))
-    trace = zeta_derivative_trace(decomp, n, h)
+    trace = _derivative_trace(rule, delta, clamped)
     diagonal_sum = None if diagonals is None else float(np.sum(diagonals))
-    return RiskEstimate(h, n, p, quadratic, inverse_sum, trace, diagonal_sum, clamps)
+    return RiskEstimate(h, n, p, quadratic, inverse_sum, trace, diagonal_sum,
+                        int(np.sum(clamped)))
 
 
 def default_bandwidth_grid(n, p, size=15, span=10.0):

@@ -191,6 +191,36 @@ def test_tune_explicit_grid(tmp_path):
     assert table[:, 0].tolist() == [0.1, 0.2]
 
 
+def test_tune_rerun_renames_manifest_last(tmp_path, monkeypatch, capsys):
+    data = str(tmp_path / "z.csv")
+    write_matrix(data, np.random.default_rng(5).standard_normal((100, 20)),
+                 fmt="%.17g")
+    out = str(tmp_path / "out")
+    assert main(["tune", "--data", data, "--grid", "0.1,0.2",
+                 "--output-dir", out]) == 0
+    manifest_path = os.path.join(out, "tune_manifest.txt")
+    old_manifest = open(manifest_path, "rb").read()
+
+    real_replace = os.replace
+    calls = []
+
+    def replace_then_fail(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("simulated failure renaming %s" % dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_then_fail)
+    assert main(["tune", "--data", data, "--grid", "0.3,0.4",
+                 "--output-dir", out]) == 2
+    assert "simulated failure" in capsys.readouterr().err
+    # the data landed first; the manifest that failed to follow is the old one
+    names = [os.path.basename(c) for c in calls]
+    assert names == ["tune_risk.csv", "tune_manifest.txt"]
+    assert open(manifest_path, "rb").read() == old_manifest
+    assert sorted(os.listdir(out)) == ["tune_manifest.txt", "tune_risk.csv"]
+
+
 def test_tune_with_too_few_rows_exits_3_atomically(tmp_path):
     data = str(tmp_path / "z.csv")
     write_matrix(data, np.random.default_rng(1).standard_normal((4, 3)),

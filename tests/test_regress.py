@@ -7,6 +7,8 @@ recomposition of the shrinkage from public pieces.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import (
     CoefficientEstimate,
@@ -251,6 +253,64 @@ def test_global_shrink_rejects_square_case_and_bad_bandwidth():
         global_shrink(wide, h=-0.2)
 
 
+# equivariance of the pooled rule: rotating the design, reordering the
+# sources, or rescaling every response moves the coefficients the same way.
+# Source counts span both regimes; "auto" falls back to the default bandwidth
+# when there are too few sources to tune.
+
+equivariance_cases = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=14),
+    st.sampled_from(["default", "auto"]),
+)
+
+
+def equivariance_bundle(seed, p, sources):
+    rng = np.random.default_rng(seed)
+    if sources == p:  # the pooled rule is undefined there
+        sources += 1
+    bundle, _ = whitened_bundle(rng, 3 * p + 8, p, sources, 1.5)
+    return rng, bundle
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(equivariance_cases)
+def test_global_shrink_rotating_design_rotates_coefficients(case):
+    seed, p, sources, h = case
+    rng, bundle = equivariance_bundle(seed, p, sources)
+    r, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    base = global_shrink(bundle, h)
+    turned = global_shrink(SourceBundle(bundle.design @ r, bundle.responses), h)
+    assert_close(turned.coefficients, base.coefficients @ r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(equivariance_cases)
+def test_global_shrink_permuting_sources_permutes_rows(case):
+    seed, p, sources, h = case
+    rng, bundle = equivariance_bundle(seed, p, sources)
+    perm = rng.permutation(bundle.n_sources)
+    base = global_shrink(bundle, h)
+    shuffled = global_shrink(SourceBundle(bundle.design, bundle.responses[:, perm]), h)
+    assert_close(shuffled.coefficients, base.coefficients[perm])
+
+
+@settings(max_examples=40, deadline=None)
+@given(equivariance_cases, st.floats(min_value=0.01, max_value=100.0), st.booleans())
+def test_global_shrink_scaling_responses_scales_coefficients(case, c, flip):
+    seed, p, sources, h = case
+    c = -c if flip else c
+    _, bundle = equivariance_bundle(seed, p, sources)
+    base = global_shrink(bundle, h)
+    scaled = global_shrink(SourceBundle(bundle.design, c * bundle.responses), h)
+    assert_close(scaled.coefficients, c * base.coefficients)
+
+
 def test_mixture_state_validation():
     cov = [np.eye(2)]
     with pytest.raises(DimensionError):
@@ -390,7 +450,11 @@ def test_mixture_single_sweep_matches_posterior_assembly():
         s = SymmetricMatrix(members.T @ members / cnt)
         shrunk.append(shrink_covariance(s, cnt, default_bandwidth(cnt, 3)))
     proportions = counts / counts.sum()
-    state = MixtureState(labels, proportions, [c.matrix().values for c in shrunk])
+    covariances = []
+    for c in shrunk:
+        u = c.decomposition.eigenvectors
+        covariances.append(u @ np.diag(c.values) @ u.T)
+    state = MixtureState(labels, proportions, covariances)
     weights = mixture_posterior_weights(bstar, state)
     expected = np.zeros_like(estimate.coefficients)
     for comp in range(2):

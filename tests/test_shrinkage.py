@@ -13,13 +13,10 @@ from artifact.errors import (
 from artifact.shrinkage import (
     ShrinkageRule,
     default_bandwidth,
-    delta_star_over,
-    delta_star_under,
     empirical_loss,
     shrink_covariance,
     stein_transform,
     stein_transform_derivative,
-    zero_eigenvalue_value,
 )
 from artifact.spectral import eigh, sample_covariance
 
@@ -53,6 +50,12 @@ def rotation(dim, seed):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def dense(shrunk):
+    """The shrunk covariance as a matrix: U diag(values) U'."""
+    u = shrunk.decomposition.eigenvectors
+    return u @ np.diag(shrunk.values) @ u.T
 
 
 # smoothed score
@@ -172,13 +175,15 @@ def test_rule_construction_validation():
 def test_under_rule_single_eigenvalue_closed_form():
     for lam in (0.5, 1.0, 7.3):
         rule = ShrinkageRule([lam], 10, 1, 0.3)
-        assert delta_star_under(lam, rule) == pytest.approx(lam * 10 / 9, rel=1e-12)
+        values, clamped = rule.evaluate(lam)
+        assert values.shape == (1,) and not clamped[0]
+        assert values[0] == pytest.approx(lam * 10 / 9, rel=1e-12)
 
 
 def test_under_rule_matches_formula_oracle():
     lams = [1.0, 2.0, 3.0]
     rule = ShrinkageRule(lams, 10, 3, 0.5)
-    got = delta_star_under(2.0, rule)
+    got = rule.evaluate(2.0)[0][0]
     assert got == pytest.approx(delta_under_oracle(2.0, lams, 10, 3, 0.5), rel=1e-12)
 
 
@@ -186,25 +191,22 @@ def test_under_rule_identity_spectrum_constant():
     # equal eigenvalues zero the score, so delta = 1/(1-c) exactly
     for n, p in ((1000, 100), (5000, 100)):
         rule = ShrinkageRule(np.ones(p), n, p, default_bandwidth(n, p))
-        got = delta_star_under(1.0, rule)
+        got = rule.evaluate(1.0)[0][0]
         assert got == pytest.approx(1.0 / (1.0 - p / n), rel=1e-12)
     # and approaches the population value 1 as the aspect ratio vanishes
     gaps = [
-        abs(delta_star_under(1.0, ShrinkageRule(np.ones(100), n, 100, 0.2)) - 1.0)
+        abs(ShrinkageRule(np.ones(100), n, 100, 0.2).evaluate(1.0)[0][0] - 1.0)
         for n in (200, 1000, 10000)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_under_rule_regime_and_domain_errors():
-    over = ShrinkageRule([0.0, 1.0, 2.0, 3.0], 3, 4, 0.5)
-    with pytest.raises(RegimeError):
-        delta_star_under(1.0, over)
-    under = ShrinkageRule([1.0, 2.0], 5, 2, 0.5)
-    with pytest.raises(DomainError):
-        delta_star_under(0.0, under)
-    with pytest.raises(DomainError):
-        delta_star_under(-1.0, under)
+def test_rule_evaluation_domain_errors():
+    for rule in (ShrinkageRule([1.0, 2.0], 5, 2, 0.5),
+                 ShrinkageRule([0.0, 1.0, 2.0, 3.0], 3, 4, 0.5)):
+        for bad in (0.0, -1.0, np.inf, [1.0, np.nan]):
+            with pytest.raises(DomainError):
+                rule.evaluate(bad)
 
 
 # over-sampled rule
@@ -212,12 +214,12 @@ def test_under_rule_regime_and_domain_errors():
 
 def test_over_rule_single_nonzero_closed_form():
     rule = ShrinkageRule([0.0, 5.0], 1, 2, 0.3)
-    assert delta_star_over(5.0, rule) == pytest.approx(5.0, rel=1e-12)
+    assert rule.evaluate(5.0)[0][0] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_over_rule_matches_formula_oracle():
     rule = ShrinkageRule([0.0, 0.0, 1.0, 3.0], 2, 4, 0.4)
-    got = delta_star_over(1.0, rule)
+    got = rule.evaluate(1.0)[0][0]
     assert got == pytest.approx(delta_over_oracle(1.0, [1.0, 3.0], 2, 4, 0.4), rel=1e-12)
 
 
@@ -226,14 +228,8 @@ def test_over_rule_top_eigenvalue_positive_finite():
     decomp = eigh(sample_covariance(z))
     rule = ShrinkageRule(decomp.eigenvalues, 50, 100, default_bandwidth(50, 100))
     top = float(decomp.eigenvalues[-1])
-    got = delta_star_over(top, rule)
+    got = rule.evaluate(top)[0][0]
     assert np.isfinite(got) and got > 0
-
-
-def test_over_rule_regime_error():
-    under = ShrinkageRule([1.0, 2.0], 5, 2, 0.5)
-    with pytest.raises(RegimeError):
-        delta_star_over(1.0, under)
 
 
 # null-space constant
@@ -242,16 +238,15 @@ def test_over_rule_regime_error():
 def test_zero_rule_hand_values():
     rule = ShrinkageRule([0.0, 0.0, 1.0, 1.0], 2, 4, 0.4)
     # (p/n - 1) * (1/n) * sum(1/lam) = 1 * 0.5 * 2 = 1
-    assert zero_eigenvalue_value(rule) == pytest.approx(1.0, rel=1e-12)
+    assert rule.zero_rule_value == pytest.approx(1.0, rel=1e-12)
     rule = ShrinkageRule([0.0, 2.0], 1, 2, 0.4)
-    assert zero_eigenvalue_value(rule) == pytest.approx(2.0, rel=1e-12)
+    assert rule.zero_rule_value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_zero_rule_requires_over_regime():
-    with pytest.raises(RegimeError):
-        zero_eigenvalue_value(ShrinkageRule([1.0, 2.0], 5, 2, 0.5))
-    with pytest.raises(RegimeError):
-        zero_eigenvalue_value(ShrinkageRule([0.0, 1.0, 2.0], 3, 3, 0.5))
+    # no null-space constant when p < n, and none when p == n
+    assert ShrinkageRule([1.0, 2.0], 5, 2, 0.5).zero_rule_value is None
+    assert ShrinkageRule([0.0, 1.0, 2.0], 3, 3, 0.5).zero_rule_value is None
 
 
 # whole-matrix shrinkage
@@ -267,13 +262,15 @@ def test_shrink_keeps_sample_eigenvectors():
     s = sample_covariance(np.random.default_rng(8).standard_normal((30, 5)))
     est = shrink_covariance(s, 30)
     assert np.array_equal(est.decomposition.eigenvectors, eigh(s).eigenvectors)
+    # a decomposition passed in is used as is, with the same result
+    assert np.array_equal(shrink_covariance(eigh(s), 30).values, est.values)
 
 
 def test_shrink_rotation_invariance():
     s = sample_covariance(np.random.default_rng(9).standard_normal((40, 6)))
     r = rotation(6, 10)
-    direct = shrink_covariance(r @ s.values @ r.T, 40).matrix().values
-    rotated = r @ shrink_covariance(s, 40).matrix().values @ r.T
+    direct = dense(shrink_covariance(r @ s.values @ r.T, 40))
+    rotated = r @ dense(shrink_covariance(s, 40)) @ r.T
     assert np.max(np.abs(direct - rotated)) <= 1e-8
 
 
@@ -287,7 +284,7 @@ def test_shrink_over_regime_fills_null_space():
     assert np.allclose(null_values, rule.zero_rule_value)
     inv = est.inverse().values
     assert np.all(np.isfinite(inv))
-    assert np.max(np.abs(est.matrix().values @ inv - np.eye(9))) <= 1e-8
+    assert np.max(np.abs(dense(est) @ inv - np.eye(9))) <= 1e-8
 
 
 def test_shrink_rejects_square_aspect_and_bad_n():
@@ -377,8 +374,7 @@ def test_rule_outputs_stay_positive(lams, h, under):
     if n == p:
         n += 1
     rule = ShrinkageRule(lams, n, p, h)
-    fn = delta_star_under if rule.regime == "under" else delta_star_over
-    values = fn(np.array(lams), rule)
+    values, _ = rule.evaluate(np.array(lams))
     assert np.all(np.isfinite(values))
     assert np.all(values > 0)
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from artifact.errors import DimensionError, InputError, SingularityError
 from artifact.spectral import (
-    EmpiricalSpectralDistribution,
     SpectralDecomposition,
     SymmetricMatrix,
     as_symmetric,
@@ -24,6 +23,12 @@ def spd(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     return a @ a.T + dim * np.eye(dim)
+
+
+def recompose(decomp):
+    """U diag(lambda) U' from a decomposition."""
+    u = decomp.eigenvectors
+    return u @ np.diag(decomp.eigenvalues) @ u.T
 
 
 # construction
@@ -114,7 +119,7 @@ def test_eigh_two_by_two_analytic():
 def test_eigh_wishart_reconstruction():
     a = spd(6, 1)
     d = eigh(a)
-    assert np.max(np.abs(d.reconstruct().values - symmetrize(a))) <= 1e-8 * (
+    assert np.max(np.abs(recompose(d) - symmetrize(a))) <= 1e-8 * (
         1 + np.max(np.abs(a))
     )
     assert np.max(np.abs(d.eigenvectors.T @ d.eigenvectors - np.eye(6))) <= 1e-10
@@ -131,7 +136,7 @@ def test_eigh_is_deterministic_and_sign_fixed():
 
 def test_eigh_twice_stable_eigenvalues():
     d = eigh(spd(4, 3))
-    again = eigh(d.reconstruct())
+    again = eigh(recompose(d))
     assert np.max(np.abs(d.eigenvalues - again.eigenvalues)) <= 1e-8
 
 
@@ -209,26 +214,6 @@ def test_inv_sqrt_requires_positive_definite():
         spectral_inv_sqrt(np.diag([1.0, 0.0]))
 
 
-# empirical spectral distribution
-
-
-def test_esd_cdf_steps():
-    esd = EmpiricalSpectralDistribution([3.0, 1.0, 2.0])
-    assert np.array_equal(esd.support, [1.0, 2.0, 3.0])
-    assert esd.cdf(0.5) == 0.0
-    assert esd.cdf(1.0) == pytest.approx(1.0 / 3.0)
-    assert esd.cdf(2.5) == pytest.approx(2.0 / 3.0)
-    assert esd.cdf(3.0) == 1.0
-    assert np.allclose(esd.cdf(np.array([0.0, 2.0])), [0.0, 2.0 / 3.0])
-
-
-def test_esd_rejects_empty_and_non_finite():
-    with pytest.raises(DimensionError):
-        EmpiricalSpectralDistribution([])
-    with pytest.raises(InputError):
-        EmpiricalSpectralDistribution([1.0, np.nan])
-
-
 # properties
 
 sym_entries = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -250,7 +235,7 @@ def test_eigh_invariants_hold_generically(a):
     dim = a.shape[0]
     assert np.all(np.diff(d.eigenvalues) >= 0)
     assert np.max(np.abs(d.eigenvectors.T @ d.eigenvectors - np.eye(dim))) <= 1e-10
-    assert np.max(np.abs(d.reconstruct().values - a)) <= 1e-8 * (1 + np.max(np.abs(a)))
+    assert np.max(np.abs(recompose(d) - a)) <= 1e-8 * (1 + np.max(np.abs(a)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,6 @@ from artifact.errors import (
 from artifact.shrinkage import (
     ShrinkageRule,
     default_bandwidth,
-    delta_star_under,
     shrink_covariance,
 )
 from artifact.spectral import eigh, sample_covariance
@@ -34,7 +33,7 @@ from artifact.tuning import (
 def zeta_vector(lams, n, h):
     lams = np.asarray(lams, dtype=float)
     rule = ShrinkageRule(lams, n, lams.size, h)
-    return n * lams / delta_star_under(lams, rule)
+    return n * lams / rule.evaluate(lams)[0]
 
 
 def trace_fd_oracle(lams, n, h, rel_step):
@@ -67,7 +66,7 @@ def divergence_fd_oracle(s, n, h, step):
         decomp = eigh(0.5 * (m + m.T) / n)
         lam = decomp.eigenvalues
         rule = ShrinkageRule(lam, n, p, h)
-        vals = n * lam / delta_star_under(lam, rule)
+        vals = n * lam / rule.evaluate(lam)[0]
         u = decomp.eigenvectors
         return u @ np.diag(vals) @ u.T
 
