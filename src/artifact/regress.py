@@ -288,7 +288,7 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
         estimate = np.zeros_like(coefficients)
         for comp in range(k):
             u = decomps[comp].eigenvectors
-            inv = u @ np.diag(1.0 / values[comp]) @ u.T
+            inv = (u * (1.0 / values[comp])) @ u.T
             rotate = q_half @ inv @ q_half_inv
             shrunk_rows = coefficients @ (eye - rotate).T
             estimate += weights[:, comp, None] * shrunk_rows

@@ -181,7 +181,7 @@ class ShrunkCovariance:
 
     def inverse(self):
         u = self.decomposition.eigenvectors
-        return SymmetricMatrix(u @ np.diag(1.0 / self.values) @ u.T)
+        return SymmetricMatrix((u * (1.0 / self.values)) @ u.T)
 
 
 def _shrink_spectrum(decomp, n, p, h):
@@ -226,20 +226,35 @@ def shrink_covariance(s, n, h=None):
     return _shrink_spectrum(decomp, n, p, h)
 
 
-def empirical_loss(true_inverse, estimate_inverse, s, degree=1):
-    """Relative savings loss (1/p) tr[(A - B)^2 S^degree].
+def empirical_loss(true_inverse, decomposition, inverse_values, degree=1):
+    """Relative savings loss (1/p) tr[(A - B)^2 S^degree] in the eigenbasis of S.
 
-    A and B are inverse matrices (truth and estimate), S the sample
-    second-moment matrix.  degree must be a nonnegative integer.
+    A is the true inverse (a p-by-p matrix) and S = U diag(lambda) U' the
+    sample second-moment matrix, given as its decomposition.  The estimate B
+    must share S's eigenvectors, B = U diag(inverse_values) U', as every
+    estimate built from S's spectrum does (the raw inverse and each shrunk
+    inverse).  With M = U'AU - diag(inverse_values) the loss is
+    sum_ij M_ij^2 lambda_i^degree / p, so A is rotated once per call and each
+    estimate then costs O(p^2).
+
+    inverse_values is 1-d (one estimate; returns a float) or 2-d (one row per
+    estimate; returns one loss per row).  degree must be a nonnegative integer.
     """
     a = as_symmetric(true_inverse).values
-    b = as_symmetric(estimate_inverse).values
-    sm = as_symmetric(s).values
     if int(degree) != degree or degree < 0:
         raise DomainError("degree must be a nonnegative integer")
-    p = a.shape[0]
-    if b.shape[0] != p or sm.shape[0] != p:
-        raise DimensionError("all matrices must share the same dimension")
-    diff = a - b
-    weight = np.linalg.matrix_power(sm, int(degree))
-    return float(np.trace(diff @ diff @ weight)) / p
+    values = np.asarray(inverse_values, dtype=float)
+    lam = decomposition.eigenvalues
+    p = lam.size
+    if a.shape[0] != p or values.ndim not in (1, 2) or values.shape[-1] != p:
+        raise DimensionError("the truth, S and every estimate must share dimension p")
+    u = decomposition.eigenvectors
+    rotated = u.T @ a @ u
+    weight = lam ** int(degree)
+    diagonal = np.diag(rotated)
+    off = rotated * rotated
+    np.fill_diagonal(off, 0.0)
+    # only the diagonal of M depends on the estimate
+    shared = float(np.sum(off, axis=1) @ weight)
+    losses = (shared + ((diagonal - values) ** 2) @ weight) / p
+    return float(losses) if values.ndim == 1 else losses

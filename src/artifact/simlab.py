@@ -11,8 +11,13 @@ import numpy as np
 
 from .errors import DomainError
 from .regress import SourceBundle, fit_ols, global_shrink, local_shrink
-from .shrinkage import _shrink_spectrum, empirical_loss, shrink_covariance
-from .spectral import SymmetricMatrix, eigh, sample_covariance, spectral_inverse
+from .shrinkage import empirical_loss, shrink_covariance
+from .spectral import (
+    SymmetricMatrix,
+    require_positive_definite,
+    sample_covariance,
+    spectral_inverse,
+)
 from .tuning import default_bandwidth_grid, select_bandwidth
 
 COEFFICIENT_DESIGNS = ("low-rank", "all-small", "heavy-tail", "scale-mixture")
@@ -207,15 +212,15 @@ def loss_convergence(model, sample_sizes, aspect_ratios, reps=10, seed=0):
                     _replication_seed(seed, ni, ci, rep)
                 )
                 z = rng.standard_normal((int(n), p)) @ chol.T
-                s = sample_covariance(z)
-                est = shrink_covariance(s, int(n))
+                est = shrink_covariance(sample_covariance(z), int(n))
+                loss = empirical_loss(truth_inv, est.decomposition, 1.0 / est.values, 1)
                 records.append({
                     "model": model,
                     "n": int(n),
                     "c": float(c),
                     "p": p,
                     "replication": rep,
-                    "loss": empirical_loss(truth_inv, est.inverse(), s, 1),
+                    "loss": loss,
                 })
     return records
 
@@ -241,6 +246,12 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
     replication from the risk estimate, which is unbiased but noisy: the
     policy is asymptotically optimal, but at small n - p - 1 it can trail the
     default.  A nonpositive denominator flags the cell undefined.
+
+    Each replication factors S once and tunes once: the risk grid already
+    evaluates the rule at every grid bandwidth, and the raw inverse and every
+    grid estimate keep S's eigenvectors, so one empirical_loss call scores
+    them all after a single rotation of the true inverse.  A singular sample
+    covariance raises SingularityError, as the raw inverse is undefined.
     """
     policies = list(policies)
     for pol in policies:
@@ -268,17 +279,15 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
         for rep in range(int(reps)):
             rng = np.random.default_rng(_replication_seed(seed, ci, rep + 1))
             z = rng.standard_normal((n, p)) @ chol.T
-            s = sample_covariance(z)
-            decomp = eigh(s)
-            raw_losses[rep] = empirical_loss(
-                truth_inv, spectral_inverse(decomp).values, s, 1
-            )
-            for gi, h in enumerate(grid):
-                est = _shrink_spectrum(decomp, n, p, h)
-                grid_losses[rep, gi] = empirical_loss(
-                    truth_inv, est.inverse(), s, 1
-                )
+            decomp = require_positive_definite(sample_covariance(z), "inverse")
             chosen = select_bandwidth(decomp, n, grid)
+            # row 0 is the raw inverse, row 1 + i the estimate at grid[i]
+            inverse_values = 1.0 / np.vstack(
+                [decomp.eigenvalues] + [est.values for est in chosen.estimates]
+            )
+            losses = empirical_loss(truth_inv, decomp, inverse_values, 1)
+            raw_losses[rep] = losses[0]
+            grid_losses[rep] = losses[1:]
             sure_losses[rep] = grid_losses[rep, chosen.index]
 
         mean_raw = float(np.mean(raw_losses))

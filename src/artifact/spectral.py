@@ -99,10 +99,14 @@ def spectral_apply(matrix, fn):
             % (idx, decomp.eigenvalues[idx])
         )
     u = decomp.eigenvectors
-    return SymmetricMatrix(u @ np.diag(mapped) @ u.T)
+    return SymmetricMatrix((u * mapped) @ u.T)
 
 
-def _guarded(matrix, fn, what):
+def require_positive_definite(matrix, what):
+    """Decomposition of matrix, or SingularityError naming `what` if it is singular.
+
+    An eigenvalue at or below the zero tolerance counts as singular.
+    """
     decomp = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix)
     tol = decomp.zero_tolerance
     small = decomp.eigenvalues <= tol
@@ -112,17 +116,19 @@ def _guarded(matrix, fn, what):
             "%s requires a positive definite matrix; eigenvalue %d is %.6g"
             % (what, idx, decomp.eigenvalues[idx])
         )
-    return spectral_apply(decomp, fn)
+    return decomp
 
 
 def spectral_inverse(matrix):
     """Inverse through the eigensystem; positive definite input required."""
-    return _guarded(matrix, lambda v: 1.0 / v, "inverse")
+    return spectral_apply(require_positive_definite(matrix, "inverse"),
+                          lambda v: 1.0 / v)
 
 
 def spectral_inv_sqrt(matrix):
     """Inverse square root through the eigensystem; positive definite input required."""
-    return _guarded(matrix, lambda v: v ** -0.5, "inverse square root")
+    return spectral_apply(require_positive_definite(matrix, "inverse square root"),
+                          lambda v: v ** -0.5)
 
 
 def spectral_sqrt(matrix):

@@ -24,6 +24,11 @@ from .spectral import SpectralDecomposition, as_matrix, as_symmetric, eigh
 # the divided-difference part of the derivative trace.
 COALESCENCE_RTOL = 1e-8
 
+# Risks within this share of the minimum's term magnitude are tied.  Where
+# the risk curve is flat in h (p = 1 is flat exactly), round-off in the last
+# digits would otherwise pick the bandwidth.
+RISK_TIE_RTOL = 1e-12
+
 
 def precision_diagonals(data):
     """Estimate the diagonal of the inverse population second-moment matrix.
@@ -121,12 +126,17 @@ class RiskEstimate:
 
     value = quadratic/n - 2 (n-p-1) inverse_sum/n - 4 derivative_trace/n
             + diagonal_sum, where the last term is only present when
-    precision diagonals were supplied (it does not depend on h).
+    precision diagonals were supplied (it does not depend on h).  magnitude
+    is the sum of the absolute values of those terms, the scale of the
+    round-off in value.  values are the shrunk eigenvalues delta(lambda) the
+    components were computed from, in ascending order of the sample
+    eigenvalues.
     """
 
-    def __init__(self, h, n, p, quadratic, inverse_sum, derivative_trace,
+    def __init__(self, h, n, p, values, quadratic, inverse_sum, derivative_trace,
                  diagonal_sum=None, clamp_count=0):
         self.h = float(h)
+        self.values = values
         self.n = int(n)
         self.p = int(p)
         self.quadratic = float(quadratic)
@@ -142,6 +152,10 @@ class RiskEstimate:
         if self.diagonal_sum is not None:
             value += self.diagonal_sum
         self.value = value
+        self.magnitude = (
+            abs(self.quadratic) + 2.0 * (n - p - 1) * abs(self.inverse_sum)
+            + 4.0 * abs(self.derivative_trace)
+        ) / n + abs(self.diagonal_sum or 0.0)
 
 
 def risk_estimate(s, n, h, diagonals=None):
@@ -172,7 +186,7 @@ def risk_estimate(s, n, h, diagonals=None):
     inverse_sum = float(np.sum(1.0 / delta))
     trace = _derivative_trace(rule, delta, clamped)
     diagonal_sum = None if diagonals is None else float(np.sum(diagonals))
-    return RiskEstimate(h, n, p, quadratic, inverse_sum, trace, diagonal_sum,
+    return RiskEstimate(h, n, p, delta, quadratic, inverse_sum, trace, diagonal_sum,
                         int(np.sum(clamped)))
 
 
@@ -194,21 +208,30 @@ def default_bandwidth_grid(n, p, size=15, span=10.0):
 
 
 class BandwidthSelection:
-    """Chosen bandwidth plus the (h, risk) table behind the choice."""
+    """Chosen bandwidth plus the (h, risk) table behind the choice.
 
-    def __init__(self, h, grid, risks, index):
+    grid is sorted ascending and index points into it.  estimates holds the
+    RiskEstimate of each grid point, or None where the estimate raised; its
+    `values` are the shrunk spectrum at that h, so callers that need the
+    estimator on every grid point need not evaluate the rule again.
+    """
+
+    def __init__(self, h, grid, risks, index, estimates):
         self.h = float(h)
         self.grid = np.asarray(grid, dtype=float)
         self.risks = np.asarray(risks, dtype=float)
         self.index = int(index)
+        self.estimates = list(estimates)
 
 
 def select_bandwidth(s, n, grid=None, diagonals=None):
     """Minimize the risk estimate over a bandwidth grid.
 
-    Ties prefer the larger h (smoother estimate).  Grid entries whose risk is
-    non-finite are skipped; if none survive, a TuningError is raised.  The
-    diagonal anchor term is constant in h, so diagonals may be omitted.
+    Risks within round-off of the minimum (RISK_TIE_RTOL times its
+    magnitude) are ties, and ties prefer the larger h (smoother estimate).
+    Grid entries whose risk is non-finite are skipped; if none survive, a
+    TuningError is raised.  The diagonal anchor term is constant in h, so
+    diagonals may be omitted.
     """
     decomp = s if isinstance(s, SpectralDecomposition) else eigh(as_symmetric(s))
     p = decomp.dim
@@ -221,15 +244,18 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
         raise DomainError("bandwidth grid must be positive and finite")
 
     risks = np.empty(grid.size)
+    estimates = []
     for i, h in enumerate(grid):
         try:
-            risks[i] = risk_estimate(decomp, n, h, diagonals).value
+            estimate = risk_estimate(decomp, n, h, diagonals)
         except (SingularityError, FloatingPointError):
-            risks[i] = np.nan
+            estimate = None
+        estimates.append(estimate)
+        risks[i] = np.nan if estimate is None else estimate.value
     finite = np.isfinite(risks)
     if not np.any(finite):
         raise TuningError("no bandwidth in the grid produced a finite risk estimate")
-    best = np.nanmin(np.where(finite, risks, np.nan))
-    candidates = np.nonzero(finite & (risks == best))[0]
-    index = int(candidates[-1])
-    return BandwidthSelection(grid[index], grid, risks, index)
+    lowest = int(np.nanargmin(np.where(finite, risks, np.nan)))
+    bound = risks[lowest] + RISK_TIE_RTOL * estimates[lowest].magnitude
+    index = int(np.nonzero(finite & (risks <= bound))[0][-1])
+    return BandwidthSelection(grid[index], grid, risks, index, estimates)

@@ -10,6 +10,7 @@ from artifact import (
     COEFFICIENT_DESIGNS,
     MixtureState,
     SourceBundle,
+    eigh,
     empirical_loss,
     global_shrink,
     local_shrink,
@@ -85,14 +86,14 @@ def test_criterion_03_risk_estimate_tracks_monte_carlo_risk(criterion_report):
         losses = np.zeros((reps, len(bandwidths)))
         for rep in range(reps):
             z = rng.standard_normal((n, p)) @ chol.T
-            s = sample_covariance(z)
+            decomp = eigh(sample_covariance(z))
             diagonals = precision_diagonals(z)
             for bi, h in enumerate(bandwidths):
-                est = shrink_covariance(s, n, h)
+                est = shrink_covariance(decomp, n, h)
                 losses[rep, bi] = p * empirical_loss(
-                    truth_inv, est.inverse(), s, 1
+                    truth_inv, decomp, 1.0 / est.values, 1
                 )
-                estimates[rep, bi] = risk_estimate(s, n, h, diagonals).value
+                estimates[rep, bi] = risk_estimate(decomp, n, h, diagonals).value
         for bi, h in enumerate(bandwidths):
             target = float(np.mean(losses[:, bi]))
             rel = abs(float(np.mean(estimates[:, bi])) - target) / target

@@ -321,40 +321,88 @@ def test_shrink_clamp_floor_engages_on_adversarial_spectrum():
 # loss
 
 
+def dense_loss(a, b, s, degree):
+    """Reference: (1/p) tr[(A - B)^2 S^degree] with dense matrix products."""
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    weight = np.linalg.matrix_power(np.asarray(s, dtype=float), int(degree))
+    return float(np.trace(diff @ diff @ weight)) / diff.shape[0]
+
+
+def in_eigenbasis(decomp, values):
+    """B = U diag(values) U', an estimate that keeps S's eigenvectors."""
+    u = decomp.eigenvectors
+    return u @ np.diag(values) @ u.T
+
+
 def test_loss_zero_at_truth():
-    s = sample_covariance(np.random.default_rng(12).standard_normal((20, 3)))
-    a = np.diag([1.0, 2.0, 3.0])
-    assert empirical_loss(a, a, s) == 0.0
+    # a diagonal S has the coordinate axes as eigenvectors, so the rotation
+    # is exact and a truth equal to the estimate gives exactly zero
+    decomp = eigh(np.diag([3.0, 1.0, 2.0]))
+    a = np.diag([1.0 / 3.0, 1.0, 0.5])
+    assert empirical_loss(a, decomp, 1.0 / decomp.eigenvalues) == 0.0
 
 
 def test_loss_degree_zero_hand_trace():
+    # S's eigenvalues are 2 and 3 with eigenvectors e2 and e1, so values
+    # (1, 0) put B = diag(0, 1) and (A - B)^2 = I
     a = np.diag([1.0, 0.0])
-    b = np.diag([0.0, 1.0])
-    s = np.array([[3.0, 1.0], [1.0, 2.0]])
-    assert empirical_loss(a, b, s, 0) == pytest.approx(1.0, abs=1e-15)
+    decomp = eigh(np.diag([3.0, 2.0]))
+    assert empirical_loss(a, decomp, [1.0, 0.0], 0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_loss_matches_triple_loop_oracle():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((5, 5))
-    b = rng.standard_normal((5, 5))
     s = rng.standard_normal((5, 5))
-    a, b, s = [0.5 * (m + m.T) for m in (a, b, s)]
-    diff = a - b
+    a, s = [0.5 * (m + m.T) for m in (a, s)]
+    decomp = eigh(s)
+    values = rng.standard_normal(5)
+    diff = a - in_eigenbasis(decomp, values)
     expect = 0.0
     for i in range(5):
         for j in range(5):
             for k in range(5):
                 expect += diff[i, j] * diff[j, k] * s[k, i]
     expect /= 5
-    assert empirical_loss(a, b, s, 1) == pytest.approx(expect, abs=1e-10)
+    assert empirical_loss(a, decomp, values, 1) == pytest.approx(expect, abs=1e-10)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("n, p", [(60, 12), (8, 20)])
+def test_loss_factored_form_matches_dense_oracle(degree, n, p):
+    # p > n leaves p - n zero sample eigenvalues; an arbitrary spectrum and
+    # two shrunk ones are scored both one at a time and as one 2-d batch
+    rng = np.random.default_rng(100 * n + p + degree)
+    loadings = rng.standard_normal((p, 3))
+    cov = loadings @ loadings.T + np.eye(p)
+    truth_inv = np.linalg.inv(cov)
+    s = sample_covariance(rng.standard_normal((n, p)) @ np.linalg.cholesky(cov).T)
+    decomp = eigh(s)
+    rows = np.vstack([
+        rng.uniform(0.5, 2.0, p),
+        1.0 / shrink_covariance(decomp, n).values,
+        1.0 / shrink_covariance(decomp, n, 0.5).values,
+    ])
+    batch = empirical_loss(truth_inv, decomp, rows, degree)
+    assert batch.shape == (3,)
+    for values, got in zip(rows, batch):
+        want = dense_loss(truth_inv, in_eigenbasis(decomp, values), s.values, degree)
+        single = empirical_loss(truth_inv, decomp, values, degree)
+        assert isinstance(single, float)
+        assert abs(single - want) <= 1e-12 * abs(want)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_loss_validation():
+    decomp = eigh(np.eye(2))
     with pytest.raises(DomainError):
-        empirical_loss(np.eye(2), np.eye(2), np.eye(2), -1)
+        empirical_loss(np.eye(2), decomp, [1.0, 1.0], -1)
     with pytest.raises(DimensionError):
-        empirical_loss(np.eye(2), np.eye(3), np.eye(2))
+        empirical_loss(np.eye(3), decomp, [1.0, 1.0])
+    with pytest.raises(DimensionError):
+        empirical_loss(np.eye(2), decomp, [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionError):
+        empirical_loss(np.eye(2), decomp, np.ones((1, 1, 2)))
 
 
 # properties
@@ -384,9 +432,8 @@ def test_rule_outputs_stay_positive(lams, h, under):
 def test_loss_nonnegative_on_psd_weight(dim, degree):
     rng = np.random.default_rng(dim * 7 + degree)
     a = rng.standard_normal((dim, dim))
-    b = rng.standard_normal((dim, dim))
     z = rng.standard_normal((dim + 2, dim))
     loss = empirical_loss(
-        0.5 * (a + a.T), 0.5 * (b + b.T), sample_covariance(z).values, degree
+        0.5 * (a + a.T), eigh(sample_covariance(z)), rng.standard_normal(dim), degree
     )
     assert loss >= -1e-12

@@ -11,6 +11,7 @@ from artifact import (
     DomainError,
     ExperimentResult,
     coefficient_matrix,
+    default_bandwidth_grid,
     design_error,
     equicorrelated_design,
     estimate_with_method,
@@ -21,6 +22,8 @@ from artifact import (
     prial_experiment,
     run_experiment,
     sample_covariance,
+    select_bandwidth,
+    shrink_covariance,
     simulate_sources,
     true_covariance,
 )
@@ -297,6 +300,50 @@ def test_prial_experiment_small_cell():
         assert r["prial"] > 0.0
         assert r["mean_loss"] <= r["raw_mean_loss"]
         assert (r["n"], r["p"]) == (32, 16)
+
+
+def prial_dense_oracle(np_product, aspect, reps, seed):
+    """One prial cell on dense matrices: each estimate inverted as a p-by-p
+    matrix and its loss traced against S directly, per grid bandwidth."""
+    p = int(round(np.sqrt(aspect * np_product)))
+    n = int(round(p / aspect))
+    cell_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
+    cov = factor_covariance(p, 5, cell_rng).values
+    truth_inv = np.linalg.inv(cov)
+    chol = np.linalg.cholesky(cov)
+    grid = default_bandwidth_grid(n, p)
+
+    def loss(inverse, s):
+        diff = truth_inv - inverse
+        return float(np.trace(diff @ diff @ s)) / p
+
+    raw, grid_losses, sure = [], [], []
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, rep + 1)))
+        s = sample_covariance(rng.standard_normal((n, p)) @ chol.T).values
+        raw.append(loss(np.linalg.inv(s), s))
+        row = [loss(shrink_covariance(s, n, h).inverse().values, s) for h in grid]
+        grid_losses.append(row)
+        sure.append(row[select_bandwidth(s, n, grid).index])
+    mean_grid = np.mean(grid_losses, axis=0)
+    oracle = int(np.argmin(mean_grid))
+    return {
+        "raw_mean_loss": float(np.mean(raw)),
+        "oracle_h": float(grid[oracle]),
+        "default": float(mean_grid[grid.size // 2]),
+        "sure": float(np.mean(sure)),
+        "oracle": float(mean_grid[oracle]),
+    }
+
+
+def test_prial_experiment_matches_dense_oracle():
+    want = prial_dense_oracle(500, 0.5, 12, 3)
+    recs = prial_experiment(np_product=500, aspect_ratios=(0.5,), reps=12, seed=3)
+    for r in recs:
+        assert r["oracle_h"] == want["oracle_h"]
+        for got, expect in ((r["mean_loss"], want[r["policy"]]),
+                            (r["raw_mean_loss"], want["raw_mean_loss"])):
+            assert abs(got - expect) <= 1e-12 * expect
 
 
 def test_prial_experiment_validation():

@@ -13,6 +13,7 @@ from artifact.errors import (
 )
 from artifact.shrinkage import (
     ShrinkageRule,
+    _shrink_spectrum,
     default_bandwidth,
     shrink_covariance,
 )
@@ -286,6 +287,18 @@ def test_select_achieves_grid_minimum():
     assert np.allclose(chosen.risks, risks)
 
 
+def test_select_keeps_each_grid_estimate():
+    # the risk grid's own rule evaluation is the shrunk spectrum itself
+    n, p = 40, 6
+    decomp = eigh(sample_covariance(np.random.default_rng(13).standard_normal((n, p))))
+    grid = default_bandwidth_grid(n, p)
+    chosen = select_bandwidth(decomp, n, grid)
+    assert len(chosen.estimates) == grid.size
+    for h, est, risk in zip(grid, chosen.estimates, chosen.risks):
+        assert est.h == h and est.value == risk
+        assert np.array_equal(est.values, _shrink_spectrum(decomp, n, p, h).values)
+
+
 def test_select_grid_order_invariance():
     s = sample_covariance(np.random.default_rng(12).standard_normal((40, 5)))
     grid = default_bandwidth_grid(40, 5, size=7)
@@ -295,7 +308,8 @@ def test_select_grid_order_invariance():
 
 def fake_risks(values):
     def fake(s, n, h, diagonals=None):
-        return SimpleNamespace(value=values[float(h)])
+        value = values[float(h)]
+        return SimpleNamespace(value=value, magnitude=abs(value))
     return fake
 
 
@@ -305,6 +319,15 @@ def test_select_tie_break_prefers_larger_h(monkeypatch):
         tuning, "risk_estimate", fake_risks({1.0: 1.5, 2.0: 1.5, 3.0: 2.0})
     )
     assert select_bandwidth(s, 30, [1.0, 2.0, 3.0]).h == 2.0
+    # a gap at round-off level is a tie; a larger one is not
+    monkeypatch.setattr(
+        tuning, "risk_estimate", fake_risks({1.0: -1.5, 2.0: -1.5 * (1 - 4e-14)})
+    )
+    assert select_bandwidth(s, 30, [1.0, 2.0]).h == 2.0
+    monkeypatch.setattr(
+        tuning, "risk_estimate", fake_risks({1.0: -1.5, 2.0: -1.5 * (1 - 1e-10)})
+    )
+    assert select_bandwidth(s, 30, [1.0, 2.0]).h == 1.0
 
 
 def test_select_skips_non_finite_risks(monkeypatch):
@@ -313,6 +336,16 @@ def test_select_skips_non_finite_risks(monkeypatch):
         tuning, "risk_estimate", fake_risks({1.0: np.nan, 2.0: 5.0})
     )
     assert select_bandwidth(s, 30, [1.0, 2.0]).h == 2.0
+
+    def singular_at_one(s, n, h, diagonals=None):
+        if h == 1.0:
+            raise SingularityError("no rule at h = 1")
+        return SimpleNamespace(value=5.0, magnitude=5.0)
+
+    monkeypatch.setattr(tuning, "risk_estimate", singular_at_one)
+    chosen = select_bandwidth(s, 30, [1.0, 2.0])
+    assert chosen.h == 2.0 and np.isnan(chosen.risks[0])
+    assert chosen.estimates[0] is None and chosen.estimates[1].value == 5.0
     monkeypatch.setattr(
         tuning, "risk_estimate", fake_risks({1.0: np.nan, 2.0: np.inf})
     )
