@@ -18,7 +18,8 @@ from .errors import (
     RegimeError,
     SingularityError,
 )
-from .shrinkage import _shrink_spectrum, default_bandwidth, shrink_covariance
+from .shrinkage import (ShrunkCovariance, _shrink_spectrum, default_bandwidth,
+                        shrink_covariance)
 from .spectral import (
     SymmetricMatrix,
     as_matrix,
@@ -116,21 +117,27 @@ def _coefficient_second_moment(standardized):
 
 
 def _resolve_bandwidth(decomp, n, p, h):
-    """Translate an h policy into a value.  Returns (h, policy, fell_back)."""
+    """Translate an h policy into (h, policy, fell_back, shrunk).
+
+    Under "auto", shrunk is the spectrum the risk grid already evaluated at
+    the chosen h; otherwise it is None and the caller shrinks at h.
+    """
     if isinstance(h, str):
         policy = h.lower()
         if policy == "default":
-            return default_bandwidth(n, p), policy, False
+            return default_bandwidth(n, p), policy, False, None
         if policy == "auto":
             if n > p + 1:
                 chosen = select_bandwidth(decomp, n, default_bandwidth_grid(n, p))
-                return chosen.h, policy, False
-            return default_bandwidth(n, p), policy, True
+                best = chosen.estimates[chosen.index]
+                shrunk = ShrunkCovariance(decomp, best.values, None, best.clamp_count)
+                return chosen.h, policy, False, shrunk
+            return default_bandwidth(n, p), policy, True, None
         raise DomainError("unknown bandwidth policy %r" % h)
     hv = float(h)
     if not (hv > 0) or not np.isfinite(hv):
         raise DomainError("bandwidth must be positive and finite")
-    return hv, "fixed", False
+    return hv, "fixed", False, None
 
 
 def global_shrink(bundle, h="default"):
@@ -148,8 +155,9 @@ def global_shrink(bundle, h="default"):
             "source count equals predictor count (%d); the pooled rule is undefined" % p
         )
     decomp = eigh(_coefficient_second_moment(bstar))
-    hv, policy, fell_back = _resolve_bandwidth(decomp, n, p, h)
-    shrunk = shrink_covariance(decomp, n, hv)
+    hv, policy, fell_back, shrunk = _resolve_bandwidth(decomp, n, p, h)
+    if shrunk is None:
+        shrunk = shrink_covariance(decomp, n, hv)
     rotate = noise.q_half.values @ shrunk.inverse().values @ noise.q_half_inv.values
     coef = estimate.coefficients @ (np.eye(p) - rotate).T
     if not np.all(np.isfinite(coef)):
@@ -232,71 +240,60 @@ def _initial_labels(standardized, k):
 def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in):
     """Run the label/estimate sweeps with explicit Gumbel variates.
 
-    gumbels has shape (sweeps, rows, components); sweep s resamples labels by
-    argmax_k of (log posterior numerator + gumbels[s, :, k]), so permuting the
+    gumbels is an iterable of per-sweep (rows, components) draws, consumed
+    one at a time (a 3-d array iterates as one); sweep s resamples labels by
+    argmax_k of (log posterior numerator + draw_s[:, k]), so permuting the
     component axis together with the initial labels permutes the whole
-    trajectory.  Returns the averaged post-burn-in coefficient matrix and a
+    trajectory.  Working memory is O(rows * components * p) whatever the
+    sweep count.  Returns the averaged post-burn-in coefficient matrix and a
     diagnostics dict.
+
+    With Sigma_k = U_k diag(v_k) U_k', one product b* [U_1 ... U_K] gives
+    every r_k = b* U_k; with s_k = r_k / v_k the density's quadratic form is
+    r_k . s_k and the posterior-mean row is b - sum_k w_k s_k U_k' Q^1/2, so
+    Q^1/2 is applied once at the end.
     """
-    sweeps, rows, k = gumbels.shape
     n, p = standardized.shape
-    if rows != n:
-        raise DimensionError("one Gumbel row per coefficient row required")
     labels = np.asarray(labels, dtype=int).copy()
-
     pooled = _component_shrunk(standardized, n, p)
-    eye = np.eye(p)
-    q_half = noise.q_half.values
-    q_half_inv = noise.q_half_inv.values
-
-    accum = np.zeros_like(coefficients)
-    kept = 0
-    pooled_resets = 0
-    clamp_total = 0
-    for s in range(sweeps):
-        decomps = []
-        values = []
+    log_norm = p * np.log(2.0 * np.pi)
+    accum = np.zeros((n, p))
+    k = None
+    kept = pooled_resets = clamp_total = 0
+    for sweeps, draw in enumerate(gumbels, start=1):
+        draw = np.asarray(draw, dtype=float)
+        if k is None and draw.ndim == 2:
+            k = draw.shape[1]
+        if draw.shape != (n, k) or k < 1:
+            raise DimensionError("each Gumbel draw must be (rows, components)")
+        vectors, values = np.empty((p, k, p)), np.empty((k, p))
         for comp in range(k):
             members = standardized[labels == comp]
-            count = members.shape[0]
-            if count < 2:
-                shrunk = pooled
-                pooled_resets += 1
-            else:
+            shrunk = pooled
+            if members.shape[0] >= 2:
                 try:
-                    shrunk = _component_shrunk(members, count, p)
+                    shrunk = _component_shrunk(members, members.shape[0], p)
                 except SingularityError:
-                    shrunk = pooled
-                    pooled_resets += 1
+                    pass
+            pooled_resets += shrunk is pooled
             clamp_total += shrunk.clamp_count
-            decomps.append(shrunk.decomposition)
-            values.append(shrunk.values)
-
-        counts = np.bincount(labels, minlength=k).astype(float)
-        floored = np.maximum(counts, 0.5)  # emptied components stay reachable
-        proportions = floored / floored.sum()
-
-        logs = np.empty((n, k))
-        for comp in range(k):
-            logs[:, comp] = np.log(proportions[comp]) + _log_density_rows(
-                standardized, decomps[comp], values[comp]
-            )
-        top = np.max(logs, axis=1, keepdims=True)
-        weights = np.exp(logs - top)
-        weights /= np.sum(weights, axis=1, keepdims=True)
-
-        estimate = np.zeros_like(coefficients)
-        for comp in range(k):
-            u = decomps[comp].eigenvectors
-            inv = (u * (1.0 / values[comp])) @ u.T
-            rotate = q_half @ inv @ q_half_inv
-            shrunk_rows = coefficients @ (eye - rotate).T
-            estimate += weights[:, comp, None] * shrunk_rows
-        if s >= burn_in:
-            accum += estimate
+            vectors[:, comp] = shrunk.decomposition.eigenvectors
+            values[comp] = shrunk.values
+        vectors = vectors.reshape(p, k * p)
+        # emptied components stay reachable
+        floored = np.maximum(np.bincount(labels, minlength=k), 0.5)
+        rotated = (standardized @ vectors).reshape(n, k, p)
+        scaled = rotated / values
+        quad = np.einsum("nkp,nkp->nk", rotated, scaled)
+        logdet = np.sum(np.log(values), axis=1)
+        logs = np.log(floored / floored.sum()) - 0.5 * (log_norm + logdet + quad)
+        if sweeps > burn_in:
+            weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
+            weights /= np.sum(weights, axis=1, keepdims=True)
+            scaled *= weights[:, :, None]
+            accum += scaled.reshape(n, k * p) @ vectors.T
             kept += 1
-
-        labels = np.argmax(logs + gumbels[s], axis=1)
+        labels = np.argmax(logs + draw, axis=1)
 
     if kept < 1:
         raise DomainError("burn-in leaves no sweeps to average")
@@ -307,7 +304,7 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
         "clamp_count": clamp_total,
         "final_component_sizes": np.bincount(labels, minlength=k).tolist(),
     }
-    return accum / kept, diagnostics
+    return coefficients - (accum / kept) @ noise.q_half.values, diagnostics
 
 
 def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
@@ -319,6 +316,9 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     sweep with a seeded generator, and the returned coefficients average the
     per-sweep posterior means after burn_in.  Components that empty out or
     lose their spectrum borrow the pooled all-rows covariance for that sweep.
+    Each sweep draws its own (sources, n_components) Gumbel block, the same
+    values as one up-front (sweeps, sources, n_components) draw, so working
+    memory is O(sources * n_components * p) whatever the sweep count.
     """
     k = int(n_components)
     if k != n_components or k < 1:
@@ -337,7 +337,7 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     bstar = standardize(estimate, noise)
     labels = _initial_labels(bstar, k)
     rng = np.random.default_rng(seed)
-    gumbels = rng.gumbel(size=(sweeps, n, k))
+    gumbels = (rng.gumbel(size=(n, k)) for _ in range(sweeps))
     coef, diagnostics = _mixture_sweeps(
         estimate.coefficients, bstar, noise, labels, gumbels, burn_in
     )

@@ -1,9 +1,12 @@
 """Tests for the multi-source regression layer.
 
 Oracles here are deliberately naive: a cofactor-expansion 3x3 inverse for the
-normal equations, a scalar Gaussian density for posterior weights, and direct
-recomposition of the shrinkage from public pieces.
+normal equations, a scalar Gaussian density for posterior weights, direct
+recomposition of the shrinkage from public pieces, and a dense mixture sampler
+that assembles every component's p-by-p shrinkage operator each sweep.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +36,12 @@ from artifact import (
     shrink_covariance,
     standardize,
 )
-from artifact.regress import _initial_labels, _mixture_sweeps
+from artifact.regress import (
+    _component_shrunk,
+    _initial_labels,
+    _log_density_rows,
+    _mixture_sweeps,
+)
 
 
 def inverse_3x3_oracle(m):
@@ -54,6 +62,70 @@ def inverse_3x3_oracle(m):
 
 def gaussian_density_oracle(x, variance):
     return np.exp(-x * x / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
+
+
+def dense_mixture_sweeps_oracle(coefficients, standardized, noise, labels, gumbels,
+                                burn_in):
+    # the sampler written out densely: all draws up front, one density pass and
+    # one p-by-p operator coefficients @ (I - Q^1/2 Sigma_k^-1 Q^-1/2)' per
+    # component per sweep, and the posterior mean built on every sweep
+    sweeps, n, k = gumbels.shape
+    p = standardized.shape[1]
+    labels = np.asarray(labels, dtype=int).copy()
+    pooled = _component_shrunk(standardized, n, p)
+    accum = np.zeros_like(coefficients)
+    kept = pooled_resets = clamp_total = 0
+    for s in range(sweeps):
+        fitted = []
+        for comp in range(k):
+            members = standardized[labels == comp]
+            shrunk = pooled
+            if members.shape[0] >= 2:
+                try:
+                    shrunk = _component_shrunk(members, members.shape[0], p)
+                except SingularityError:
+                    pass
+            pooled_resets += shrunk is pooled
+            clamp_total += shrunk.clamp_count
+            fitted.append(shrunk)
+        floored = np.maximum(np.bincount(labels, minlength=k).astype(float), 0.5)
+        proportions = floored / floored.sum()
+        logs = np.empty((n, k))
+        for comp, shrunk in enumerate(fitted):
+            logs[:, comp] = np.log(proportions[comp]) + _log_density_rows(
+                standardized, shrunk.decomposition, shrunk.values
+            )
+        weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
+        weights /= np.sum(weights, axis=1, keepdims=True)
+        estimate = np.zeros_like(coefficients)
+        for comp, shrunk in enumerate(fitted):
+            u = shrunk.decomposition.eigenvectors
+            inv = u @ np.diag(1.0 / shrunk.values) @ u.T
+            rotate = noise.q_half.values @ inv @ noise.q_half_inv.values
+            estimate += weights[:, comp, None] * (coefficients @ (np.eye(p) - rotate).T)
+        if s >= burn_in:
+            accum += estimate
+            kept += 1
+        labels = np.argmax(logs + gumbels[s], axis=1)
+    diagnostics = {
+        "sweeps": sweeps,
+        "burn_in": burn_in,
+        "pooled_resets": pooled_resets,
+        "clamp_count": clamp_total,
+        "final_component_sizes": np.bincount(labels, minlength=k).tolist(),
+    }
+    return accum / kept, diagnostics
+
+
+def two_scale_bundle(seed, n_samples, p, n_sources):
+    # half the sources carry tight coefficients and half wide ones, so a
+    # mixture sampler has components to find
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_samples, p))
+    scale = np.where(rng.random(n_sources) < 0.5, 0.1, 3.0)
+    beta = rng.standard_normal((n_sources, p)) * scale[:, None]
+    y = x @ beta.T + rng.standard_normal((n_samples, n_sources))
+    return SourceBundle(x, y)
 
 
 def whitened_bundle(rng, n_samples, p, n_sources, signal_scale):
@@ -484,6 +556,73 @@ def test_mixture_sweeps_pooled_reset_on_empty_component():
         estimate.coefficients, bstar, noise, np.zeros(16, dtype=int), gumbels, 0
     )
     assert diag["pooled_resets"] >= 1
+
+
+@pytest.mark.parametrize(
+    "k, sweeps, burn_in, empty_start",
+    [(1, 10, 2, False), (2, 14, 3, False), (3, 12, 4, False), (3, 10, 2, True)],
+)
+def test_mixture_sweeps_match_dense_oracle(k, sweeps, burn_in, empty_start):
+    bundle = two_scale_bundle(60 + k, 30, 4, 45)
+    estimate, noise = fit_ols(bundle)
+    bstar = standardize(estimate, noise)
+    n = bundle.n_sources
+    # starting every row in component 0 empties the others: pooled resets
+    labels = np.zeros(n, dtype=int) if empty_start else _initial_labels(bstar, k)
+    gumbels = np.random.default_rng(k).gumbel(size=(sweeps, n, k))
+    out, diag = _mixture_sweeps(
+        estimate.coefficients, bstar, noise, labels, gumbels, burn_in
+    )
+    expected, expected_diag = dense_mixture_sweeps_oracle(
+        estimate.coefficients, bstar, noise, labels, gumbels, burn_in
+    )
+    assert diag == expected_diag
+    if empty_start:
+        assert diag["pooled_resets"] >= k - 1
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+
+
+def test_local_shrink_streams_the_up_front_draws():
+    bundle = two_scale_bundle(70, 30, 4, 40)
+    k, sweeps, burn_in, seed = 3, 11, 2, 123
+    fit = local_shrink(bundle, k, sweeps=sweeps, burn_in=burn_in, seed=seed)
+    estimate, noise = fit_ols(bundle)
+    bstar = standardize(estimate, noise)
+    gumbels = np.random.default_rng(seed).gumbel(size=(sweeps, bundle.n_sources, k))
+    out, diag = _mixture_sweeps(
+        estimate.coefficients, bstar, noise, _initial_labels(bstar, k), gumbels, burn_in
+    )
+    assert np.array_equal(fit.coefficients, out)
+    assert fit.diagnostics["final_component_sizes"] == diag["final_component_sizes"]
+
+
+def test_mixture_sweeps_reject_misshapen_draws():
+    bundle = two_scale_bundle(71, 30, 3, 20)
+    estimate, noise = fit_ols(bundle)
+    bstar = standardize(estimate, noise)
+    labels = _initial_labels(bstar, 2)
+    rng = np.random.default_rng(0)
+    short = [rng.gumbel(size=(20, 2)), rng.gumbel(size=(19, 2))]
+    with pytest.raises(DimensionError):
+        _mixture_sweeps(estimate.coefficients, bstar, noise, labels, short, 0)
+    flat = [rng.gumbel(size=20)]
+    with pytest.raises(DimensionError):
+        _mixture_sweeps(estimate.coefficients, bstar, noise, labels, flat, 0)
+
+
+def test_local_shrink_memory_does_not_grow_with_sweeps():
+    bundle = two_scale_bundle(72, 40, 10, 3000)
+    peaks = []
+    for sweeps in (40, 400):
+        tracemalloc.start()
+        try:
+            local_shrink(bundle, 3, sweeps=sweeps, burn_in=10, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # drawing every Gumbel variate up front would add 360 * 3000 * 3 * 8 B
+    assert peaks[1] - peaks[0] <= 1 << 20
 
 
 def test_initial_labels_split_by_row_norm():
