@@ -56,7 +56,10 @@ def format_matrix(matrix, fmt="%.6g", header=None):
     rows = np.atleast_2d(np.asarray(matrix, dtype=float))
     lines = [] if header is None else [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt % v for v in row))
+        # Python floats format faster than numpy scalars.  One % per row is
+        # faster still, but CPython 3.11 never reuses the 20-item argument
+        # tuples it puts on its free list (about 0.4 MB per process).
+        lines.append(",".join([fmt % v for v in row.tolist()]))
     return "\n".join(lines) + "\n"
 
 

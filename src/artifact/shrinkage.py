@@ -48,11 +48,59 @@ def _check_kernel(eigenvalues, h, divisor):
         raise InputError("kernel eigenvalues must be finite")
     if np.any(lam <= 0):
         raise DomainError("kernel eigenvalues must be strictly positive")
-    if not (h > 0):
-        raise DomainError("bandwidth h must be positive")
+    hv = _bandwidths(h)
     if not (divisor > 0):
         raise DomainError("divisor must be positive")
-    return lam
+    return lam, hv
+
+
+def _bandwidths(h):
+    """h as a 1-d array: a scalar is one bandwidth, a 1-d array one per entry."""
+    hv = np.atleast_1d(np.asarray(h, dtype=float))
+    # min and max also reject NaN, which fails every comparison
+    if hv.ndim != 1 or hv.size < 1 or not (hv.min() > 0 and hv.max() < np.inf):
+        raise DomainError("bandwidth h must be positive and finite (a scalar or a 1-d array)")
+    return hv
+
+
+def _kernel_differences(inv, x):
+    """u[j, k] = inv[k] - x[j] and u**2; they do not depend on the bandwidth."""
+    u = inv - x[:, None]
+    return u, u * u
+
+
+def _stein_sums(inv, u, u2, h, divisor, derivative=False, out=None):
+    """Stein-transform sums at the points x of u = _kernel_differences(inv, x).
+
+    h is a 1-d array of bandwidths; the result has shape (h.size, x.size).
+    With derivative, returns (g, g') where g' is the x-derivative.  out, if
+    given, is a pair of (h.size, x.size, inv.size) buffers the terms are
+    formed in; a caller that evaluates many bandwidths reuses them.
+    """
+    b2 = (h[:, None] * inv) ** 2
+    if out is None:
+        out = (np.empty((h.size,) + u.shape), np.empty((h.size,) + u.shape))
+    den, terms = out
+    np.add(u2, b2[:, None, :], out=den)
+    np.multiply(inv, u, out=terms)
+    terms /= den
+    g = terms.sum(axis=-1) / divisor
+    if not derivative:
+        return g
+    np.subtract(u2, b2[:, None, :], out=terms)
+    terms *= inv
+    den *= den
+    terms /= den
+    return g, terms.sum(axis=-1) / divisor
+
+
+def _shaped(out, x, h):
+    """Drop the bandwidth axis for scalar h and the point axis for scalar x."""
+    if np.ndim(h) == 0:
+        out = out[0]
+    if np.ndim(x) == 0:
+        out = out[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def stein_transform(x, eigenvalues, h, divisor):
@@ -60,29 +108,29 @@ def stein_transform(x, eigenvalues, h, divisor):
 
     Sum over kernel eigenvalues lam_k of
         lam_k^-1 (lam_k^-1 - x) / ((lam_k^-1 - x)^2 + h^2 lam_k^-2),
-    divided by `divisor`.  Accepts scalar or 1-d x.
+    divided by `divisor`.  Accepts scalar or 1-d x, and scalar or 1-d h; a
+    1-d h puts one row per bandwidth on a leading axis of the result.
     """
-    lam = _check_kernel(eigenvalues, h, divisor)
+    lam, hv = _check_kernel(eigenvalues, h, divisor)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     inv = 1.0 / lam
-    u = inv[None, :] - xv[:, None]
-    out = np.sum(inv * u / (u * u + (h * inv[None, :]) ** 2), axis=1) / divisor
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return _shaped(_stein_sums(inv, *_kernel_differences(inv, xv), hv, divisor), x, h)
 
 
 def stein_transform_derivative(x, eigenvalues, h, divisor):
-    """d/dx of stein_transform with the kernel held fixed."""
-    lam = _check_kernel(eigenvalues, h, divisor)
+    """d/dx of stein_transform with the kernel held fixed; same shapes."""
+    lam, hv = _check_kernel(eigenvalues, h, divisor)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     inv = 1.0 / lam
-    u = inv[None, :] - xv[:, None]
-    b2 = (h * inv[None, :]) ** 2
-    out = np.sum(inv * (u * u - b2) / (u * u + b2) ** 2, axis=1) / divisor
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    _, dg = _stein_sums(inv, *_kernel_differences(inv, xv), hv, divisor, derivative=True)
+    return _shaped(dg, x, h)
 
 
 class ShrinkageRule:
     """Frozen eigenvalue map for one (spectrum, n, p, h) configuration.
+
+    h is a scalar, or a 1-d array of bandwidths that share the spectrum's
+    checks; evaluate then returns one row per bandwidth.
 
     regime is "under" when p < n (kernel over all p eigenvalues, divisor p)
     and "over" when p >= n (kernel over the nonzero eigenvalues, divisor n).
@@ -103,8 +151,7 @@ class ShrinkageRule:
             raise DomainError("n must be a positive integer")
         if not np.all(np.isfinite(lam)):
             raise InputError("eigenvalues must be finite")
-        if not (h > 0) or not np.isfinite(h):
-            raise DomainError("bandwidth h must be positive and finite")
+        hv = _bandwidths(h)
         n = int(n)
         tol = zero_tolerance(lam)
         if lam.size and lam[-1] <= 0:
@@ -114,7 +161,7 @@ class ShrinkageRule:
 
         self.n = n
         self.p = int(p)
-        self.h = float(h)
+        self.h = float(hv[0]) if np.ndim(h) == 0 else hv
         self.aspect = self.p / self.n
 
         if self.p < self.n:
@@ -148,16 +195,24 @@ class ShrinkageRule:
     def evaluate(self, x):
         """Map positive sample eigenvalues x through the rule.
 
-        Returns (values, clamped) as 1-d arrays, where clamped marks entries
-        whose raw bracket fell below the floor.  x may be scalar or 1-d;
-        entries must be strictly positive (zeros are the caller's job via
-        zero_rule_value).
+        Returns (values, clamped), where clamped marks entries whose raw
+        bracket fell below the floor: 1-d arrays for a scalar h, and one row
+        per bandwidth for a 1-d h.  x may be scalar or 1-d; entries must be
+        strictly positive (zeros are the caller's job via zero_rule_value).
         """
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xv <= 0) or not np.all(np.isfinite(xv)):
             raise DomainError("rule evaluation needs strictly positive finite x")
         inv_x = 1.0 / xv
-        g = stein_transform(inv_x, self.kernel, self.h, self.divisor)
+        # the kernel and h were checked when the rule was built
+        inv = 1.0 / self.kernel
+        g = _stein_sums(inv, *_kernel_differences(inv, inv_x), np.atleast_1d(self.h),
+                        self.divisor)
+        values, clamped = self._apply(inv_x, g)
+        return (values, clamped) if np.ndim(self.h) else (values[0], clamped[0])
+
+    def _apply(self, inv_x, g):
+        """Values and clamp mask from the Stein transform g at the points inv_x = 1/x."""
         if self.regime == "under":
             bracket = (1.0 - self.aspect) * inv_x + 2.0 * self.aspect * inv_x * g
         else:

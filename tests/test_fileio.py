@@ -52,6 +52,23 @@ def test_format_matrix_uses_six_significant_digits():
     assert text == "1.23457,1e-07\n"
 
 
+def per_cell_format(matrix, fmt="%.6g", header=None):
+    """format_matrix as one % per numpy scalar, the reference for its output."""
+    rows = np.atleast_2d(np.asarray(matrix, dtype=float))
+    lines = [] if header is None else [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_format_matrix_matches_per_cell_formatting():
+    edge = np.array([[np.inf, -np.inf, np.nan], [-0.0, 5e-324, 1e300], [0.1, -2.5, 12345678.9]])
+    for matrix, fmt in ((edge, "%.6g"), (edge, "%.17g"), (2.5, "%.6g"), (np.empty((3, 0)), "%.6g"),
+                        (np.array([1.0, -0.0, np.nan]), "%.3e")):
+        assert format_matrix(matrix, fmt) == per_cell_format(matrix, fmt)
+    assert format_matrix(edge, header=["a", "b", "c"]) == per_cell_format(edge, header=["a", "b", "c"])
+
+
 def test_read_matrix_rejects_bad_content(tmp_path):
     path = str(tmp_path / "bad.csv")
     atomic_write_text(path, "h1,h2\n1.0,oops\n")

@@ -98,6 +98,20 @@ def test_score_derivative_matches_finite_differences():
         assert got == pytest.approx(fd, rel=1e-6)
 
 
+def test_score_bandwidth_axis_matches_scalar_calls():
+    lams = [0.6, 1.0, 1.9, 4.2]
+    xs = np.array([0.3, 0.8, 2.0])
+    hs = np.array([0.05, 0.4, 3.0])
+    for fn in (stein_transform, stein_transform_derivative):
+        rows = fn(xs, lams, hs, 4)
+        assert rows.shape == (3, 3)
+        for h, row in zip(hs, rows):
+            assert np.array_equal(row, fn(xs, lams, h, 4))
+        at_point = fn(0.8, lams, hs, 4)
+        assert at_point.shape == (3,)
+        assert all(v == fn(0.8, lams, h, 4) for h, v in zip(hs, at_point))
+
+
 def test_score_input_validation():
     with pytest.raises(DomainError):
         stein_transform(1.0, [1.0, -2.0], 0.5, 2)
@@ -107,6 +121,10 @@ def test_score_input_validation():
         stein_transform(1.0, [], 0.5, 1)
     with pytest.raises(InputError):
         stein_transform(1.0, [np.nan], 0.5, 1)
+    with pytest.raises(DomainError):
+        stein_transform(1.0, [1.0], [0.5, -0.5], 1)
+    with pytest.raises(DomainError):
+        stein_transform(1.0, [1.0], [], 1)
 
 
 # default bandwidth
@@ -167,6 +185,21 @@ def test_rule_construction_validation():
     # a numerically zero eigenvalue is not allowed when p < n
     with pytest.raises(SingularityError):
         ShrinkageRule([0.0, 1.0], 10, 2, 0.5)
+
+
+def test_rule_bandwidth_axis_matches_scalar_rules():
+    hs = np.array([0.01, 0.3, 2.0])
+    x = np.array([0.5, 1.0, 2.5])
+    for lams, n in (([1.0, 2.0, 3.0], 10), ([0.0, 0.0, 1.0, 3.0], 2)):
+        values, clamped = ShrinkageRule(lams, n, len(lams), hs).evaluate(x)
+        assert values.shape == clamped.shape == (3, 3)
+        for h, row, mask in zip(hs, values, clamped):
+            want, want_mask = ShrinkageRule(lams, n, len(lams), h).evaluate(x)
+            assert np.array_equal(row, want) and np.array_equal(mask, want_mask)
+    with pytest.raises(DomainError):
+        ShrinkageRule([1.0, 2.0], 10, 2, [0.5, np.inf])
+    with pytest.raises(DomainError):
+        ShrinkageRule([1.0, 2.0], 10, 2, np.ones((2, 2)))
 
 
 # under-sampled rule

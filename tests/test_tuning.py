@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from artifact.errors import (
     TuningError,
 )
 from artifact.shrinkage import (
+    CLAMP_FLOOR,
     ShrinkageRule,
     _shrink_spectrum,
     default_bandwidth,
@@ -19,6 +21,8 @@ from artifact.shrinkage import (
 )
 from artifact.spectral import eigh, sample_covariance
 from artifact.tuning import (
+    COALESCENCE_RTOL,
+    RiskEstimate,
     default_bandwidth_grid,
     precision_diagonals,
     risk_estimate,
@@ -306,26 +310,29 @@ def test_select_grid_order_invariance():
     assert select_bandwidth(s, 40, grid).h == select_bandwidth(s, 40, shuffled).h
 
 
+# The risk grid is evaluated in blocks; these fakes replace one block's
+# evaluation, so selection is tested on chosen risks.
+
 def fake_risks(values):
-    def fake(s, n, h, diagonals=None):
-        value = values[float(h)]
-        return SimpleNamespace(value=value, magnitude=abs(value))
-    return fake
+    def block(self, hs):
+        return [SimpleNamespace(value=values[float(h)], magnitude=abs(values[float(h)]))
+                for h in hs]
+    return block
 
 
 def test_select_tie_break_prefers_larger_h(monkeypatch):
     s = np.diag([1.0, 2.0])
     monkeypatch.setattr(
-        tuning, "risk_estimate", fake_risks({1.0: 1.5, 2.0: 1.5, 3.0: 2.0})
+        tuning._RiskGrid, "block", fake_risks({1.0: 1.5, 2.0: 1.5, 3.0: 2.0})
     )
     assert select_bandwidth(s, 30, [1.0, 2.0, 3.0]).h == 2.0
     # a gap at round-off level is a tie; a larger one is not
     monkeypatch.setattr(
-        tuning, "risk_estimate", fake_risks({1.0: -1.5, 2.0: -1.5 * (1 - 4e-14)})
+        tuning._RiskGrid, "block", fake_risks({1.0: -1.5, 2.0: -1.5 * (1 - 4e-14)})
     )
     assert select_bandwidth(s, 30, [1.0, 2.0]).h == 2.0
     monkeypatch.setattr(
-        tuning, "risk_estimate", fake_risks({1.0: -1.5, 2.0: -1.5 * (1 - 1e-10)})
+        tuning._RiskGrid, "block", fake_risks({1.0: -1.5, 2.0: -1.5 * (1 - 1e-10)})
     )
     assert select_bandwidth(s, 30, [1.0, 2.0]).h == 1.0
 
@@ -333,24 +340,140 @@ def test_select_tie_break_prefers_larger_h(monkeypatch):
 def test_select_skips_non_finite_risks(monkeypatch):
     s = np.diag([1.0, 2.0])
     monkeypatch.setattr(
-        tuning, "risk_estimate", fake_risks({1.0: np.nan, 2.0: 5.0})
+        tuning._RiskGrid, "block", fake_risks({1.0: np.nan, 2.0: 5.0})
     )
     assert select_bandwidth(s, 30, [1.0, 2.0]).h == 2.0
 
-    def singular_at_one(s, n, h, diagonals=None):
-        if h == 1.0:
+    def singular_at_one(self, hs):
+        # both bandwidths share one block, which fails as a whole
+        if 1.0 in hs:
             raise SingularityError("no rule at h = 1")
-        return SimpleNamespace(value=5.0, magnitude=5.0)
+        return [SimpleNamespace(value=5.0, magnitude=5.0) for _ in hs]
 
-    monkeypatch.setattr(tuning, "risk_estimate", singular_at_one)
+    monkeypatch.setattr(tuning._RiskGrid, "block", singular_at_one)
     chosen = select_bandwidth(s, 30, [1.0, 2.0])
     assert chosen.h == 2.0 and np.isnan(chosen.risks[0])
     assert chosen.estimates[0] is None and chosen.estimates[1].value == 5.0
     monkeypatch.setattr(
-        tuning, "risk_estimate", fake_risks({1.0: np.nan, 2.0: np.inf})
+        tuning._RiskGrid, "block", fake_risks({1.0: np.nan, 2.0: np.inf})
     )
     with pytest.raises(TuningError):
         select_bandwidth(s, 30, [1.0, 2.0])
+
+
+def test_select_singular_spectrum_has_no_finite_risk():
+    # the rule's rank check holds for every h, so no bandwidth has an estimate
+    with pytest.raises(TuningError):
+        select_bandwidth(np.diag([0.0, 1.0, 2.0]), 30, [0.5, 1.0])
+    with pytest.raises(SingularityError):
+        risk_estimate(np.diag([0.0, 1.0, 2.0]), 30, 0.5)
+
+
+def risk_oracle(decomp, n, h, diagonals=None):
+    """The risk estimate at one bandwidth, computed directly: one rule
+    evaluation at the kernel and one p x p divided-difference table per h."""
+    lam = np.sort(decomp.eigenvalues)
+    p = lam.size
+    inv = 1.0 / lam
+    u = inv[None, :] - inv[:, None]
+    b2 = (h * inv[None, :]) ** 2
+    g = np.sum(inv * u / (u * u + b2), axis=1) / p
+    dg = np.sum(inv * (u * u - b2) / (u * u + b2) ** 2, axis=1) / p
+    aspect = p / n
+    bracket = (1.0 - aspect) * inv + 2.0 * aspect * inv * g
+    floor = CLAMP_FLOOR * inv
+    clamped = bracket < floor
+    delta = 1.0 / np.where(clamped, floor, bracket)
+    lamstar = n * lam
+    zeta = lamstar / delta
+
+    c2 = 2.0 * p / n
+    diag = -c2 * inv * (inv * dg + 1.0 / (p * h * h))
+    diag = np.where(clamped, 0.0, diag)
+    trace = float(np.sum(diag))
+    if p > 1:
+        coalescent = np.abs(lam[:, None] - lam[None, :]) <= COALESCENCE_RTOL * lam[-1]
+        np.fill_diagonal(coalescent, True)
+        dl = lamstar[:, None] - lamstar[None, :]
+        ratio = (zeta[:, None] - zeta[None, :]) / np.where(coalescent, 1.0, dl)
+        limit = 0.5 * (diag[:, None] + diag[None, :])
+        off = coalescent.copy()
+        np.fill_diagonal(off, False)
+        terms = np.where(off, limit, np.where(coalescent, 0.0, ratio))
+        trace += 0.5 * float(np.sum(terms))
+    diagonal_sum = None if diagonals is None else float(np.sum(diagonals))
+    return RiskEstimate(h, n, p, delta, np.sum(lamstar / delta ** 2), np.sum(1.0 / delta),
+                        trace, diagonal_sum, np.sum(clamped))
+
+
+def assert_grid_matches_oracle(s, n, grid=None, diagonals=None):
+    decomp = eigh(s)
+    chosen = select_bandwidth(decomp, n, grid, diagonals)
+    for h, est, risk in zip(chosen.grid, chosen.estimates, chosen.risks):
+        want = risk_oracle(decomp, n, h, diagonals)
+        assert est.h == want.h and est.value == want.value == risk
+        assert est.quadratic == want.quadratic
+        assert est.inverse_sum == want.inverse_sum
+        assert est.derivative_trace == want.derivative_trace
+        assert est.clamp_count == want.clamp_count
+        assert est.diagonal_sum == want.diagonal_sum
+        assert est.magnitude == want.magnitude
+        assert np.array_equal(est.values, want.values)
+    return chosen
+
+
+def block_size(p):
+    return max(1, tuning.BLOCK_TERMS // (p * p))
+
+
+def test_grid_matches_oracle_in_one_block():
+    n, p = 40, 6
+    assert block_size(p) >= 15
+    assert_grid_matches_oracle(sample_covariance(
+        np.random.default_rng(14).standard_normal((n, p))), n)
+
+
+def test_grid_matches_oracle_over_blocks_with_a_short_last_block():
+    n, p = 128, 64
+    assert 1 < block_size(p) < 15 and 15 % block_size(p) != 0
+    assert_grid_matches_oracle(sample_covariance(
+        np.random.default_rng(15).standard_normal((n, p))), n)
+
+
+def test_grid_matches_oracle_on_coalescent_spectra():
+    assert_grid_matches_oracle(np.diag([1.0, 1.0, 2.0]), 15)
+    assert_grid_matches_oracle(np.diag([1.0, 1.0 + 1e-12, 2.0]), 15)
+
+
+def test_grid_matches_oracle_on_a_clamped_spectrum():
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((4, 4)))
+    s = q @ np.diag([0.95, 1.0, 1.0, 1.0]) @ q.T
+    grid = np.append(default_bandwidth_grid(7, 4), 0.001)
+    chosen = assert_grid_matches_oracle(s, 7, grid)
+    assert chosen.estimates[0].clamp_count >= 1
+
+
+def test_grid_matches_oracle_on_a_user_grid_with_diagonals():
+    n, p = 60, 8
+    z = np.random.default_rng(16).standard_normal((n, p))
+    assert_grid_matches_oracle(sample_covariance(z), n, np.geomspace(0.01, 10.0, 40),
+                               precision_diagonals(z))
+
+
+def test_grid_memory_stays_a_few_p_by_p_arrays():
+    # the prial-large-p cell: at p = 447 a block holds one bandwidth, and the
+    # grid keeps two p x p kernel-difference arrays and two block buffers
+    n, p = 894, 447
+    decomp = eigh(sample_covariance(np.random.default_rng(17).standard_normal((n, p))))
+    assert block_size(p) == 1
+    select_bandwidth(np.diag([1.0, 2.0, 3.0]), 10)  # first-call caches are not the grid's
+    tracemalloc.start()
+    try:
+        select_bandwidth(decomp, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * p * p * 8
 
 
 def test_select_validation():
