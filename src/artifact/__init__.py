@@ -21,9 +21,7 @@ from .spectral import (
     eigh,
     sample_covariance,
     spectral_apply,
-    spectral_inv_sqrt,
     spectral_inverse,
-    spectral_sqrt,
     symmetrize,
 )
 from .shrinkage import (

@@ -20,14 +20,7 @@ from .errors import (
 )
 from .shrinkage import (ShrunkCovariance, _shrink_spectrum, default_bandwidth,
                         shrink_covariance)
-from .spectral import (
-    SymmetricMatrix,
-    as_matrix,
-    eigh,
-    spectral_inv_sqrt,
-    spectral_inverse,
-    spectral_sqrt,
-)
+from .spectral import SymmetricMatrix, as_matrix, eigh
 from .tuning import default_bandwidth_grid, select_bandwidth
 
 MAX_DESIGN_CONDITION = 1e12
@@ -35,7 +28,14 @@ NOISE_FLOOR = 1e-12
 
 
 class SourceBundle:
-    """Shared design plus per-source responses, validated once."""
+    """Shared design plus per-source responses, validated and factorized once.
+
+    `factor` is the thin SVD X = U diag(s) V' (numpy's (U, S, Vh) result,
+    singular values descending); least squares, the collinearity check and
+    the noise model's whitening factors all come from it.  The design is
+    rejected as collinear when cond(X'X) = (s_max / s_min)^2 reaches
+    MAX_DESIGN_CONDITION.
+    """
 
     def __init__(self, design, responses):
         x = as_matrix(design)
@@ -48,31 +48,42 @@ class SourceBundle:
             )
         samples, predictors = x.shape
         sources = y.shape[1]
-        if sources < 1:
-            raise DimensionError("need at least one source")
+        if sources < 1 or predictors < 1:
+            raise DimensionError("need at least one source and one predictor")
         if samples <= predictors:
             raise InsufficientDataError(
                 "need more samples than predictors (N=%d, p=%d)" % (samples, predictors)
             )
-        gram = x.T @ x
-        if np.linalg.cond(gram) >= MAX_DESIGN_CONDITION:
+        factor = np.linalg.svd(x, full_matrices=False)
+        s = factor.S
+        # (s_max / s_min)^2 >= MAX without dividing, so s_min = 0 is caught too
+        if s[-1] * np.sqrt(MAX_DESIGN_CONDITION) <= s[0]:
             raise SingularityError("design is numerically collinear")
         self.design = x
         self.responses = y
         self.n_samples = samples
         self.n_predictors = predictors
         self.n_sources = sources
-        self.gram = SymmetricMatrix(gram)
+        self.factor = factor
 
 
 class NoiseModel:
-    """Pooled noise scale and the whitening factors of the coefficient noise."""
+    """Pooled noise scale and the whitening factors of the coefficient noise.
 
-    def __init__(self, sigma2, q):
+    Built from sigma2 and the design's right singular vectors V (columns)
+    and singular values s: Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V',
+    and Q^1/2, Q^-1/2 scale the same columns by sqrt(sigma2) / s and
+    s / sqrt(sigma2).
+    """
+
+    def __init__(self, sigma2, vectors, singular_values):
         self.sigma2 = float(sigma2)
-        self.q = SymmetricMatrix(q)
-        self.q_half = spectral_sqrt(self.q)
-        self.q_half_inv = spectral_inv_sqrt(self.q)
+        v = np.asarray(vectors, dtype=float)
+        s = np.asarray(singular_values, dtype=float)
+        root = np.sqrt(self.sigma2) / s
+        self.q = SymmetricMatrix((v * (self.sigma2 / s**2)) @ v.T)
+        self.q_half = SymmetricMatrix((v * root) @ v.T)
+        self.q_half_inv = SymmetricMatrix((v / root) @ v.T)
 
 
 class CoefficientEstimate:
@@ -87,20 +98,22 @@ class CoefficientEstimate:
 def fit_ols(bundle):
     """Per-source least squares; returns (estimate, noise model).
 
-    Coefficient rows are beta_hat for each source.  The noise variance is
-    pooled across sources (mean of per-source residual variances with
-    denominator N - p) and floored at NOISE_FLOOR; the coefficient noise
-    covariance is sigma2 (X'X)^-1.
+    Coefficient rows are beta_hat = V diag(1/s) U' y for each source, from
+    the bundle's thin SVD, so the error grows with cond(X) and not with
+    cond(X)^2 as through the normal equations.  The noise variance is pooled
+    across sources (mean of per-source residual variances with denominator
+    N - p) and floored at NOISE_FLOOR; the coefficient noise covariance is
+    sigma2 (X'X)^-1.
     """
     x, y = bundle.design, bundle.responses
-    coef = np.linalg.solve(bundle.gram.values, x.T @ y)  # p by n
+    u, s, vt = bundle.factor
+    coef = (vt.T / s) @ (u.T @ y)  # p by n
     resid = y - x @ coef
     dof = bundle.n_samples - bundle.n_predictors
     sigma2 = float(np.mean(np.sum(resid * resid, axis=0) / dof))
     sigma2 = max(sigma2, NOISE_FLOOR)
-    q = sigma2 * spectral_inverse(bundle.gram).values
     estimate = CoefficientEstimate(coef.T, "ols", {"sigma2": sigma2})
-    return estimate, NoiseModel(sigma2, q)
+    return estimate, NoiseModel(sigma2, vt.T, s)
 
 
 def standardize(estimate, noise):

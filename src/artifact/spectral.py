@@ -125,26 +125,6 @@ def spectral_inverse(matrix):
                           lambda v: 1.0 / v)
 
 
-def spectral_inv_sqrt(matrix):
-    """Inverse square root through the eigensystem; positive definite input required."""
-    return spectral_apply(require_positive_definite(matrix, "inverse square root"),
-                          lambda v: v ** -0.5)
-
-
-def spectral_sqrt(matrix):
-    """Symmetric square root; eigenvalues below the zero tolerance are clamped to 0."""
-    decomp = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix)
-    tol = decomp.zero_tolerance
-    low = decomp.eigenvalues < -tol
-    if np.any(low):
-        idx = int(np.nonzero(low)[0][0])
-        raise SingularityError(
-            "square root requires a positive semidefinite matrix; eigenvalue %d is %.6g"
-            % (idx, decomp.eigenvalues[idx])
-        )
-    return spectral_apply(decomp, lambda v: np.sqrt(max(v, 0.0)))
-
-
 def sample_covariance(data):
     """Second-moment matrix Z'Z / n for an n-by-p data matrix Z (rows = samples)."""
     z = as_matrix(data)

@@ -60,6 +60,24 @@ def inverse_3x3_oracle(m):
     return adj / det
 
 
+def designed_matrix(rng, rows, singular_values):
+    """X = U diag(s) V' with random orthonormal U (rows by p) and V (p by p)."""
+    p = len(singular_values)
+    u = np.linalg.qr(rng.standard_normal((rows, p)))[0]
+    v = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return (u * singular_values) @ v.T
+
+
+def noise_from_q(sigma2, q):
+    """NoiseModel with coefficient covariance q, from the eigh of q.
+
+    q = W diag(lam) W' is sigma2 (X'X)^-1 for a design with right singular
+    vectors W and singular values sqrt(sigma2 / lam).
+    """
+    lam, w = np.linalg.eigh(q)
+    return NoiseModel(sigma2, w, np.sqrt(sigma2 / lam))
+
+
 def gaussian_density_oracle(x, variance):
     return np.exp(-x * x / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
 
@@ -146,6 +164,8 @@ def test_bundle_validates_shapes():
         SourceBundle(np.ones((3, 1)), np.ones((4, 2)))
     with pytest.raises(DimensionError):
         SourceBundle(np.ones((3, 1)), np.ones((3, 0)))
+    with pytest.raises(DimensionError):
+        SourceBundle(np.ones((3, 0)), np.ones((3, 2)))
 
 
 def test_bundle_rejects_wide_design():
@@ -160,6 +180,12 @@ def test_bundle_rejects_collinear_design():
     x[:, 1] = 2.0 * x[:, 0]
     with pytest.raises(SingularityError):
         SourceBundle(x, np.ones((5, 3)))
+    # cond(X'X) = cond(X)^2 against MAX_DESIGN_CONDITION = 1e12
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal((40, 2))
+    SourceBundle(designed_matrix(rng, 40, np.logspace(0, -5.5, 4)), y)
+    with pytest.raises(SingularityError):
+        SourceBundle(designed_matrix(rng, 40, np.logspace(0, -6.5, 4)), y)
 
 
 def test_bundle_exposes_counts_and_gram():
@@ -167,7 +193,12 @@ def test_bundle_exposes_counts_and_gram():
     x = rng.standard_normal((9, 2))
     bundle = SourceBundle(x, rng.standard_normal((9, 4)))
     assert (bundle.n_samples, bundle.n_predictors, bundle.n_sources) == (9, 2, 4)
-    assert np.allclose(bundle.gram.values, x.T @ x)
+    u, s, vt = bundle.factor
+    assert u.shape == (9, 2) and vt.shape == (2, 2)
+    assert np.allclose((u * s) @ vt, x, atol=1e-12)
+    assert np.allclose(u.T @ u, np.eye(2), atol=1e-12)
+    assert np.allclose(vt @ vt.T, np.eye(2), atol=1e-12)
+    assert np.allclose((vt.T * s**2) @ vt, x.T @ x, atol=1e-12)
 
 
 def test_ols_single_predictor_hand_value():
@@ -188,6 +219,18 @@ def test_ols_noiseless_recovery():
     assert np.allclose(estimate.coefficients, beta, atol=1e-10)
 
 
+def test_ols_error_grows_with_cond_not_its_square():
+    # cond(X) = 1e5: through the normal equations the error is of order
+    # cond(X)^2 * eps = 2e-6, through the SVD of order cond(X) * eps
+    rng = np.random.default_rng(21)
+    singular_values = np.logspace(0, -5, 5)
+    x = designed_matrix(rng, 60, singular_values)
+    beta = rng.standard_normal((4, 5))
+    estimate, _ = fit_ols(SourceBundle(x, x @ beta.T))
+    error = np.max(np.abs(estimate.coefficients - beta)) / np.max(np.abs(beta))
+    assert error <= 100 * 1e5 * np.finfo(float).eps
+
+
 def test_ols_matches_cofactor_inverse_oracle():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((50, 3))
@@ -206,8 +249,9 @@ def test_ols_matches_cofactor_inverse_oracle():
 def test_noise_model_square_root_factors():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 3))
-    noise = NoiseModel(2.0, a.T @ a / 6)
+    noise = noise_from_q(2.0, a.T @ a / 6)
     q = noise.q.values
+    assert np.allclose(q, a.T @ a / 6, atol=1e-12)
     assert np.allclose(noise.q_half.values @ noise.q_half.values, q, atol=1e-10)
     assert np.allclose(
         noise.q_half.values @ noise.q_half_inv.values, np.eye(3), atol=1e-10
@@ -217,21 +261,21 @@ def test_noise_model_square_root_factors():
 def test_standardize_identity_noise_is_identity_map():
     b = np.array([[1.0, 2.0], [3.0, -1.0]])
     estimate = CoefficientEstimate(b, "ols")
-    out = standardize(estimate, NoiseModel(1.0, np.eye(2)))
+    out = standardize(estimate, noise_from_q(1.0, np.eye(2)))
     assert np.allclose(out, b)
 
 
 def test_standardize_scalar_covariance():
     # Q = 4I halves every coordinate
     estimate = CoefficientEstimate([[2.0, 2.0]], "ols")
-    out = standardize(estimate, NoiseModel(1.0, 4.0 * np.eye(2)))
+    out = standardize(estimate, noise_from_q(1.0, 4.0 * np.eye(2)))
     assert np.allclose(out, [[1.0, 1.0]])
 
 
 def test_standardize_round_trip():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((5, 3))
-    noise = NoiseModel(1.5, a.T @ a / 5)
+    noise = noise_from_q(1.5, a.T @ a / 5)
     b = rng.standard_normal((7, 3))
     out = standardize(CoefficientEstimate(b, "ols"), noise)
     assert np.allclose(out @ noise.q_half.values, b, atol=1e-8)
@@ -240,7 +284,7 @@ def test_standardize_round_trip():
 def test_standardize_rejects_width_mismatch():
     estimate = CoefficientEstimate(np.ones((2, 3)), "ols")
     with pytest.raises(DimensionError):
-        standardize(estimate, NoiseModel(1.0, np.eye(2)))
+        standardize(estimate, noise_from_q(1.0, np.eye(2)))
 
 
 def test_global_shrink_matches_manual_recomposition():

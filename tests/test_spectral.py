@@ -11,9 +11,7 @@ from artifact.spectral import (
     eigh,
     sample_covariance,
     spectral_apply,
-    spectral_inv_sqrt,
     spectral_inverse,
-    spectral_sqrt,
     symmetrize,
     zero_tolerance,
 )
@@ -159,17 +157,6 @@ def test_zero_tolerance_scales_with_top_eigenvalue():
 # spectral maps
 
 
-def test_inv_sqrt_of_scaled_identity():
-    out = spectral_inv_sqrt(4.0 * np.eye(2))
-    assert np.allclose(out.values, 0.5 * np.eye(2), atol=1e-14)
-
-
-def test_sqrt_round_trip():
-    a = spd(3, 4)
-    root = spectral_sqrt(a).values
-    assert np.max(np.abs(root @ root - symmetrize(a))) <= 1e-8
-
-
 def test_inverse_two_by_two_analytic():
     out = spectral_inverse([[2.0, 1.0], [1.0, 2.0]])
     expect = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
@@ -198,20 +185,6 @@ def test_spectral_apply_flags_non_finite_map():
     with np.errstate(divide="ignore"):
         with pytest.raises(SingularityError):
             spectral_apply(np.diag([0.0, 1.0]), lambda v: np.log(v))
-
-
-def test_sqrt_clamps_rounding_negatives_only():
-    v = np.array([[1.0], [-1.0], [0.5]])
-    a = v @ v.T  # rank one, two exact zeros that eigh may render tiny negative
-    root = spectral_sqrt(a).values
-    assert np.max(np.abs(root @ root - a)) <= 1e-8
-    with pytest.raises(SingularityError):
-        spectral_sqrt(np.diag([1.0, -0.5]))
-
-
-def test_inv_sqrt_requires_positive_definite():
-    with pytest.raises(SingularityError):
-        spectral_inv_sqrt(np.diag([1.0, 0.0]))
 
 
 # properties
