@@ -22,7 +22,6 @@ from .spectral import (
     sample_covariance,
     spectral_apply,
     spectral_inverse,
-    symmetrize,
 )
 from .shrinkage import (
     ShrinkageRule,
@@ -44,13 +43,11 @@ from .tuning import (
 )
 from .regress import (
     CoefficientEstimate,
-    MixtureState,
     NoiseModel,
     SourceBundle,
     fit_ols,
     global_shrink,
     local_shrink,
-    mixture_posterior_weights,
     predictive_error,
     select_components,
     standardize,

@@ -1,7 +1,8 @@
 """CSV, config, and manifest helpers with atomic writes.
 
-Writers stage content in a sibling temporary file and rename it into place,
-so a failed run never leaves a partial output behind.
+The format_* helpers render text; write_files is the one write path.  It
+stages each file in a sibling temporary file and renames it into place, so a
+failed run never leaves a partial output behind.
 """
 
 import csv
@@ -14,11 +15,6 @@ import warnings
 import numpy as np
 
 from .errors import ParseError
-
-
-def atomic_write_text(path, text):
-    """Write text to path via a same-directory temp file and an atomic rename."""
-    write_files({path: text})
 
 
 def _looks_numeric(line):
@@ -63,10 +59,6 @@ def format_matrix(matrix, fmt="%.6g", header=None):
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(path, matrix, fmt="%.6g", header=None):
-    atomic_write_text(path, format_matrix(matrix, fmt, header))
-
-
 def format_cell(value, fmt="%.6g"):
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -87,10 +79,6 @@ def format_rows(rows, columns, fmt="%.6g"):
             row = [row[c] for c in columns]
         writer.writerow([format_cell(v, fmt) for v in row])
     return buf.getvalue()
-
-
-def write_rows(path, rows, columns, fmt="%.6g"):
-    atomic_write_text(path, format_rows(rows, columns, fmt))
 
 
 def write_files(files):
@@ -149,7 +137,3 @@ def config_hash(mapping):
 
 def format_manifest(mapping):
     return "".join("%s = %s\n" % (k, format_cell(mapping[k])) for k in sorted(mapping))
-
-
-def write_manifest(path, mapping):
-    atomic_write_text(path, format_manifest(mapping))

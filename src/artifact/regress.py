@@ -10,7 +10,6 @@ with a finite scale mixture fitted by a seeded Gibbs-style sampler (local).
 import numpy as np
 
 from .errors import (
-    DegeneracyError,
     DimensionError,
     DomainError,
     InsufficientDataError,
@@ -71,9 +70,10 @@ class NoiseModel:
     """Pooled noise scale and the whitening factors of the coefficient noise.
 
     Built from sigma2 and the design's right singular vectors V (columns)
-    and singular values s: Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V',
-    and Q^1/2, Q^-1/2 scale the same columns by sqrt(sigma2) / s and
-    s / sqrt(sigma2).
+    and singular values s: the coefficient noise covariance is
+    Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V', and Q^1/2, Q^-1/2 scale
+    the columns of V by sqrt(sigma2) / s and s / sqrt(sigma2).  Q itself is
+    never formed.
     """
 
     def __init__(self, sigma2, vectors, singular_values):
@@ -81,7 +81,6 @@ class NoiseModel:
         v = np.asarray(vectors, dtype=float)
         s = np.asarray(singular_values, dtype=float)
         root = np.sqrt(self.sigma2) / s
-        self.q = SymmetricMatrix((v * (self.sigma2 / s**2)) @ v.T)
         self.q_half = SymmetricMatrix((v * root) @ v.T)
         self.q_half_inv = SymmetricMatrix((v / root) @ v.T)
 
@@ -119,7 +118,7 @@ def fit_ols(bundle):
 def standardize(estimate, noise):
     """Whiten coefficient rows: each beta_hat is mapped to Q^{-1/2} beta_hat."""
     b = estimate.coefficients
-    if b.shape[1] != noise.q.dim:
+    if b.shape[1] != noise.q_half_inv.dim:
         raise DimensionError("coefficient width does not match the noise model")
     return b @ noise.q_half_inv.values
 
@@ -185,51 +184,34 @@ def global_shrink(bundle, h="default"):
     return CoefficientEstimate(coef, "global", diagnostics)
 
 
-class MixtureState:
-    """Labels, mixing proportions, and per-component covariances for one sweep."""
+def _log_posteriors(standardized, vectors, values, counts):
+    """Unnormalized log posteriors of each row under each mixture component.
 
-    def __init__(self, labels, proportions, covariances):
-        self.labels = np.asarray(labels, dtype=int)
-        self.proportions = np.asarray(proportions, dtype=float)
-        self.covariances = list(covariances)
-        k = len(self.covariances)
-        if self.proportions.size != k:
-            raise DimensionError("one proportion per component required")
-        if np.any(self.proportions < 0) or abs(self.proportions.sum() - 1.0) > 1e-9:
-            raise DomainError("proportions must form a probability vector")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= k):
-            raise DomainError("labels must index the components")
-
-
-def _log_density_rows(standardized, decomp, values):
-    """Row-wise log N(b; 0, U diag(values) U') using a factored covariance."""
-    rotated = standardized @ decomp.eigenvectors
-    quad = np.sum(rotated * rotated / values, axis=1)
-    logdet = float(np.sum(np.log(values)))
-    p = standardized.shape[1]
-    return -0.5 * (p * np.log(2.0 * np.pi) + logdet + quad)
+    Component c is N(0, U_c diag(v_c) U_c') with U_c = vectors[:, c] of a
+    (p, k, p) stack and v_c = values[c]; its prior weight is its member
+    count, floored at 1/2 so an emptied component stays reachable.  One
+    product b* [U_1 ... U_K] gives every r_c = b* U_c, and with
+    s_c = r_c / v_c the quadratic form is r_c . s_c.  Returns the (n, k) log
+    posteriors and the (n, k, p) array of s_c, from which the posterior mean
+    is built.
+    """
+    n, p = standardized.shape
+    k = values.shape[0]
+    floored = np.maximum(counts, 0.5)
+    rotated = (standardized @ vectors.reshape(p, k * p)).reshape(n, k, p)
+    scaled = rotated / values
+    quad = np.einsum("nkp,nkp->nk", rotated, scaled)
+    logdet = np.sum(np.log(values), axis=1)
+    log_norm = p * np.log(2.0 * np.pi)
+    logs = np.log(floored / floored.sum()) - 0.5 * (log_norm + logdet + quad)
+    return logs, scaled
 
 
-def mixture_posterior_weights(standardized, state):
-    """Posterior component probabilities for each standardized row."""
-    b = as_matrix(standardized)
-    if b.ndim != 2:
-        raise DimensionError("standardized coefficients must be 2-d")
-    logs = np.empty((b.shape[0], len(state.covariances)))
-    for k, cov in enumerate(state.covariances):
-        pk = state.proportions[k]
-        if pk <= 0:
-            logs[:, k] = -np.inf
-            continue
-        decomp = eigh(cov)
-        if np.any(decomp.eigenvalues <= decomp.zero_tolerance):
-            raise SingularityError("component %d covariance is singular" % k)
-        logs[:, k] = np.log(pk) + _log_density_rows(b, decomp, decomp.eigenvalues)
-    top = np.max(logs, axis=1, keepdims=True)
-    if not np.all(np.isfinite(top)):
-        raise DegeneracyError("a row has zero posterior mass under every component")
-    w = np.exp(logs - top)
-    return w / np.sum(w, axis=1, keepdims=True)
+def _posterior_weights(logs):
+    """Normalize (n, k) log posteriors into rows of component probabilities."""
+    weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
+    weights /= np.sum(weights, axis=1, keepdims=True)
+    return weights
 
 
 def _component_shrunk(standardized_rows, count, p):
@@ -261,15 +243,12 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
     sweep count.  Returns the averaged post-burn-in coefficient matrix and a
     diagnostics dict.
 
-    With Sigma_k = U_k diag(v_k) U_k', one product b* [U_1 ... U_K] gives
-    every r_k = b* U_k; with s_k = r_k / v_k the density's quadratic form is
-    r_k . s_k and the posterior-mean row is b - sum_k w_k s_k U_k' Q^1/2, so
-    Q^1/2 is applied once at the end.
+    The posterior-mean row is b - sum_k w_k s_k U_k' Q^1/2 with s_k from
+    _log_posteriors, so Q^1/2 is applied once at the end.
     """
     n, p = standardized.shape
     labels = np.asarray(labels, dtype=int).copy()
     pooled = _component_shrunk(standardized, n, p)
-    log_norm = p * np.log(2.0 * np.pi)
     accum = np.zeros((n, p))
     k = None
     kept = pooled_resets = clamp_total = 0
@@ -292,19 +271,11 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
             clamp_total += shrunk.clamp_count
             vectors[:, comp] = shrunk.decomposition.eigenvectors
             values[comp] = shrunk.values
-        vectors = vectors.reshape(p, k * p)
-        # emptied components stay reachable
-        floored = np.maximum(np.bincount(labels, minlength=k), 0.5)
-        rotated = (standardized @ vectors).reshape(n, k, p)
-        scaled = rotated / values
-        quad = np.einsum("nkp,nkp->nk", rotated, scaled)
-        logdet = np.sum(np.log(values), axis=1)
-        logs = np.log(floored / floored.sum()) - 0.5 * (log_norm + logdet + quad)
+        counts = np.bincount(labels, minlength=k)
+        logs, scaled = _log_posteriors(standardized, vectors, values, counts)
         if sweeps > burn_in:
-            weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
-            weights /= np.sum(weights, axis=1, keepdims=True)
-            scaled *= weights[:, :, None]
-            accum += scaled.reshape(n, k * p) @ vectors.T
+            scaled *= _posterior_weights(logs)[:, :, None]
+            accum += scaled.reshape(n, k * p) @ vectors.reshape(p, k * p).T
             kept += 1
         labels = np.argmax(logs + draw, axis=1)
 

@@ -1,4 +1,4 @@
-"""Symmetric-matrix primitives: deterministic eigendecomposition, spectral maps, CSV I/O.
+"""Symmetric-matrix primitives: deterministic eigendecomposition and spectral maps.
 
 Conventions used throughout the package:
   * matrices are symmetrized as (A + A')/2 on construction,

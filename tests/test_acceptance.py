@@ -8,14 +8,12 @@ import numpy as np
 
 from artifact import (
     COEFFICIENT_DESIGNS,
-    MixtureState,
     SourceBundle,
     eigh,
     empirical_loss,
     global_shrink,
     local_shrink,
     loss_convergence,
-    mixture_posterior_weights,
     precision_diagonals,
     prial_experiment,
     risk_estimate,
@@ -25,6 +23,7 @@ from artifact import (
     true_covariance,
     zeta_derivative_trace,
 )
+from artifact.regress import _log_posteriors, _posterior_weights
 
 
 def test_criterion_01_identity_data_stretches_to_one(criterion_report):
@@ -282,10 +281,13 @@ def test_criterion_09_single_component_reduction_and_determinism(criterion_repor
     gap = float(np.max(np.abs(single.coefficients - pooled.coefficients)))
     ok_single = gap <= 1e-8
 
+    # the sampler's weights for covariances I, 4I and diag(1, 2, 3), given as
+    # eigen stacks, with proportions 0.2/0.3/0.5 from counts (2, 3, 5)
     rows = rng.standard_normal((30, 3)) * 2.0
-    state = MixtureState([0], [0.2, 0.3, 0.5],
-                         [np.eye(3), 4.0 * np.eye(3), np.diag([1.0, 2.0, 3.0])])
-    sums = mixture_posterior_weights(rows, state).sum(axis=1)
+    vectors = np.repeat(np.eye(3)[:, None, :], 3, axis=1)
+    values = np.array([[1.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 2.0, 3.0]])
+    logs, _ = _log_posteriors(rows, vectors, values, np.array([2, 3, 5]))
+    sums = _posterior_weights(logs).sum(axis=1)
     weight_dev = float(np.max(np.abs(sums - 1.0)))
     ok_weights = weight_dev <= 1e-12
 

@@ -5,19 +5,24 @@ and the files written under a temporary output directory.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from artifact.cli import main
-from artifact.fileio import read_matrix, write_matrix
+from artifact.fileio import format_matrix, read_matrix
 from artifact.simlab import simulate_sources
+
+
+def write_matrix(path, matrix, fmt="%.6g"):
+    Path(path).write_text(format_matrix(matrix, fmt))
 
 
 def read_manifest(path):
     out = {}
-    for line in open(path):
-        key, value = line.rstrip("\n").split(" = ", 1)
+    for line in Path(path).read_text().splitlines():
+        key, value = line.split(" = ", 1)
         out[key] = value
     return out
 
@@ -87,8 +92,8 @@ def test_fit_rerun_is_bit_identical(tmp_path):
     assert main(args + ["--output-dir", out1]) == 0
     assert main(args + ["--output-dir", out2]) == 0
     for name in ("fit_coefficients.csv", "fit_manifest.txt"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(os.path.join(out1, name)).read_bytes()
+        b = Path(os.path.join(out2, name)).read_bytes()
         assert a == b
 
 
@@ -167,7 +172,7 @@ def test_tune_emits_risk_curve_and_manifest(tmp_path):
                  fmt="%.17g")
     out = str(tmp_path / "out")
     assert main(["tune", "--data", data, "--output-dir", out]) == 0
-    lines = open(os.path.join(out, "tune_risk.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "tune_risk.csv")).read_text().splitlines()
     assert lines[0] == "h,risk"
     assert len(lines) == 16
     table = read_matrix(os.path.join(out, "tune_risk.csv"))
@@ -199,7 +204,7 @@ def test_tune_rerun_renames_manifest_last(tmp_path, monkeypatch, capsys):
     assert main(["tune", "--data", data, "--grid", "0.1,0.2",
                  "--output-dir", out]) == 0
     manifest_path = os.path.join(out, "tune_manifest.txt")
-    old_manifest = open(manifest_path, "rb").read()
+    old_manifest = Path(manifest_path).read_bytes()
 
     real_replace = os.replace
     calls = []
@@ -217,7 +222,7 @@ def test_tune_rerun_renames_manifest_last(tmp_path, monkeypatch, capsys):
     # the data landed first; the manifest that failed to follow is the old one
     names = [os.path.basename(c) for c in calls]
     assert names == ["tune_risk.csv", "tune_manifest.txt"]
-    assert open(manifest_path, "rb").read() == old_manifest
+    assert Path(manifest_path).read_bytes() == old_manifest
     assert sorted(os.listdir(out)) == ["tune_manifest.txt", "tune_risk.csv"]
 
 
@@ -247,7 +252,7 @@ def test_shrink_curve_single_eigenvalue_line(tmp_path):
     out = str(tmp_path / "out")
     assert main(["shrink-curve", "--data", data, "--points", "5",
                  "--output-dir", out]) == 0
-    lines = open(os.path.join(out, "curve_curve.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "curve_curve.csv")).read_text().splitlines()
     assert lines[0] == "x,delta"
     table = read_matrix(os.path.join(out, "curve_curve.csv"))
     assert table.shape == (5, 2)
@@ -287,8 +292,8 @@ def test_shrink_curve_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["shrink-curve", "--data", data, "--output-dir", out1]) == 0
     assert main(["shrink-curve", "--data", data, "--output-dir", out2]) == 0
-    a = open(os.path.join(out1, "curve_curve.csv"), "rb").read()
-    b = open(os.path.join(out2, "curve_curve.csv"), "rb").read()
+    a = Path(os.path.join(out1, "curve_curve.csv")).read_bytes()
+    b = Path(os.path.join(out2, "curve_curve.csv")).read_bytes()
     assert a == b
 
 
@@ -299,7 +304,7 @@ def test_simulate_round_trip_with_alias(tmp_path, capsys):
             "--output-dir", out]
     assert main(args) == 0
     assert "method=ols" in capsys.readouterr().out
-    lines = open(os.path.join(out, "simulate_results.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "simulate_results.csv")).read_text().splitlines()
     assert lines[0] == "design,n_sources,n_predictors,rho,method,replication,mse,pe"
     assert len(lines) == 1 + 3 * 2
     assert all(line.startswith("scale-mixture") for line in lines[1:])
@@ -308,8 +313,8 @@ def test_simulate_round_trip_with_alias(tmp_path, capsys):
 
     out2 = str(tmp_path / "out2")
     assert main(args[:-1] + [out2]) == 0
-    a = open(os.path.join(out, "simulate_results.csv"), "rb").read()
-    b = open(os.path.join(out2, "simulate_results.csv"), "rb").read()
+    a = Path(os.path.join(out, "simulate_results.csv")).read_bytes()
+    b = Path(os.path.join(out2, "simulate_results.csv")).read_bytes()
     assert a == b
 
 
@@ -355,7 +360,7 @@ def test_crossval_skips_folds_too_small_for_ols(tmp_path, capsys):
     assert "all folds skipped" in capsys.readouterr().out
     manifest = read_manifest(os.path.join(out, "crossval_manifest.txt"))
     assert manifest["result_pmse_ols"] == "NA"
-    scores = open(os.path.join(out, "crossval_scores.csv")).read()
+    scores = Path(os.path.join(out, "crossval_scores.csv")).read_text()
     assert "skipped: training rows <= predictors" in scores
 
 
@@ -366,8 +371,8 @@ def test_crossval_same_seed_reproduces_folds(tmp_path):
             "--folds", "5", "--seed", "11"]
     assert main(args + ["--output-dir", out1]) == 0
     assert main(args + ["--output-dir", out2]) == 0
-    a = open(os.path.join(out1, "crossval_scores.csv"), "rb").read()
-    b = open(os.path.join(out2, "crossval_scores.csv"), "rb").read()
+    a = Path(os.path.join(out1, "crossval_scores.csv")).read_bytes()
+    b = Path(os.path.join(out2, "crossval_scores.csv")).read_bytes()
     assert a == b
 
 
@@ -408,7 +413,7 @@ def test_prial_small_run(tmp_path):
     out = str(tmp_path / "out")
     assert main(["prial", "--np-product", "500", "--aspects", "0.5",
                  "--reps", "5", "--seed", "0", "--output-dir", out]) == 0
-    lines = open(os.path.join(out, "prial_prial.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "prial_prial.csv")).read_text().splitlines()
     assert lines[0].startswith("aspect,n,p,policy,prial")
     assert len(lines) == 4
     oracle = [l for l in lines if ",oracle," in l]

@@ -1,13 +1,13 @@
 """Tests for CSV/config/manifest reading and atomic writing."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from artifact import ParseError
 from artifact.fileio import (
-    atomic_write_text,
     config_hash,
     format_cell,
     format_manifest,
@@ -16,16 +16,13 @@ from artifact.fileio import (
     parse_config,
     read_matrix,
     write_files,
-    write_manifest,
-    write_matrix,
-    write_rows,
 )
 
 
 def test_matrix_round_trip(tmp_path):
     path = str(tmp_path / "m.csv")
     m = np.array([[1.25, -3.5], [0.0, 4.0e-7]])
-    write_matrix(path, m)
+    write_files({path: format_matrix(m)})
     back = read_matrix(path)
     assert back.shape == (2, 2)
     assert np.allclose(back, m, rtol=1e-5)
@@ -33,17 +30,17 @@ def test_matrix_round_trip(tmp_path):
 
 def test_matrix_round_trip_with_header(tmp_path):
     path = str(tmp_path / "m.csv")
-    write_matrix(path, np.eye(2), header=["a", "b"])
-    text = open(path).read()
+    write_files({path: format_matrix(np.eye(2), header=["a", "b"])})
+    text = Path(path).read_text()
     assert text.splitlines()[0] == "a,b"
     assert np.allclose(read_matrix(path), np.eye(2))
 
 
 def test_read_matrix_single_row_and_column(tmp_path):
     path = str(tmp_path / "v.csv")
-    atomic_write_text(path, "1.5,2.5\n")
+    Path(path).write_text("1.5,2.5\n")
     assert read_matrix(path).shape == (1, 2)
-    atomic_write_text(path, "1.5\n2.5\n")
+    Path(path).write_text("1.5\n2.5\n")
     assert read_matrix(path).shape == (2, 1)
 
 
@@ -71,16 +68,16 @@ def test_format_matrix_matches_per_cell_formatting():
 
 def test_read_matrix_rejects_bad_content(tmp_path):
     path = str(tmp_path / "bad.csv")
-    atomic_write_text(path, "h1,h2\n1.0,oops\n")
+    Path(path).write_text("h1,h2\n1.0,oops\n")
     with pytest.raises(ParseError):
         read_matrix(path)
-    atomic_write_text(path, "1.0,2.0\n3.0\n")
+    Path(path).write_text("1.0,2.0\n3.0\n")
     with pytest.raises(ParseError):
         read_matrix(path)
-    atomic_write_text(path, "")
+    Path(path).write_text("")
     with pytest.raises(ParseError):
         read_matrix(path)
-    atomic_write_text(path, "only,a,header\n")
+    Path(path).write_text("only,a,header\n")
     with pytest.raises(ParseError):
         read_matrix(path)
 
@@ -106,14 +103,14 @@ def test_format_rows_from_dicts_and_lists():
 
 def test_write_rows_round_trip(tmp_path):
     path = str(tmp_path / "rows.csv")
-    write_rows(path, [[1.0, 2.0]], ["x", "y"])
+    write_files({path: format_rows([[1.0, 2.0]], ["x", "y"])})
     assert read_matrix(path).tolist() == [[1.0, 2.0]]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = str(tmp_path / "out.txt")
-    atomic_write_text(path, "hello\n")
-    assert open(path).read() == "hello\n"
+    write_files({path: "hello\n"})
+    assert Path(path).read_text() == "hello\n"
     assert os.listdir(str(tmp_path)) == ["out.txt"]
 
 
@@ -124,22 +121,22 @@ def test_write_files_all_or_nothing(tmp_path):
         write_files({a: "alpha", b: "beta"})
     assert os.listdir(str(tmp_path)) == []
     write_files({a: "alpha"})
-    assert open(a).read() == "alpha"
+    assert Path(a).read_text() == "alpha"
 
 
 def test_parse_config_basics(tmp_path):
     path = str(tmp_path / "run.cfg")
-    atomic_write_text(path, "# comment\nn = 50\nmethod=global # trailing\n\n")
+    Path(path).write_text("# comment\nn = 50\nmethod=global # trailing\n\n")
     out = parse_config(path)
     assert out == {"n": "50", "method": "global"}
 
 
 def test_parse_config_reports_line_numbers(tmp_path):
     path = str(tmp_path / "run.cfg")
-    atomic_write_text(path, "n = 50\nnot a pair\n")
+    Path(path).write_text("n = 50\nnot a pair\n")
     with pytest.raises(ParseError, match=":2:"):
         parse_config(path)
-    atomic_write_text(path, "= 3\n")
+    Path(path).write_text("= 3\n")
     with pytest.raises(ParseError, match=":1:"):
         parse_config(path)
     with pytest.raises(OSError):
@@ -159,5 +156,5 @@ def test_manifest_is_sorted_and_typed(tmp_path):
     text = format_manifest({"zeta": 1.5, "alpha": True, "mid": 3})
     assert text == "alpha = true\nmid = 3\nzeta = 1.5\n"
     path = str(tmp_path / "manifest.txt")
-    write_manifest(path, {"seed": 7})
-    assert open(path).read() == "seed = 7\n"
+    write_files({path: format_manifest({"seed": 7})})
+    assert Path(path).read_text() == "seed = 7\n"

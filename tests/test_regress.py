@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 
 from artifact import (
     CoefficientEstimate,
-    DegeneracyError,
     DimensionError,
     DomainError,
     InsufficientDataError,
-    MixtureState,
     NoiseModel,
     RegimeError,
     SingularityError,
@@ -29,7 +27,6 @@ from artifact import (
     fit_ols,
     global_shrink,
     local_shrink,
-    mixture_posterior_weights,
     predictive_error,
     sample_covariance,
     select_components,
@@ -39,8 +36,9 @@ from artifact import (
 from artifact.regress import (
     _component_shrunk,
     _initial_labels,
-    _log_density_rows,
+    _log_posteriors,
     _mixture_sweeps,
+    _posterior_weights,
 )
 
 
@@ -82,6 +80,25 @@ def gaussian_density_oracle(x, variance):
     return np.exp(-x * x / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
 
 
+def log_density_rows_oracle(standardized, decomp, values):
+    """Row-wise log N(b; 0, U diag(values) U') using a factored covariance."""
+    rotated = standardized @ decomp.eigenvectors
+    quad = np.sum(rotated * rotated / values, axis=1)
+    logdet = float(np.sum(np.log(values)))
+    p = standardized.shape[1]
+    return -0.5 * (p * np.log(2.0 * np.pi) + logdet + quad)
+
+
+def posterior_weights(rows, variances, counts):
+    """Sampler weights for rows under N(0, diag(variances[c])) components."""
+    values = np.asarray(variances, dtype=float)
+    k, p = values.shape
+    vectors = np.repeat(np.eye(p)[:, None, :], k, axis=1)
+    logs, _ = _log_posteriors(np.asarray(rows, dtype=float), vectors, values,
+                              np.asarray(counts))
+    return logs, _posterior_weights(logs)
+
+
 def dense_mixture_sweeps_oracle(coefficients, standardized, noise, labels, gumbels,
                                 burn_in):
     # the sampler written out densely: all draws up front, one density pass and
@@ -110,7 +127,7 @@ def dense_mixture_sweeps_oracle(coefficients, standardized, noise, labels, gumbe
         proportions = floored / floored.sum()
         logs = np.empty((n, k))
         for comp, shrunk in enumerate(fitted):
-            logs[:, comp] = np.log(proportions[comp]) + _log_density_rows(
+            logs[:, comp] = np.log(proportions[comp]) + log_density_rows_oracle(
                 standardized, shrunk.decomposition, shrunk.values
             )
         weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
@@ -243,16 +260,16 @@ def test_ols_matches_cofactor_inverse_oracle():
     resid = y - x @ expected.T
     sigma2 = np.mean(np.sum(resid * resid, axis=0) / (50 - 3))
     assert noise.sigma2 == pytest.approx(sigma2, rel=1e-12)
-    assert np.allclose(noise.q.values, sigma2 * gram_inv, rtol=1e-10)
+    q = noise.q_half.values @ noise.q_half.values
+    assert np.allclose(q, sigma2 * gram_inv, rtol=1e-10)
 
 
 def test_noise_model_square_root_factors():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 3))
     noise = noise_from_q(2.0, a.T @ a / 6)
-    q = noise.q.values
+    q = noise.q_half.values @ noise.q_half.values
     assert np.allclose(q, a.T @ a / 6, atol=1e-12)
-    assert np.allclose(noise.q_half.values @ noise.q_half.values, q, atol=1e-10)
     assert np.allclose(
         noise.q_half.values @ noise.q_half_inv.values, np.eye(3), atol=1e-10
     )
@@ -433,23 +450,10 @@ def test_global_shrink_scaling_responses_scales_coefficients(case, c, flip):
     assert_close(scaled.coefficients, c * base.coefficients)
 
 
-def test_mixture_state_validation():
-    cov = [np.eye(2)]
-    with pytest.raises(DimensionError):
-        MixtureState([0], [0.5, 0.5], cov)
-    with pytest.raises(DomainError):
-        MixtureState([0], [0.7], cov)
-    with pytest.raises(DomainError):
-        MixtureState([1], [1.0], cov)
-    state = MixtureState([0, 0], [1.0], cov)
-    assert state.labels.dtype.kind == "i"
-
-
 def test_posterior_weights_single_component():
     rng = np.random.default_rng(2)
     b = rng.standard_normal((6, 2))
-    state = MixtureState([0], [1.0], [np.eye(2)])
-    w = mixture_posterior_weights(b, state)
+    _, w = posterior_weights(b, [[1.0, 1.0]], [6])
     assert w.shape == (6, 1)
     assert np.allclose(w, 1.0, atol=1e-15)
 
@@ -457,8 +461,7 @@ def test_posterior_weights_single_component():
 def test_posterior_weights_match_scalar_density_oracle():
     # p = 1 lets us write the posterior by hand
     x = 0.1
-    state = MixtureState([0], [0.5, 0.5], [np.array([[1.0]]), np.array([[100.0]])])
-    w = mixture_posterior_weights([[x]], state)
+    _, w = posterior_weights([[x]], [[1.0], [100.0]], [1, 1])
     d1 = 0.5 * gaussian_density_oracle(x, 1.0)
     d2 = 0.5 * gaussian_density_oracle(x, 100.0)
     assert w[0, 0] == pytest.approx(d1 / (d1 + d2), rel=1e-12)
@@ -468,29 +471,21 @@ def test_posterior_weights_match_scalar_density_oracle():
 def test_posterior_weights_rows_normalized():
     rng = np.random.default_rng(17)
     b = rng.standard_normal((30, 3)) * 2.0
-    covs = [np.eye(3), 4.0 * np.eye(3), np.diag([1.0, 2.0, 3.0])]
-    state = MixtureState([0], [0.2, 0.3, 0.5], covs)
-    w = mixture_posterior_weights(b, state)
+    variances = [[1.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 2.0, 3.0]]
+    _, w = posterior_weights(b, variances, [2, 3, 5])
     assert np.all(w >= 0)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_posterior_weights_zero_proportion_gets_zero_mass():
-    state = MixtureState([0], [1.0, 0.0], [np.eye(1), np.eye(1)])
-    w = mixture_posterior_weights([[0.3]], state)
-    assert np.allclose(w, [[1.0, 0.0]])
-
-
-def test_posterior_weights_degenerate_row_raises():
-    state = MixtureState([0], [1.0], [np.eye(1)])
-    with np.errstate(over="ignore"), pytest.raises(DegeneracyError):
-        mixture_posterior_weights([[1e200]], state)
-
-
-def test_posterior_weights_singular_component_raises():
-    state = MixtureState([0], [0.5, 0.5], [np.eye(2), np.zeros((2, 2))])
-    with pytest.raises(SingularityError):
-        mixture_posterior_weights(np.ones((2, 2)), state)
+def test_posterior_weights_floor_empty_component_count():
+    # an emptied component keeps prior weight (1/2) / (n + 1/2), so the
+    # sampler can still move rows into it
+    x, n = 0.3, 4
+    logs, w = posterior_weights([[x]], [[1.0], [2.0]], [n, 0])
+    prior = np.log(0.5 / (n + 0.5))
+    expected = prior + np.log(gaussian_density_oracle(x, 2.0))
+    assert logs[0, 1] == pytest.approx(expected, rel=1e-12)
+    assert np.isfinite(logs).all() and w[0, 1] > 0
 
 
 def test_local_single_component_equals_global():
@@ -571,13 +566,12 @@ def test_mixture_single_sweep_matches_posterior_assembly():
         cnt = members.shape[0]
         s = SymmetricMatrix(members.T @ members / cnt)
         shrunk.append(shrink_covariance(s, cnt, default_bandwidth(cnt, 3)))
-    proportions = counts / counts.sum()
-    covariances = []
-    for c in shrunk:
-        u = c.decomposition.eigenvectors
-        covariances.append(u @ np.diag(c.values) @ u.T)
-    state = MixtureState(labels, proportions, covariances)
-    weights = mixture_posterior_weights(bstar, state)
+    logs = np.empty((21, 2))
+    for comp, c in enumerate(shrunk):
+        prior = np.log(counts[comp] / counts.sum())
+        logs[:, comp] = prior + log_density_rows_oracle(bstar, c.decomposition, c.values)
+    weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
+    weights /= np.sum(weights, axis=1, keepdims=True)
     expected = np.zeros_like(estimate.coefficients)
     for comp in range(2):
         rotate = (
