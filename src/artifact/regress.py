@@ -33,7 +33,9 @@ class SourceBundle:
     singular values descending); least squares, the collinearity check and
     the noise model's whitening factors all come from it.  The design is
     rejected as collinear when cond(X'X) = (s_max / s_min)^2 reaches
-    MAX_DESIGN_CONDITION.
+    MAX_DESIGN_CONDITION.  `design` and `responses` are read-only views,
+    because the factor and the least-squares fit that fit_ols keeps on the
+    bundle are computed from them once.
     """
 
     def __init__(self, design, responses):
@@ -58,12 +60,19 @@ class SourceBundle:
         # (s_max / s_min)^2 >= MAX without dividing, so s_min = 0 is caught too
         if s[-1] * np.sqrt(MAX_DESIGN_CONDITION) <= s[0]:
             raise SingularityError("design is numerically collinear")
-        self.design = x
-        self.responses = y
+        self.design = _read_only(x)
+        self.responses = _read_only(y)
         self.n_samples = samples
         self.n_predictors = predictors
         self.n_sources = sources
         self.factor = factor
+        self._ols = None
+
+
+def _read_only(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class NoiseModel:
@@ -102,17 +111,27 @@ def fit_ols(bundle):
     cond(X)^2 as through the normal equations.  The noise variance is pooled
     across sources (mean of per-source residual variances with denominator
     N - p) and floored at NOISE_FLOOR; the coefficient noise covariance is
-    sigma2 (X'X)^-1.
+    sigma2 (X'X)^-1.  The fit is computed at the first call on a bundle and
+    kept on it, with read-only arrays, so every estimator that starts from
+    least squares shares one fit; each call returns a fresh estimate.
     """
-    x, y = bundle.design, bundle.responses
-    u, s, vt = bundle.factor
-    coef = (vt.T / s) @ (u.T @ y)  # p by n
-    resid = y - x @ coef
-    dof = bundle.n_samples - bundle.n_predictors
-    sigma2 = float(np.mean(np.sum(resid * resid, axis=0) / dof))
-    sigma2 = max(sigma2, NOISE_FLOOR)
-    estimate = CoefficientEstimate(coef.T, "ols", {"sigma2": sigma2})
-    return estimate, NoiseModel(sigma2, vt.T, s)
+    if bundle._ols is None:
+        x, y = bundle.design, bundle.responses
+        u, s, vt = bundle.factor
+        coef = (vt.T / s) @ (u.T @ y)  # p by n
+        # residuals squared in place: one N by n temporary, not three
+        squares = x @ coef
+        np.subtract(y, squares, out=squares)
+        squares *= squares
+        dof = bundle.n_samples - bundle.n_predictors
+        sigma2 = float(np.mean(np.sum(squares, axis=0) / dof))
+        sigma2 = max(sigma2, NOISE_FLOOR)
+        noise = NoiseModel(sigma2, vt.T, s)
+        noise.q_half.values.flags.writeable = False
+        noise.q_half_inv.values.flags.writeable = False
+        bundle._ols = _read_only(coef.T), noise
+    coef, noise = bundle._ols
+    return CoefficientEstimate(coef, "ols", {"sigma2": noise.sigma2}), noise
 
 
 def standardize(estimate, noise):
@@ -184,33 +203,39 @@ def global_shrink(bundle, h="default"):
     return CoefficientEstimate(coef, "global", diagnostics)
 
 
-def _log_posteriors(standardized, vectors, values, counts):
+def _log_posteriors(standardized, vectors, values, counts, out=None):
     """Unnormalized log posteriors of each row under each mixture component.
 
     Component c is N(0, U_c diag(v_c) U_c') with U_c = vectors[:, c] of a
     (p, k, p) stack and v_c = values[c]; its prior weight is its member
-    count, floored at 1/2 so an emptied component stays reachable.  One
-    product b* [U_1 ... U_K] gives every r_c = b* U_c, and with
-    s_c = r_c / v_c the quadratic form is r_c . s_c.  Returns the (n, k) log
-    posteriors and the (n, k, p) array of s_c, from which the posterior mean
-    is built.
+    count, floored at 1/2 so an emptied component stays reachable.  The
+    posterior works in precision form: the k precisions
+    P_c = U_c diag(1/v_c) U_c' form one (p, k, p) stack, one product
+    b* [P_1 ... P_K] gives every t_c = b* P_c (written into out, an (n, k p)
+    buffer, when given), and the quadratic form is b* . t_c.  Returns the
+    (k, n) log posteriors, component-major so that reductions over the
+    components run along axis 0, and the (n, k, p) view of the t_c, from
+    which the posterior mean is built.
     """
     n, p = standardized.shape
     k = values.shape[0]
     floored = np.maximum(counts, 0.5)
-    rotated = (standardized @ vectors.reshape(p, k * p)).reshape(n, k, p)
-    scaled = rotated / values
-    quad = np.einsum("nkp,nkp->nk", rotated, scaled)
-    logdet = np.sum(np.log(values), axis=1)
+    precisions = np.einsum("ikj,lkj->ikl", vectors / values, vectors)
+    products = np.matmul(standardized, precisions.reshape(p, k * p), out=out)
+    products = products.reshape(n, k, p)
+    # summed row-major, the faster order, then copied component-major
+    quad = np.einsum("nkp,np->nk", products, standardized).T.copy()
+    logdet = np.sum(np.log(values), axis=1)[:, None]
     log_norm = p * np.log(2.0 * np.pi)
-    logs = np.log(floored / floored.sum()) - 0.5 * (log_norm + logdet + quad)
-    return logs, scaled
+    prior = np.log(floored / floored.sum())[:, None]
+    return prior - 0.5 * (log_norm + logdet + quad), products
 
 
 def _posterior_weights(logs):
-    """Normalize (n, k) log posteriors into rows of component probabilities."""
-    weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
-    weights /= np.sum(weights, axis=1, keepdims=True)
+    """Normalize (k, n) log posteriors into columns of component probabilities."""
+    weights = logs - np.max(logs, axis=0)
+    np.exp(weights, out=weights)
+    weights /= np.sum(weights, axis=0)
     return weights
 
 
@@ -239,12 +264,15 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
     one at a time (a 3-d array iterates as one); sweep s resamples labels by
     argmax_k of (log posterior numerator + draw_s[:, k]), so permuting the
     component axis together with the initial labels permutes the whole
-    trajectory.  Working memory is O(rows * components * p) whatever the
-    sweep count.  Returns the averaged post-burn-in coefficient matrix and a
+    trajectory.  Returns the averaged post-burn-in coefficient matrix and a
     diagnostics dict.
 
-    The posterior-mean row is b - sum_k w_k s_k U_k' Q^1/2 with s_k from
-    _log_posteriors, so Q^1/2 is applied once at the end.
+    The posterior-mean row is b - sum_k w_k t_k Q^1/2 with t_k = b* P_k
+    from _log_posteriors (P_k the component precision), so each sweep makes
+    one product and Q^1/2 is applied once at the end.  The log posteriors
+    and weights are (components, rows).  Working memory is
+    O(rows * components * p) whatever the sweep count: one (rows,
+    components * p) product buffer, allocated once and reused by every sweep.
     """
     n, p = standardized.shape
     labels = np.asarray(labels, dtype=int).copy()
@@ -256,6 +284,7 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
         draw = np.asarray(draw, dtype=float)
         if k is None and draw.ndim == 2:
             k = draw.shape[1]
+            buffer = np.empty((n, k * p))
         if draw.shape != (n, k) or k < 1:
             raise DimensionError("each Gumbel draw must be (rows, components)")
         vectors, values = np.empty((p, k, p)), np.empty((k, p))
@@ -272,12 +301,11 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
             vectors[:, comp] = shrunk.decomposition.eigenvectors
             values[comp] = shrunk.values
         counts = np.bincount(labels, minlength=k)
-        logs, scaled = _log_posteriors(standardized, vectors, values, counts)
+        logs, products = _log_posteriors(standardized, vectors, values, counts, buffer)
         if sweeps > burn_in:
-            scaled *= _posterior_weights(logs)[:, :, None]
-            accum += scaled.reshape(n, k * p) @ vectors.reshape(p, k * p).T
+            accum += np.einsum("kn,nkp->np", _posterior_weights(logs), products)
             kept += 1
-        labels = np.argmax(logs + draw, axis=1)
+        labels = np.argmax(logs + draw.T, axis=0)
 
     if kept < 1:
         raise DomainError("burn-in leaves no sweeps to average")
@@ -301,8 +329,11 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     per-sweep posterior means after burn_in.  Components that empty out or
     lose their spectrum borrow the pooled all-rows covariance for that sweep.
     Each sweep draws its own (sources, n_components) Gumbel block, the same
-    values as one up-front (sweeps, sources, n_components) draw, so working
-    memory is O(sources * n_components * p) whatever the sweep count.
+    values as one up-front (sweeps, sources, n_components) draw.  Each sweep
+    weighs the rows in precision form, with one product of the standardized
+    rows and all component precisions into a buffer reused by every sweep,
+    so working memory is O(sources * n_components * p) whatever the sweep
+    count.
     """
     k = int(n_components)
     if k != n_components or k < 1:

@@ -287,7 +287,7 @@ def test_criterion_09_single_component_reduction_and_determinism(criterion_repor
     vectors = np.repeat(np.eye(3)[:, None, :], 3, axis=1)
     values = np.array([[1.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 2.0, 3.0]])
     logs, _ = _log_posteriors(rows, vectors, values, np.array([2, 3, 5]))
-    sums = _posterior_weights(logs).sum(axis=1)
+    sums = _posterior_weights(logs).sum(axis=0)
     weight_dev = float(np.max(np.abs(sums - 1.0)))
     ok_weights = weight_dev <= 1e-12
 

@@ -90,7 +90,10 @@ def log_density_rows_oracle(standardized, decomp, values):
 
 
 def posterior_weights(rows, variances, counts):
-    """Sampler weights for rows under N(0, diag(variances[c])) components."""
+    """Sampler weights for rows under N(0, diag(variances[c])) components.
+
+    Returns the (components, rows) log posteriors and weights.
+    """
     values = np.asarray(variances, dtype=float)
     k, p = values.shape
     vectors = np.repeat(np.eye(p)[:, None, :], k, axis=1)
@@ -152,13 +155,15 @@ def dense_mixture_sweeps_oracle(coefficients, standardized, noise, labels, gumbe
     return accum / kept, diagnostics
 
 
-def two_scale_bundle(seed, n_samples, p, n_sources):
+def two_scale_bundle(seed, n_samples, p, n_sources, top=1.0):
     # half the sources carry tight coefficients and half wide ones, so a
-    # mixture sampler has components to find
+    # mixture sampler has components to find; top > 1 scales the coefficient
+    # columns geometrically from 1 to top, so the component covariances have
+    # condition numbers near top^2
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_samples, p))
     scale = np.where(rng.random(n_sources) < 0.5, 0.1, 3.0)
-    beta = rng.standard_normal((n_sources, p)) * scale[:, None]
+    beta = rng.standard_normal((n_sources, p)) * scale[:, None] * np.geomspace(1.0, top, p)
     y = x @ beta.T + rng.standard_normal((n_samples, n_sources))
     return SourceBundle(x, y)
 
@@ -262,6 +267,22 @@ def test_ols_matches_cofactor_inverse_oracle():
     assert noise.sigma2 == pytest.approx(sigma2, rel=1e-12)
     q = noise.q_half.values @ noise.q_half.values
     assert np.allclose(q, sigma2 * gram_inv, rtol=1e-10)
+
+
+def test_ols_fit_is_kept_on_the_bundle_read_only():
+    # every estimator starts from fit_ols, so a bundle scored by several
+    # methods is fitted once; the shared arrays cannot be written through
+    rng = np.random.default_rng(12)
+    bundle, _ = whitened_bundle(rng, 30, 3, 8, 1.0)
+    first, noise = fit_ols(bundle)
+    second, again = fit_ols(bundle)
+    assert second.coefficients is first.coefficients and again is noise
+    assert second is not first and second.diagnostics is not first.diagnostics
+    shared = (first.coefficients, noise.q_half.values, noise.q_half_inv.values,
+              bundle.design, bundle.responses)
+    for array in shared:
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def test_noise_model_square_root_factors():
@@ -454,7 +475,7 @@ def test_posterior_weights_single_component():
     rng = np.random.default_rng(2)
     b = rng.standard_normal((6, 2))
     _, w = posterior_weights(b, [[1.0, 1.0]], [6])
-    assert w.shape == (6, 1)
+    assert w.shape == (1, 6)
     assert np.allclose(w, 1.0, atol=1e-15)
 
 
@@ -465,7 +486,7 @@ def test_posterior_weights_match_scalar_density_oracle():
     d1 = 0.5 * gaussian_density_oracle(x, 1.0)
     d2 = 0.5 * gaussian_density_oracle(x, 100.0)
     assert w[0, 0] == pytest.approx(d1 / (d1 + d2), rel=1e-12)
-    assert w[0, 0] > 0.9
+    assert w[0, 0] > 0.9 and w.shape == (2, 1)
 
 
 def test_posterior_weights_rows_normalized():
@@ -473,8 +494,8 @@ def test_posterior_weights_rows_normalized():
     b = rng.standard_normal((30, 3)) * 2.0
     variances = [[1.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 2.0, 3.0]]
     _, w = posterior_weights(b, variances, [2, 3, 5])
-    assert np.all(w >= 0)
-    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(w >= 0) and w.shape == (3, 30)
+    assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_posterior_weights_floor_empty_component_count():
@@ -484,8 +505,8 @@ def test_posterior_weights_floor_empty_component_count():
     logs, w = posterior_weights([[x]], [[1.0], [2.0]], [n, 0])
     prior = np.log(0.5 / (n + 0.5))
     expected = prior + np.log(gaussian_density_oracle(x, 2.0))
-    assert logs[0, 1] == pytest.approx(expected, rel=1e-12)
-    assert np.isfinite(logs).all() and w[0, 1] > 0
+    assert logs[1, 0] == pytest.approx(expected, rel=1e-12)
+    assert np.isfinite(logs).all() and w[1, 0] > 0
 
 
 def test_local_single_component_equals_global():
@@ -596,12 +617,26 @@ def test_mixture_sweeps_pooled_reset_on_empty_component():
     assert diag["pooled_resets"] >= 1
 
 
+def oracle_case(k, sweeps, burn_in, empty_start, top=1.0):
+    name = "%d-%d-%d-%s" % (k, sweeps, burn_in, empty_start)
+    if top != 1.0:
+        name += "-top%.0e" % top
+    return pytest.param(k, sweeps, burn_in, empty_start, top, id=name)
+
+
 @pytest.mark.parametrize(
-    "k, sweeps, burn_in, empty_start",
-    [(1, 10, 2, False), (2, 14, 3, False), (3, 12, 4, False), (3, 10, 2, True)],
+    "k, sweeps, burn_in, empty_start, top",
+    [
+        oracle_case(1, 10, 2, False), oracle_case(2, 14, 3, False),
+        oracle_case(3, 12, 4, False), oracle_case(3, 10, 2, True),
+        # ill-conditioned components: the sampler works with their precisions
+        oracle_case(1, 10, 2, False, 1e4), oracle_case(2, 14, 3, False, 1e2),
+        oracle_case(2, 14, 3, False, 1e4), oracle_case(3, 12, 4, False, 1e3),
+        oracle_case(3, 12, 4, False, 1e4), oracle_case(3, 10, 2, True, 1e4),
+    ],
 )
-def test_mixture_sweeps_match_dense_oracle(k, sweeps, burn_in, empty_start):
-    bundle = two_scale_bundle(60 + k, 30, 4, 45)
+def test_mixture_sweeps_match_dense_oracle(k, sweeps, burn_in, empty_start, top):
+    bundle = two_scale_bundle(60 + k, 30, 4, 45, top)
     estimate, noise = fit_ols(bundle)
     bstar = standardize(estimate, noise)
     n = bundle.n_sources
@@ -617,8 +652,9 @@ def test_mixture_sweeps_match_dense_oracle(k, sweeps, burn_in, empty_start):
     assert diag == expected_diag
     if empty_start:
         assert diag["pooled_resets"] >= k - 1
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+    # column by column, so the small columns of a scaled bundle count too
+    scale = np.max(np.abs(expected), axis=0)
+    assert np.all(np.max(np.abs(out - expected), axis=0) <= 1e-12 * scale)
 
 
 def test_local_shrink_streams_the_up_front_draws():
@@ -650,17 +686,22 @@ def test_mixture_sweeps_reject_misshapen_draws():
 
 
 def test_local_shrink_memory_does_not_grow_with_sweeps():
-    bundle = two_scale_bundle(72, 40, 10, 3000)
+    n, p, k = 3000, 10, 3
+    bundle = two_scale_bundle(72, 40, p, n)
+    fit_ols(bundle)  # kept on the bundle, so the peaks below are the sampler's
     peaks = []
     for sweeps in (40, 400):
         tracemalloc.start()
         try:
-            local_shrink(bundle, 3, sweeps=sweeps, burn_in=10, seed=0)
+            local_shrink(bundle, k, sweeps=sweeps, burn_in=10, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     # drawing every Gumbel variate up front would add 360 * 3000 * 3 * 8 B
     assert peaks[1] - peaks[0] <= 1 << 20
+    # one (n, k p) product buffer reused by every sweep plus a few (n, p)
+    # arrays (2.9 n k p doubles); a fresh product per sweep reads 4.5
+    assert max(peaks) <= 3.5 * n * k * p * 8
 
 
 def test_initial_labels_split_by_row_norm():
