@@ -17,7 +17,6 @@ from .errors import (
 )
 from .spectral import (
     SpectralDecomposition,
-    SymmetricMatrix,
     eigh,
     sample_covariance,
     spectral_apply,

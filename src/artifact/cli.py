@@ -16,16 +16,12 @@ import numpy as np
 from . import __version__
 from .errors import (
     ArtifactError,
-    DegeneracyError,
     DimensionError,
     DomainError,
     InputError,
     InsufficientDataError,
-    NumericalError,
     ParseError,
     RegimeError,
-    SingularityError,
-    TuningError,
 )
 from .fileio import (
     config_hash,
@@ -65,7 +61,6 @@ _PRECONDITION_ERRORS = (
     RegimeError,
     InsufficientDataError,
 )
-_NUMERICAL_ERRORS = (SingularityError, TuningError, DegeneracyError, NumericalError)
 
 
 def fmt(value):
@@ -464,10 +459,7 @@ def main(argv=None):
     except _PRECONDITION_ERRORS as exc:
         print("error: precondition: %s" % exc, file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as exc:
-        print("error: numerical: %s" % exc, file=sys.stderr)
-        return 4
-    except ArtifactError as exc:  # anything else from the taxonomy
+    except ArtifactError as exc:  # singular, tuning, degenerate, non-finite
         print("error: numerical: %s" % exc, file=sys.stderr)
         return 4
 

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .shrinkage import (ShrunkCovariance, _shrink_spectrum, default_bandwidth,
                         shrink_covariance)
-from .spectral import SymmetricMatrix, as_matrix, eigh
+from .spectral import as_matrix, eigh, symmetrize
 from .tuning import default_bandwidth_grid, select_bandwidth
 
 MAX_DESIGN_CONDITION = 1e12
@@ -82,7 +82,10 @@ class NoiseModel:
     and singular values s: the coefficient noise covariance is
     Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V', and Q^1/2, Q^-1/2 scale
     the columns of V by sqrt(sigma2) / s and s / sqrt(sigma2).  Q itself is
-    never formed.
+    never formed.  Both factors are symmetrized, because standardize uses
+    b Q^-1/2 for the whitening Q^-1/2 b of each row, and the mixture
+    sampler magnifies round-off in the whitened rows by the condition of
+    its component precisions.
     """
 
     def __init__(self, sigma2, vectors, singular_values):
@@ -90,8 +93,8 @@ class NoiseModel:
         v = np.asarray(vectors, dtype=float)
         s = np.asarray(singular_values, dtype=float)
         root = np.sqrt(self.sigma2) / s
-        self.q_half = SymmetricMatrix((v * root) @ v.T)
-        self.q_half_inv = SymmetricMatrix((v / root) @ v.T)
+        self.q_half = symmetrize((v * root) @ v.T)
+        self.q_half_inv = symmetrize((v / root) @ v.T)
 
 
 class CoefficientEstimate:
@@ -127,8 +130,8 @@ def fit_ols(bundle):
         sigma2 = float(np.mean(np.sum(squares, axis=0) / dof))
         sigma2 = max(sigma2, NOISE_FLOOR)
         noise = NoiseModel(sigma2, vt.T, s)
-        noise.q_half.values.flags.writeable = False
-        noise.q_half_inv.values.flags.writeable = False
+        noise.q_half.flags.writeable = False
+        noise.q_half_inv.flags.writeable = False
         bundle._ols = _read_only(coef.T), noise
     coef, noise = bundle._ols
     return CoefficientEstimate(coef, "ols", {"sigma2": noise.sigma2}), noise
@@ -137,14 +140,9 @@ def fit_ols(bundle):
 def standardize(estimate, noise):
     """Whiten coefficient rows: each beta_hat is mapped to Q^{-1/2} beta_hat."""
     b = estimate.coefficients
-    if b.shape[1] != noise.q_half_inv.dim:
+    if b.shape[1] != noise.q_half_inv.shape[0]:
         raise DimensionError("coefficient width does not match the noise model")
-    return b @ noise.q_half_inv.values
-
-
-def _coefficient_second_moment(standardized):
-    n = standardized.shape[0]
-    return SymmetricMatrix(standardized.T @ standardized / n)
+    return b @ noise.q_half_inv
 
 
 def _resolve_bandwidth(decomp, n, p, h):
@@ -185,11 +183,11 @@ def global_shrink(bundle, h="default"):
         raise RegimeError(
             "source count equals predictor count (%d); the pooled rule is undefined" % p
         )
-    decomp = eigh(_coefficient_second_moment(bstar))
+    decomp = eigh(bstar.T @ bstar / n)
     hv, policy, fell_back, shrunk = _resolve_bandwidth(decomp, n, p, h)
     if shrunk is None:
         shrunk = shrink_covariance(decomp, n, hv)
-    rotate = noise.q_half.values @ shrunk.inverse().values @ noise.q_half_inv.values
+    rotate = noise.q_half @ shrunk.inverse() @ noise.q_half_inv
     coef = estimate.coefficients @ (np.eye(p) - rotate).T
     if not np.all(np.isfinite(coef)):
         raise NumericalError("shrunk coefficients are non-finite")
@@ -241,8 +239,7 @@ def _posterior_weights(logs):
 
 def _component_shrunk(standardized_rows, count, p):
     """Shrink one component's second moment, allowing the p >= count regime."""
-    s = SymmetricMatrix(standardized_rows.T @ standardized_rows / count)
-    decomp = eigh(s)
+    decomp = eigh(standardized_rows.T @ standardized_rows / count)
     h = default_bandwidth(count, p)
     return _shrink_spectrum(decomp, count, p, h)
 
@@ -316,7 +313,7 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
         "clamp_count": clamp_total,
         "final_component_sizes": np.bincount(labels, minlength=k).tolist(),
     }
-    return coefficients - (accum / kept) @ noise.q_half.values, diagnostics
+    return coefficients - (accum / kept) @ noise.q_half, diagnostics
 
 
 def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):

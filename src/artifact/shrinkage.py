@@ -17,13 +17,7 @@ from .errors import (
     RegimeError,
     SingularityError,
 )
-from .spectral import (
-    SpectralDecomposition,
-    SymmetricMatrix,
-    as_symmetric,
-    eigh,
-    zero_tolerance,
-)
+from .spectral import SpectralDecomposition, eigh, symmetrize, zero_tolerance
 
 # Lower bound on the inverse shrunk eigenvalue, relative to 1/x.  Evaluations
 # hitting it are counted so callers can see when the raw rule went negative.
@@ -236,7 +230,7 @@ class ShrunkCovariance:
 
     def inverse(self):
         u = self.decomposition.eigenvectors
-        return SymmetricMatrix((u * (1.0 / self.values)) @ u.T)
+        return (u * (1.0 / self.values)) @ u.T
 
 
 def _shrink_spectrum(decomp, n, p, h):
@@ -267,7 +261,7 @@ def shrink_covariance(s, n, h=None):
     defaults to default_bandwidth(n, p).  p == n is rejected: neither
     regime's formulas are complete there.
     """
-    decomp = s if isinstance(s, SpectralDecomposition) else eigh(as_symmetric(s))
+    decomp = s if isinstance(s, SpectralDecomposition) else eigh(s)
     p = decomp.dim
     if int(n) != n or n < 1:
         raise DomainError("n must be a positive integer")
@@ -295,7 +289,7 @@ def empirical_loss(true_inverse, decomposition, inverse_values, degree=1):
     inverse_values is 1-d (one estimate; returns a float) or 2-d (one row per
     estimate; returns one loss per row).  degree must be a nonnegative integer.
     """
-    a = as_symmetric(true_inverse).values
+    a = symmetrize(true_inverse)
     if int(degree) != degree or degree < 0:
         raise DomainError("degree must be a nonnegative integer")
     values = np.asarray(inverse_values, dtype=float)

@@ -12,12 +12,7 @@ import numpy as np
 from .errors import DomainError
 from .regress import SourceBundle, fit_ols, global_shrink, local_shrink
 from .shrinkage import empirical_loss, shrink_covariance
-from .spectral import (
-    SymmetricMatrix,
-    require_positive_definite,
-    sample_covariance,
-    spectral_inverse,
-)
+from .spectral import require_positive_definite, sample_covariance, spectral_inverse
 from .tuning import default_bandwidth_grid, select_bandwidth
 
 COEFFICIENT_DESIGNS = ("low-rank", "all-small", "heavy-tail", "scale-mixture")
@@ -185,12 +180,12 @@ def run_experiment(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
 def true_covariance(model, p, rho=0.5, spike=0.5):
     """Population covariance for the loss-convergence scenarios."""
     if model == "independence":
-        return SymmetricMatrix(np.eye(p))
+        return np.eye(p)
     if model == "ar1":
         idx = np.arange(p)
-        return SymmetricMatrix(rho ** np.abs(idx[:, None] - idx[None, :]))
+        return rho ** np.abs(idx[:, None] - idx[None, :])
     if model == "spike":
-        return SymmetricMatrix(np.eye(p) + spike * np.ones((p, p)))
+        return np.eye(p) + spike * np.ones((p, p))
     raise DomainError("unknown covariance model %r" % (model,))
 
 
@@ -205,8 +200,8 @@ def loss_convergence(model, sample_sizes, aspect_ratios, reps=10, seed=0):
         for ci, c in enumerate(aspect_ratios):
             p = max(1, min(int(round(c * n)), int(n) - 1))
             cov = true_covariance(model, p)
-            truth_inv = spectral_inverse(cov).values
-            chol = np.linalg.cholesky(cov.values)
+            truth_inv = spectral_inverse(cov)
+            chol = np.linalg.cholesky(cov)
             for rep in range(int(reps)):
                 rng = np.random.default_rng(
                     _replication_seed(seed, ni, ci, rep)
@@ -229,7 +224,7 @@ def factor_covariance(p, n_factors=5, rng=None):
     """Population covariance Xi Xi' + I with standard normal factor loadings."""
     rng = np.random.default_rng(rng)
     loadings = rng.standard_normal((p, int(n_factors)))
-    return SymmetricMatrix(loadings @ loadings.T + np.eye(p))
+    return loadings @ loadings.T + np.eye(p)
 
 
 def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
@@ -268,8 +263,8 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
             )
         cell_rng = np.random.default_rng(_replication_seed(seed, ci, 0))
         cov = factor_covariance(p, n_factors, cell_rng)
-        truth_inv = spectral_inverse(cov).values
-        chol = np.linalg.cholesky(cov.values)
+        truth_inv = spectral_inverse(cov)
+        chol = np.linalg.cholesky(cov)
         grid = default_bandwidth_grid(n, p, grid_size)
         mid = int(grid_size) // 2
 

@@ -1,7 +1,8 @@
 """Symmetric-matrix primitives: deterministic eigendecomposition and spectral maps.
 
 Conventions used throughout the package:
-  * matrices are symmetrized as (A + A')/2 on construction,
+  * symmetric matrices are plain float ndarrays; eigh symmetrizes its input
+    as (A + A')/2, which leaves an exactly symmetric matrix as it is,
   * eigenvalues are returned in ascending order,
   * each eigenvector is scaled so its largest-magnitude entry is positive,
   * an eigenvalue counts as zero iff it is <= dim * eps * max(eigenvalue, 0).
@@ -21,33 +22,19 @@ def as_matrix(a):
 
 
 def symmetrize(a):
-    """Return (A + A')/2 for a square matrix A."""
+    """Return (A + A')/2 for a square, finite matrix A.
+
+    An exactly symmetric float ndarray comes back as the same object, so a
+    matrix that is symmetric by construction passes through without a copy.
+    """
     m = as_matrix(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError("expected a square matrix, got shape %s" % (m.shape,))
     if m.shape[0] < 1:
         raise DimensionError("matrix dimension must be at least 1")
+    if np.array_equal(m, m.T):
+        return m
     return 0.5 * (m + m.T)
-
-
-class SymmetricMatrix:
-    """Square real matrix stored in symmetrized form."""
-
-    def __init__(self, values):
-        if isinstance(values, SymmetricMatrix):
-            self.values = values.values.copy()
-        else:
-            self.values = symmetrize(values)
-        self.dim = self.values.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.values.astype(dtype)
-        return self.values
-
-
-def as_symmetric(a):
-    return a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)
 
 
 def zero_tolerance(eigenvalues):
@@ -74,8 +61,7 @@ def eigh(matrix):
     Eigenvalues come back ascending; each eigenvector column is flipped if
     needed so that its largest-magnitude entry (first such, on ties) is positive.
     """
-    sym = as_symmetric(matrix)
-    lam, vec = np.linalg.eigh(sym.values)
+    lam, vec = np.linalg.eigh(symmetrize(matrix))
     lead = np.argmax(np.abs(vec), axis=0)
     signs = np.sign(vec[lead, np.arange(vec.shape[1])])
     signs[signs == 0] = 1.0
@@ -85,7 +71,8 @@ def eigh(matrix):
 def spectral_apply(matrix, fn):
     """Apply a scalar map to the spectrum: U diag(fn(lambda)) U'.
 
-    `matrix` may be a SymmetricMatrix, a square array, or a SpectralDecomposition.
+    `matrix` may be a square array or a SpectralDecomposition.  The result
+    is symmetrized, so eigh and empirical_loss take it without a copy.
     Raises SingularityError if fn produces a non-finite value, naming the
     offending eigenvalue.
     """
@@ -99,7 +86,7 @@ def spectral_apply(matrix, fn):
             % (idx, decomp.eigenvalues[idx])
         )
     u = decomp.eigenvectors
-    return SymmetricMatrix((u * mapped) @ u.T)
+    return symmetrize((u * mapped) @ u.T)
 
 
 def require_positive_definite(matrix, what):
@@ -126,12 +113,16 @@ def spectral_inverse(matrix):
 
 
 def sample_covariance(data):
-    """Second-moment matrix Z'Z / n for an n-by-p data matrix Z (rows = samples)."""
+    """Second-moment matrix Z'Z / n for an n-by-p data matrix Z (rows = samples).
+
+    numpy forms Z'Z with a symmetric rank-k update, so the result is exactly
+    symmetric.
+    """
     z = as_matrix(data)
     if z.ndim != 2:
         raise DimensionError("data must be a 2-d array, got shape %s" % (z.shape,))
     n, p = z.shape
     if n < 1 or p < 1:
         raise DimensionError("data must have at least one row and one column")
-    return SymmetricMatrix(z.T @ z / n)
+    return z.T @ z / n
 

@@ -19,7 +19,7 @@ from .shrinkage import (
     _stein_sums,
     default_bandwidth,
 )
-from .spectral import SpectralDecomposition, as_matrix, as_symmetric, eigh
+from .spectral import SpectralDecomposition, as_matrix, eigh
 
 # Relative spacing below which two eigenvalues are treated as coalescent in
 # the divided-difference part of the derivative trace.
@@ -231,7 +231,7 @@ def risk_estimate(s, n, h, diagonals=None):
     itself instead of the risk up to a constant).  This is the risk grid of
     select_bandwidth at a grid of one point.
     """
-    decomp = s if isinstance(s, SpectralDecomposition) else eigh(as_symmetric(s))
+    decomp = s if isinstance(s, SpectralDecomposition) else eigh(s)
     hs = np.array([h], dtype=float)
     return _RiskGrid(decomp, n, hs, diagonals).block(hs)[0]
 
@@ -284,7 +284,7 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
     survive, a TuningError is raised.  The diagonal anchor term is constant
     in h, so diagonals may be omitted.
     """
-    decomp = s if isinstance(s, SpectralDecomposition) else eigh(as_symmetric(s))
+    decomp = s if isinstance(s, SpectralDecomposition) else eigh(s)
     p = decomp.dim
     if grid is None:
         grid = default_bandwidth_grid(n, p)

@@ -73,7 +73,7 @@ def test_criterion_03_risk_estimate_tracks_monte_carlo_risk(criterion_report):
     bandwidths = (0.05, 0.1, 0.2, 0.4)
     scenarios = {
         "identity": np.eye(p),
-        "ar1": true_covariance("ar1", p, rho=0.5).values,
+        "ar1": true_covariance("ar1", p, rho=0.5),
     }
     worst = 0.0
     details = []

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from artifact import cli, errors
 from artifact.cli import main
 from artifact.fileio import format_matrix, read_matrix
 from artifact.simlab import simulate_sources
@@ -243,6 +244,29 @@ def test_tune_collinear_data_exits_4(tmp_path, capsys):
     code = main(["tune", "--data", data, "--output-dir", str(tmp_path / "out")])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: numerical")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (OSError, 2, "error: io: "),
+    (errors.ParseError, 2, "error: io: "),
+    (errors.InputError, 3, "error: precondition: "),
+    (errors.DimensionError, 3, "error: precondition: "),
+    (errors.DomainError, 3, "error: precondition: "),
+    (errors.RegimeError, 3, "error: precondition: "),
+    (errors.InsufficientDataError, 3, "error: precondition: "),
+    (errors.SingularityError, 4, "error: numerical: "),
+    (errors.TuningError, 4, "error: numerical: "),
+    (errors.DegeneracyError, 4, "error: numerical: "),
+    (errors.NumericalError, 4, "error: numerical: "),
+    (errors.ArtifactError, 4, "error: numerical: "),
+])
+def test_error_class_maps_to_exit_code(tmp_path, monkeypatch, capsys, error, code, prefix):
+    def fail(opts, outdir):
+        raise error("injected")
+
+    monkeypatch.setitem(cli.COMMANDS, "prial", fail)
+    assert main(["prial", "--seed", "0", "--output-dir", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == prefix + "injected\n"
 
 
 def test_shrink_curve_single_eigenvalue_line(tmp_path):

@@ -22,7 +22,6 @@ from artifact import (
     RegimeError,
     SingularityError,
     SourceBundle,
-    SymmetricMatrix,
     default_bandwidth,
     fit_ols,
     global_shrink,
@@ -139,7 +138,7 @@ def dense_mixture_sweeps_oracle(coefficients, standardized, noise, labels, gumbe
         for comp, shrunk in enumerate(fitted):
             u = shrunk.decomposition.eigenvectors
             inv = u @ np.diag(1.0 / shrunk.values) @ u.T
-            rotate = noise.q_half.values @ inv @ noise.q_half_inv.values
+            rotate = noise.q_half @ inv @ noise.q_half_inv
             estimate += weights[:, comp, None] * (coefficients @ (np.eye(p) - rotate).T)
         if s >= burn_in:
             accum += estimate
@@ -265,7 +264,7 @@ def test_ols_matches_cofactor_inverse_oracle():
     resid = y - x @ expected.T
     sigma2 = np.mean(np.sum(resid * resid, axis=0) / (50 - 3))
     assert noise.sigma2 == pytest.approx(sigma2, rel=1e-12)
-    q = noise.q_half.values @ noise.q_half.values
+    q = noise.q_half @ noise.q_half
     assert np.allclose(q, sigma2 * gram_inv, rtol=1e-10)
 
 
@@ -278,7 +277,7 @@ def test_ols_fit_is_kept_on_the_bundle_read_only():
     second, again = fit_ols(bundle)
     assert second.coefficients is first.coefficients and again is noise
     assert second is not first and second.diagnostics is not first.diagnostics
-    shared = (first.coefficients, noise.q_half.values, noise.q_half_inv.values,
+    shared = (first.coefficients, noise.q_half, noise.q_half_inv,
               bundle.design, bundle.responses)
     for array in shared:
         with pytest.raises(ValueError):
@@ -289,10 +288,10 @@ def test_noise_model_square_root_factors():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 3))
     noise = noise_from_q(2.0, a.T @ a / 6)
-    q = noise.q_half.values @ noise.q_half.values
+    q = noise.q_half @ noise.q_half
     assert np.allclose(q, a.T @ a / 6, atol=1e-12)
     assert np.allclose(
-        noise.q_half.values @ noise.q_half_inv.values, np.eye(3), atol=1e-10
+        noise.q_half @ noise.q_half_inv, np.eye(3), atol=1e-10
     )
 
 
@@ -316,7 +315,7 @@ def test_standardize_round_trip():
     noise = noise_from_q(1.5, a.T @ a / 5)
     b = rng.standard_normal((7, 3))
     out = standardize(CoefficientEstimate(b, "ols"), noise)
-    assert np.allclose(out @ noise.q_half.values, b, atol=1e-8)
+    assert np.allclose(out @ noise.q_half, b, atol=1e-8)
 
 
 def test_standardize_rejects_width_mismatch():
@@ -334,7 +333,7 @@ def test_global_shrink_matches_manual_recomposition():
     bstar = standardize(estimate, noise)
     s = sample_covariance(bstar)
     shrunk = shrink_covariance(s, 25, default_bandwidth(25, 3))
-    rotate = noise.q_half.values @ shrunk.inverse().values @ noise.q_half_inv.values
+    rotate = noise.q_half @ shrunk.inverse() @ noise.q_half_inv
     expected = estimate.coefficients @ (np.eye(3) - rotate).T
     assert np.allclose(fit.coefficients, expected, rtol=0, atol=1e-12)
     assert fit.method == "global"
@@ -349,7 +348,7 @@ def test_global_shrink_identity_spread_kills_signal(monkeypatch):
         clamp_count = 0
 
         def inverse(self):
-            return SymmetricMatrix(np.eye(3))
+            return np.eye(3)
 
     monkeypatch.setattr(regress, "shrink_covariance", lambda s, n, h: FakeShrunk())
     rng = np.random.default_rng(1)
@@ -585,7 +584,7 @@ def test_mixture_single_sweep_matches_posterior_assembly():
     for comp in range(2):
         members = bstar[labels == comp]
         cnt = members.shape[0]
-        s = SymmetricMatrix(members.T @ members / cnt)
+        s = members.T @ members / cnt
         shrunk.append(shrink_covariance(s, cnt, default_bandwidth(cnt, 3)))
     logs = np.empty((21, 2))
     for comp, c in enumerate(shrunk):
@@ -596,9 +595,9 @@ def test_mixture_single_sweep_matches_posterior_assembly():
     expected = np.zeros_like(estimate.coefficients)
     for comp in range(2):
         rotate = (
-            noise.q_half.values
-            @ shrunk[comp].inverse().values
-            @ noise.q_half_inv.values
+            noise.q_half
+            @ shrunk[comp].inverse()
+            @ noise.q_half_inv
         )
         rows = estimate.coefficients @ (np.eye(3) - rotate).T
         expected += weights[:, comp, None] * rows

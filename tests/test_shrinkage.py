@@ -302,7 +302,7 @@ def test_shrink_keeps_sample_eigenvectors():
 def test_shrink_rotation_invariance():
     s = sample_covariance(np.random.default_rng(9).standard_normal((40, 6)))
     r = rotation(6, 10)
-    direct = dense(shrink_covariance(r @ s.values @ r.T, 40))
+    direct = dense(shrink_covariance(r @ s @ r.T, 40))
     rotated = r @ dense(shrink_covariance(s, 40)) @ r.T
     assert np.max(np.abs(direct - rotated)) <= 1e-8
 
@@ -315,7 +315,7 @@ def test_shrink_over_regime_fills_null_space():
     assert rule.zero_count == 9 - est.decomposition.rank
     null_values = est.values[: rule.zero_count]
     assert np.allclose(null_values, rule.zero_rule_value)
-    inv = est.inverse().values
+    inv = est.inverse()
     assert np.all(np.isfinite(inv))
     assert np.max(np.abs(dense(est) @ inv - np.eye(9))) <= 1e-8
 
@@ -419,7 +419,7 @@ def test_loss_factored_form_matches_dense_oracle(degree, n, p):
     batch = empirical_loss(truth_inv, decomp, rows, degree)
     assert batch.shape == (3,)
     for values, got in zip(rows, batch):
-        want = dense_loss(truth_inv, in_eigenbasis(decomp, values), s.values, degree)
+        want = dense_loss(truth_inv, in_eigenbasis(decomp, values), s, degree)
         single = empirical_loss(truth_inv, decomp, values, degree)
         assert isinstance(single, float)
         assert abs(single - want) <= 1e-12 * abs(want)

@@ -61,7 +61,7 @@ def test_equicorrelated_matches_explicit_cholesky_stream():
 
 def test_equicorrelated_uncorrelated_case_is_calibrated():
     x = equicorrelated_design(100000, 6, 0.0, np.random.default_rng(7))
-    s = sample_covariance(x).values
+    s = sample_covariance(x)
     assert np.max(np.abs(s - np.eye(6))) <= 0.02
 
 
@@ -235,11 +235,11 @@ def test_mixture_shrinkage_beats_pooled_on_two_scale_sources():
 
 
 def test_true_covariance_hand_values():
-    assert np.array_equal(true_covariance("independence", 3).values, np.eye(3))
-    ar1 = true_covariance("ar1", 3, rho=0.5).values
+    assert np.array_equal(true_covariance("independence", 3), np.eye(3))
+    ar1 = true_covariance("ar1", 3, rho=0.5)
     expected = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
     assert np.allclose(ar1, expected, atol=1e-15)
-    spike = true_covariance("spike", 2, spike=0.5).values
+    spike = true_covariance("spike", 2, spike=0.5)
     assert np.allclose(spike, [[1.5, 0.5], [0.5, 1.5]], atol=1e-15)
     with pytest.raises(DomainError):
         true_covariance("wishart", 3)
@@ -280,10 +280,10 @@ def test_loss_grows_with_aspect_ratio():
 
 def test_factor_covariance_shape_and_floor():
     cov = factor_covariance(12, n_factors=5, rng=4)
-    assert cov.values.shape == (12, 12)
-    assert np.linalg.eigvalsh(cov.values).min() >= 1.0 - 1e-10
+    assert cov.shape == (12, 12)
+    assert np.linalg.eigvalsh(cov).min() >= 1.0 - 1e-10
     again = factor_covariance(12, n_factors=5, rng=4)
-    assert np.array_equal(cov.values, again.values)
+    assert np.array_equal(cov, again)
 
 
 def test_prial_experiment_small_cell():
@@ -308,7 +308,7 @@ def prial_dense_oracle(np_product, aspect, reps, seed):
     p = int(round(np.sqrt(aspect * np_product)))
     n = int(round(p / aspect))
     cell_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-    cov = factor_covariance(p, 5, cell_rng).values
+    cov = factor_covariance(p, 5, cell_rng)
     truth_inv = np.linalg.inv(cov)
     chol = np.linalg.cholesky(cov)
     grid = default_bandwidth_grid(n, p)
@@ -320,9 +320,9 @@ def prial_dense_oracle(np_product, aspect, reps, seed):
     raw, grid_losses, sure = [], [], []
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, rep + 1)))
-        s = sample_covariance(rng.standard_normal((n, p)) @ chol.T).values
+        s = sample_covariance(rng.standard_normal((n, p)) @ chol.T)
         raw.append(loss(np.linalg.inv(s), s))
-        row = [loss(shrink_covariance(s, n, h).inverse().values, s) for h in grid]
+        row = [loss(shrink_covariance(s, n, h).inverse(), s) for h in grid]
         grid_losses.append(row)
         sure.append(row[select_bandwidth(s, n, grid).index])
     mean_grid = np.mean(grid_losses, axis=0)

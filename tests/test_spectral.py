@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from artifact.errors import DimensionError, InputError, SingularityError
 from artifact.spectral import (
     SpectralDecomposition,
-    SymmetricMatrix,
-    as_symmetric,
     eigh,
     sample_covariance,
     spectral_apply,
@@ -33,8 +31,11 @@ def recompose(decomp):
 
 
 def test_symmetrize_averages_off_diagonal():
-    out = symmetrize([[1.0, 4.0], [0.0, 3.0]])
+    a = np.array([[1.0, 4.0], [0.0, 3.0]])
+    out = symmetrize(a)
     assert np.array_equal(out, [[1.0, 2.0], [2.0, 3.0]])
+    # the input is left as it was
+    assert np.array_equal(a, [[1.0, 4.0], [0.0, 3.0]])
 
 
 def test_symmetrize_rejects_non_square():
@@ -44,17 +45,16 @@ def test_symmetrize_rejects_non_square():
         symmetrize(np.ones(4))
 
 
-def test_symmetric_matrix_rejects_non_finite():
-    with pytest.raises(InputError):
-        SymmetricMatrix([[np.nan, 0.0], [0.0, 1.0]])
-
-
-def test_symmetric_matrix_copies_and_coerces():
-    m = SymmetricMatrix([[2, 1], [1, 2]])
-    again = SymmetricMatrix(m)
-    again.values[0, 0] = 99.0
-    assert m.values[0, 0] == 2.0
-    assert np.asarray(m).dtype == float
+def test_symmetric_outputs_are_exactly_symmetric():
+    # so eigh and empirical_loss take them without a copy
+    z = np.random.default_rng(6).standard_normal((30, 7))
+    s = sample_covariance(z)
+    assert np.array_equal(s, s.T)
+    assert symmetrize(s) is s
+    for fn in (np.sqrt, lambda v: 1.0 / v):
+        out = spectral_apply(s, fn)
+        assert np.array_equal(out, out.T)
+        assert symmetrize(out) is out
 
 
 # sample covariance
@@ -62,12 +62,12 @@ def test_symmetric_matrix_copies_and_coerces():
 
 def test_sample_covariance_two_point_column():
     s = sample_covariance([[1.0], [-1.0]])
-    assert np.array_equal(s.values, [[1.0]])
+    assert np.array_equal(s, [[1.0]])
 
 
 def test_sample_covariance_identity_rows():
     s = sample_covariance(np.eye(2))
-    assert np.allclose(s.values, 0.5 * np.eye(2), atol=1e-15)
+    assert np.allclose(s, 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_sample_covariance_matches_triple_loop():
@@ -80,7 +80,7 @@ def test_sample_covariance_matches_triple_loop():
             for i in range(n):
                 acc += z[i, j] * z[i, k]
             expect[j, k] = acc / n
-    assert np.max(np.abs(sample_covariance(z).values - expect)) <= 1e-12
+    assert np.max(np.abs(sample_covariance(z) - expect)) <= 1e-12
 
 
 def test_sample_covariance_rejects_bad_shapes():
@@ -112,6 +112,12 @@ def test_eigh_two_by_two_analytic():
     # sign rule: leading (largest magnitude, first on ties) entry positive
     assert np.allclose(d.eigenvectors[:, 0], [r, -r], atol=1e-14)
     assert np.allclose(d.eigenvectors[:, 1], [r, r], atol=1e-14)
+
+
+def test_eigh_coerces_integer_lists():
+    d = eigh([[2, 1], [1, 2]])
+    assert d.eigenvalues.dtype == float
+    assert np.array_equal(d.eigenvalues, eigh([[2.0, 1.0], [1.0, 2.0]]).eigenvalues)
 
 
 def test_eigh_wishart_reconstruction():
@@ -160,19 +166,19 @@ def test_zero_tolerance_scales_with_top_eigenvalue():
 def test_inverse_two_by_two_analytic():
     out = spectral_inverse([[2.0, 1.0], [1.0, 2.0]])
     expect = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-    assert np.max(np.abs(out.values - expect)) <= 1e-12
+    assert np.max(np.abs(out - expect)) <= 1e-12
 
 
 def test_spectral_apply_identity_map():
     a = spd(4, 5)
     out = spectral_apply(a, lambda v: v)
-    assert np.max(np.abs(out.values - symmetrize(a))) <= 1e-8
+    assert np.max(np.abs(out - symmetrize(a))) <= 1e-8
 
 
 def test_spectral_apply_accepts_decomposition():
     d = eigh(np.diag([1.0, 9.0]))
     out = spectral_apply(d, np.sqrt)
-    assert np.allclose(out.values, np.diag([1.0, 3.0]), atol=1e-14)
+    assert np.allclose(out, np.diag([1.0, 3.0]), atol=1e-14)
 
 
 def test_inverse_of_singular_names_eigenvalue():
@@ -214,5 +220,5 @@ def test_eigh_invariants_hold_generically(a):
 @settings(max_examples=60, deadline=None)
 @given(random_symmetric())
 def test_symmetrize_is_idempotent(a):
-    assert np.array_equal(symmetrize(a), a)
-    assert as_symmetric(a).values.shape == a.shape
+    # an exactly symmetric input comes back as the same object, not a copy
+    assert symmetrize(a) is a

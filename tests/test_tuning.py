@@ -153,7 +153,7 @@ def test_trace_matches_matrix_level_divergence():
     s = sample_covariance(a)
     n, h = 12, 0.5
     got = zeta_derivative_trace(eigh(s), n, h)
-    fd = divergence_fd_oracle(s.values, n, h, 1e-6 * float(np.mean(np.abs(s.values))))
+    fd = divergence_fd_oracle(s, n, h, 1e-6 * float(np.mean(np.abs(s))))
     assert got == pytest.approx(fd, rel=1e-6)
 
 
@@ -226,7 +226,7 @@ def test_risk_scalar_closed_chain():
     rng = np.random.default_rng(8)
     y = rng.standard_normal((30, 1))
     s = sample_covariance(y)
-    lam = float(s.values[0, 0])
+    lam = float(s[0, 0])
     diags = precision_diagonals(y)
     r = risk_estimate(s, 30, 0.25, diags)
     delta = lam * 30 / 29
