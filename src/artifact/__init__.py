@@ -59,11 +59,9 @@ from .simlab import (
     equicorrelated_design,
     estimate_with_method,
     factor_covariance,
-    loss_convergence,
     matrix_error,
     parse_method,
     prial_experiment,
     run_experiment,
     simulate_sources,
-    true_covariance,
 )

@@ -29,8 +29,8 @@ NOISE_FLOOR = 1e-12
 class SourceBundle:
     """Shared design plus per-source responses, validated and factorized once.
 
-    `factor` is the thin SVD X = U diag(s) V' (numpy's (U, S, Vh) result,
-    singular values descending); least squares, the collinearity check and
+    `factor` is the thin SVD X = U diag(s) V' as the tuple (U, s, V'),
+    singular values descending; least squares, the collinearity check and
     the noise model's whitening factors all come from it.  The design is
     rejected as collinear when cond(X'X) = (s_max / s_min)^2 reaches
     MAX_DESIGN_CONDITION.  `design` and `responses` are read-only views,
@@ -55,8 +55,7 @@ class SourceBundle:
             raise InsufficientDataError(
                 "need more samples than predictors (N=%d, p=%d)" % (samples, predictors)
             )
-        factor = np.linalg.svd(x, full_matrices=False)
-        s = factor.S
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
         # (s_max / s_min)^2 >= MAX without dividing, so s_min = 0 is caught too
         if s[-1] * np.sqrt(MAX_DESIGN_CONDITION) <= s[0]:
             raise SingularityError("design is numerically collinear")
@@ -65,7 +64,7 @@ class SourceBundle:
         self.n_samples = samples
         self.n_predictors = predictors
         self.n_sources = sources
-        self.factor = factor
+        self.factor = (u, s, vt)
         self._ols = None
 
 

@@ -43,10 +43,14 @@ BLOCK_TERMS = 2 ** 15
 def precision_diagonals(data):
     """Estimate the diagonal of the inverse population second-moment matrix.
 
-    For each column j of the n-by-p data matrix, regress it on the remaining
-    columns (no intercept) and return (n - p - 1) / ||residual||^2.  Under
-    Gaussian sampling the residual norm is an inverse-moment pivot, making
-    each estimate exactly mean-unbiased for the corresponding diagonal.
+    Regressing column j of the n-by-p data matrix Z on the remaining columns
+    (no intercept) leaves a residual sum of squares with 1 / RSS_j =
+    [(Z'Z)^-1]_jj, and the estimate is (n - p - 1) / RSS_j.  Under Gaussian
+    sampling RSS_j is an inverse-moment pivot, making each estimate exactly
+    mean-unbiased for the corresponding diagonal.  All p come from one thin
+    SVD Z = U diag(s) V' as (n - p - 1) sum_k V_jk^2 / s_k^2.  Z must pass
+    lstsq's default rank test, s_min > max(n, p) eps s_max; collinear
+    columns raise SingularityError.
     """
     z = as_matrix(data)
     if z.ndim != 2:
@@ -56,27 +60,10 @@ def precision_diagonals(data):
         raise InsufficientDataError(
             "need n > p + 1 samples for the precision diagonals (n=%d, p=%d)" % (n, p)
         )
-    out = np.empty(p)
-    for j in range(p):
-        y = z[:, j]
-        if p == 1:
-            resid = y
-        else:
-            x = np.delete(z, j, axis=1)
-            coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-            if rank < p - 1:
-                raise SingularityError(
-                    "columns other than %d are collinear (rank %d < %d)"
-                    % (j, rank, p - 1)
-                )
-            resid = y - x @ coef
-        rss = float(resid @ resid)
-        if rss <= 0 or not np.isfinite(rss):
-            raise SingularityError(
-                "column %d is exactly explained by the others; residual norm is zero" % j
-            )
-        out[j] = (n - p - 1) / rss
-    return out
+    _, s, vt = np.linalg.svd(z, full_matrices=False)
+    if s[-1] <= max(n, p) * np.finfo(float).eps * s[0]:
+        raise SingularityError("data columns are collinear; Z'Z is singular")
+    return (n - p - 1) * np.sum((vt / s[:, None]) ** 2, axis=0)
 
 
 def zeta_derivative_trace(decomp, n, h):

@@ -1,0 +1,54 @@
+"""Loss-convergence scenarios for the simulation tests and criterion 5.
+
+Only tests call them, so they are not part of the package API.
+"""
+
+import numpy as np
+
+from artifact.errors import DomainError
+from artifact.shrinkage import empirical_loss, shrink_covariance
+from artifact.simlab import _replication_seed
+from artifact.spectral import sample_covariance, spectral_inverse
+
+
+def true_covariance(model, p, rho=0.5, spike=0.5):
+    """Population covariance for the loss-convergence scenarios."""
+    if model == "independence":
+        return np.eye(p)
+    if model == "ar1":
+        idx = np.arange(p)
+        return rho ** np.abs(idx[:, None] - idx[None, :])
+    if model == "spike":
+        return np.eye(p) + spike * np.ones((p, p))
+    raise DomainError("unknown covariance model %r" % (model,))
+
+
+def loss_convergence(model, sample_sizes, aspect_ratios, reps=10, seed=0):
+    """Monte Carlo mean of the degree-1 loss across (n, c) cells.
+
+    Returns records {model, n, c, p, replication, loss} using the default
+    bandwidth at every cell.  p is round(c n) kept strictly below n.
+    """
+    records = []
+    for ni, n in enumerate(sample_sizes):
+        for ci, c in enumerate(aspect_ratios):
+            p = max(1, min(int(round(c * n)), int(n) - 1))
+            cov = true_covariance(model, p)
+            truth_inv = spectral_inverse(cov)
+            chol = np.linalg.cholesky(cov)
+            for rep in range(int(reps)):
+                rng = np.random.default_rng(
+                    _replication_seed(seed, ni, ci, rep)
+                )
+                z = rng.standard_normal((int(n), p)) @ chol.T
+                est = shrink_covariance(sample_covariance(z), int(n))
+                loss = empirical_loss(truth_inv, est.decomposition, 1.0 / est.values, 1)
+                records.append({
+                    "model": model,
+                    "n": int(n),
+                    "c": float(c),
+                    "p": p,
+                    "replication": rep,
+                    "loss": loss,
+                })
+    return records

@@ -13,17 +13,17 @@ from artifact import (
     empirical_loss,
     global_shrink,
     local_shrink,
-    loss_convergence,
     precision_diagonals,
     prial_experiment,
     risk_estimate,
     run_experiment,
     sample_covariance,
     shrink_covariance,
-    true_covariance,
     zeta_derivative_trace,
 )
 from artifact.regress import _log_posteriors, _posterior_weights
+
+from loss_scenarios import loss_convergence, true_covariance
 
 
 def test_criterion_01_identity_data_stretches_to_one(criterion_report):

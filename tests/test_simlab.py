@@ -16,7 +16,6 @@ from artifact import (
     equicorrelated_design,
     estimate_with_method,
     factor_covariance,
-    loss_convergence,
     matrix_error,
     parse_method,
     prial_experiment,
@@ -25,8 +24,9 @@ from artifact import (
     select_bandwidth,
     shrink_covariance,
     simulate_sources,
-    true_covariance,
 )
+
+from loss_scenarios import loss_convergence, true_covariance
 
 
 def matrix_error_oracle(coefficients, truth):

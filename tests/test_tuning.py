@@ -121,6 +121,11 @@ def test_precision_preconditions():
     z = np.column_stack([z, z[:, 0]])  # third column duplicates the first
     with pytest.raises(SingularityError):
         precision_diagonals(z)
+    # every column is the sum of the others, yet any three have full rank
+    z = rng.standard_normal((50, 3))
+    z = np.column_stack([z, z.sum(axis=1)])
+    with pytest.raises(SingularityError):
+        precision_diagonals(z)
     with pytest.raises(DimensionError):
         precision_diagonals(np.ones(5))
 
@@ -128,6 +133,50 @@ def test_precision_preconditions():
 def test_precision_outputs_positive():
     z = np.random.default_rng(3).standard_normal((60, 4))
     assert np.all(precision_diagonals(z) > 0)
+
+
+def precision_diagonals_oracle(data):
+    """One least-squares regression of each column on the others."""
+    z = np.asarray(data, dtype=float)
+    n, p = z.shape
+    out = np.empty(p)
+    for j in range(p):
+        y = z[:, j]
+        if p == 1:
+            resid = y
+        else:
+            x = np.delete(z, j, axis=1)
+            coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+            if rank < p - 1:
+                raise SingularityError(
+                    "columns other than %d are collinear (rank %d < %d)"
+                    % (j, rank, p - 1)
+                )
+            resid = y - x @ coef
+        rss = float(resid @ resid)
+        if rss <= 0 or not np.isfinite(rss):
+            raise SingularityError(
+                "column %d is exactly explained by the others; residual norm is zero" % j
+            )
+        out[j] = (n - p - 1) / rss
+    return out
+
+
+@pytest.mark.parametrize("condition", [1.0, 1e3])
+@pytest.mark.parametrize("n,p", [(3, 1), (40, 1), (9, 7), (60, 5), (45, 39), (400, 24)])
+def test_precision_matches_loop_oracle(n, p, condition):
+    # Gaussian rows mixed by a matrix with singular values spread over
+    # [1/condition, 1].  The two methods differ by a few times condition *
+    # 1e-16 relative, which is also how far each is from the exact value.
+    for rep in range(8):
+        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(n, p, rep)))
+        left, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        right, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        mixing = (left * np.logspace(0, -np.log10(condition), p)) @ right
+        z = rng.standard_normal((n, p)) @ mixing
+        want = precision_diagonals_oracle(z)
+        got = precision_diagonals(z)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 # derivative trace
