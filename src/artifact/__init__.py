@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ArtifactError,
-    DegeneracyError,
     DimensionError,
     DomainError,
     InputError,
@@ -33,7 +32,6 @@ from .shrinkage import (
 )
 from .tuning import (
     BandwidthSelection,
-    RiskEstimate,
     default_bandwidth_grid,
     precision_diagonals,
     risk_estimate,

@@ -338,7 +338,6 @@ def cmd_shrink_curve(opts, outdir):
 
 
 def cmd_simulate(opts, outdir):
-    _require_seed(opts, "simulation")
     kind = _resolve_design(opts["design"])
     for m in opts["methods"]:
         parse_method(m)
@@ -363,7 +362,6 @@ def cmd_simulate(opts, outdir):
 
 
 def cmd_crossval(opts, outdir):
-    _require_seed(opts, "fold assignment")
     x = read_matrix(opts["design"])
     y = read_matrix(opts["response"])
     if x.shape[0] != y.shape[0]:
@@ -419,7 +417,6 @@ def cmd_crossval(opts, outdir):
 
 
 def cmd_prial(opts, outdir):
-    _require_seed(opts, "the replication stream")
     records = prial_experiment(
         np_product=opts["np_product"], aspect_ratios=opts["aspects"],
         reps=opts["reps"], seed=opts["seed"], policies=opts["policies"],
@@ -459,7 +456,7 @@ def main(argv=None):
     except _PRECONDITION_ERRORS as exc:
         print("error: precondition: %s" % exc, file=sys.stderr)
         return 3
-    except ArtifactError as exc:  # singular, tuning, degenerate, non-finite
+    except ArtifactError as exc:  # singular, tuning, non-finite
         print("error: numerical: %s" % exc, file=sys.stderr)
         return 4
 

@@ -41,9 +41,5 @@ class TuningError(ArtifactError):
     """Bandwidth selection failed to produce any finite risk value."""
 
 
-class DegeneracyError(ArtifactError):
-    """A probabilistic quantity degenerated (e.g. all posterior weights vanished)."""
-
-
 class NumericalError(ArtifactError):
     """A computation produced non-finite results."""

@@ -157,8 +157,9 @@ def _resolve_bandwidth(decomp, n, p, h):
         if policy == "auto":
             if n > p + 1:
                 chosen = select_bandwidth(decomp, n, default_bandwidth_grid(n, p))
-                best = chosen.estimates[chosen.index]
-                shrunk = ShrunkCovariance(decomp, best.values, None, best.clamp_count)
+                i = chosen.index
+                shrunk = ShrunkCovariance(decomp, chosen.values[i], None,
+                                          chosen.clamp_counts[i])
                 return chosen.h, policy, False, shrunk
             return default_bandwidth(n, p), policy, True, None
         raise DomainError("unknown bandwidth policy %r" % h)

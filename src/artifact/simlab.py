@@ -234,9 +234,7 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
             decomp = require_positive_definite(sample_covariance(z), "inverse")
             chosen = select_bandwidth(decomp, n, grid)
             # row 0 is the raw inverse, row 1 + i the estimate at grid[i]
-            inverse_values = 1.0 / np.vstack(
-                [decomp.eigenvalues] + [est.values for est in chosen.estimates]
-            )
+            inverse_values = 1.0 / np.vstack([decomp.eigenvalues, chosen.values])
             losses = empirical_loss(truth_inv, decomp, inverse_values, 1)
             raw_losses[rep] = losses[0]
             grid_losses[rep] = losses[1:]

@@ -70,48 +70,11 @@ def zeta_derivative_trace(decomp, n, h):
     """Trace of the Jacobian of j -> lambda*_j / delta(lambda_j).
 
     lambda*_j = n lambda_j are the eigenvalues of the unnormalized matrix.
-    This is the derivative_trace component of risk_estimate at h (the risk
-    grid of one bandwidth); decomp may be a SpectralDecomposition or a plain
+    This is the derivative_trace column of risk_estimate at h (the risk
+    table of one bandwidth); decomp may be a SpectralDecomposition or a plain
     second-moment matrix.
     """
-    return risk_estimate(decomp, n, h).derivative_trace
-
-
-class RiskEstimate:
-    """Unbiased risk value at one bandwidth, with its four components.
-
-    value = quadratic/n - 2 (n-p-1) inverse_sum/n - 4 derivative_trace/n
-            + diagonal_sum, where the last term is only present when
-    precision diagonals were supplied (it does not depend on h).  magnitude
-    is the sum of the absolute values of those terms, the scale of the
-    round-off in value.  values are the shrunk eigenvalues delta(lambda) the
-    components were computed from, in ascending order of the sample
-    eigenvalues.
-    """
-
-    def __init__(self, h, n, p, values, quadratic, inverse_sum, derivative_trace,
-                 diagonal_sum=None, clamp_count=0):
-        self.h = float(h)
-        self.values = values
-        self.n = int(n)
-        self.p = int(p)
-        self.quadratic = float(quadratic)
-        self.inverse_sum = float(inverse_sum)
-        self.derivative_trace = float(derivative_trace)
-        self.diagonal_sum = None if diagonal_sum is None else float(diagonal_sum)
-        self.clamp_count = int(clamp_count)
-        value = (
-            self.quadratic / n
-            - 2.0 * (n - p - 1) * self.inverse_sum / n
-            - 4.0 * self.derivative_trace / n
-        )
-        if self.diagonal_sum is not None:
-            value += self.diagonal_sum
-        self.value = value
-        self.magnitude = (
-            abs(self.quadratic) + 2.0 * (n - p - 1) * abs(self.inverse_sum)
-            + 4.0 * abs(self.derivative_trace)
-        ) / n + abs(self.diagonal_sum or 0.0)
+    return float(risk_estimate(decomp, n, h).derivative_trace[0])
 
 
 class _RiskGrid:
@@ -121,7 +84,7 @@ class _RiskGrid:
     differences 1/lam_k - 1/lam_j with their squares, and the coalescent
     eigenvalue pairs of the derivative trace.  block(hs) forms everything
     that does depend on h for up to `size` bandwidths at once, in two
-    preallocated (size, p, p) buffers.
+    preallocated (size, p, p) buffers, and table() runs the grid through it.
     """
 
     def __init__(self, decomp, n, grid, diagonals):
@@ -131,6 +94,7 @@ class _RiskGrid:
                 "risk estimation needs n > p + 1 (n=%d, p=%d)" % (n, p)
             )
         self.rule = ShrinkageRule(decomp.eigenvalues, n, p, grid)
+        self.grid = grid
         if diagonals is not None:
             diagonals = np.asarray(diagonals, dtype=float).ravel()
             if diagonals.size != p:
@@ -155,7 +119,8 @@ class _RiskGrid:
         self.work = (np.empty((self.size, p, p)), np.empty((self.size, p, p)))
 
     def block(self, hs):
-        """RiskEstimates at the bandwidths hs, a 1-d array of at most `size`."""
+        """Shrunk spectra (B, p) and the quadratic, inverse-sum, derivative-trace
+        and clamp-count columns at the B bandwidths hs, B at most `size`."""
         rule, inv, lamstar = self.rule, self.inv, self.lamstar
         n, p = rule.n, rule.p
         den, terms = (w[:hs.size] for w in self.work)
@@ -192,21 +157,31 @@ class _RiskGrid:
             i, j = self.off
             terms[:, i, j] = 0.5 * (diag[:, i] + diag[:, j])
             trace += 0.5 * terms.sum(axis=(1, 2))
-        return [
-            RiskEstimate(h, n, p, delta[b], quadratic[b], inverse_sum[b], trace[b],
-                         self.diagonal_sum, np.sum(clamped[b]))
-            for b, h in enumerate(hs)
-        ]
+        return delta, quadratic, inverse_sum, trace, np.sum(clamped, axis=-1)
 
-    def estimates(self, hs):
-        """block(hs), with None for each bandwidth whose evaluation raised."""
+    def table(self):
+        """The BandwidthSelection of the grid, index 0 (no selection made)."""
+        grid, p = self.grid, self.rule.p
+        values = np.full((grid.size, p), np.nan)
+        columns = np.full((4, grid.size), np.nan)
+        for start in range(0, grid.size, self.size):
+            part = slice(start, start + self.size)
+            self._fill(grid[part], [values[part], *columns[:, part]])
+        return BandwidthSelection(grid, self.rule.n, p, values, *columns, self.diagonal_sum)
+
+    def _fill(self, hs, out):
+        """Write block(hs) into the columns out; a bandwidth whose evaluation
+        raised keeps NaN in every column."""
         try:
-            return self.block(hs)
+            parts = self.block(hs)
         except (SingularityError, FloatingPointError):
-            if hs.size == 1:
-                return [None]
-            # the block failed as a whole: each bandwidth stands or fails alone
-            return [self.estimates(hs[b:b + 1])[0] for b in range(hs.size)]
+            if hs.size > 1:
+                # the block failed as a whole: each bandwidth stands or fails alone
+                for b in range(hs.size):
+                    self._fill(hs[b:b + 1], [column[b:b + 1] for column in out])
+            return
+        for column, part in zip(out, parts):
+            column[...] = part
 
 
 def risk_estimate(s, n, h, diagonals=None):
@@ -214,13 +189,12 @@ def risk_estimate(s, n, h, diagonals=None):
 
     s is the p-by-p sample second-moment matrix (or its decomposition); n the
     sample count; diagonals, if given, the precision_diagonals of the raw
-    data (adds the h-independent anchor term so the value estimates the risk
-    itself instead of the risk up to a constant).  This is the risk grid of
-    select_bandwidth at a grid of one point.
+    data (adds the h-independent anchor term so the risk estimates the risk
+    itself instead of the risk up to a constant).  This is the risk table of
+    select_bandwidth at a grid of one point, with no selection made.
     """
     decomp = s if isinstance(s, SpectralDecomposition) else eigh(s)
-    hs = np.array([h], dtype=float)
-    return _RiskGrid(decomp, n, hs, diagonals).block(hs)[0]
+    return _RiskGrid(decomp, n, np.array([h], dtype=float), diagonals).table()
 
 
 def default_bandwidth_grid(n, p, size=15, span=10.0):
@@ -241,20 +215,46 @@ def default_bandwidth_grid(n, p, size=15, span=10.0):
 
 
 class BandwidthSelection:
-    """Chosen bandwidth plus the (h, risk) table behind the choice.
+    """The risk table of a bandwidth grid, and the bandwidth chosen from it.
 
-    grid is sorted ascending and index points into it.  estimates holds the
-    RiskEstimate of each grid point, or None where the estimate raised; its
-    `values` are the shrunk spectrum at that h, so callers that need the
-    estimator on every grid point need not evaluate the rule again.
+    grid is sorted ascending; every other array has one entry per grid point
+    (values one row).  risks = quadratic/n - 2 (n-p-1) inverse_sum/n
+    - 4 derivative_trace/n + diagonal_sum, where the last term is present
+    only when precision diagonals were supplied (it does not depend on h;
+    diagonal_sum is None otherwise).  magnitudes sum the absolute values of
+    those terms, the scale of the round-off in each risk.  values are the
+    shrunk spectra delta(lambda) the terms were computed from, in ascending
+    order of the sample eigenvalues, so callers that need the estimator at a
+    grid point need not evaluate the rule again; clamp_counts counts their
+    clamped eigenvalues.  A bandwidth whose evaluation raised has NaN in
+    every column.  index points at the chosen bandwidth h.
     """
 
-    def __init__(self, h, grid, risks, index, estimates):
-        self.h = float(h)
-        self.grid = np.asarray(grid, dtype=float)
-        self.risks = np.asarray(risks, dtype=float)
-        self.index = int(index)
-        self.estimates = list(estimates)
+    def __init__(self, grid, n, p, values, quadratic, inverse_sum, derivative_trace,
+                 clamp_counts, diagonal_sum):
+        self.grid = grid
+        self.values = values
+        self.quadratic = quadratic
+        self.inverse_sum = inverse_sum
+        self.derivative_trace = derivative_trace
+        self.clamp_counts = clamp_counts
+        self.diagonal_sum = diagonal_sum
+        self.risks = (
+            quadratic / n
+            - 2.0 * (n - p - 1) * inverse_sum / n
+            - 4.0 * derivative_trace / n
+        )
+        if diagonal_sum is not None:
+            self.risks += diagonal_sum
+        self.magnitudes = (
+            np.abs(quadratic) + 2.0 * (n - p - 1) * np.abs(inverse_sum)
+            + 4.0 * np.abs(derivative_trace)
+        ) / n + abs(diagonal_sum or 0.0)
+        self.index = 0
+
+    @property
+    def h(self):
+        return float(self.grid[self.index])
 
 
 def select_bandwidth(s, n, grid=None, diagonals=None):
@@ -264,7 +264,7 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
     block size from p): the h-free parts of the risk are built once per
     grid, and each block forms the rest for all of its bandwidths at once.
     A bandwidth whose evaluation raises SingularityError or
-    FloatingPointError gets no estimate (None) and a NaN risk; the other
+    FloatingPointError gets a NaN row in the table and a NaN risk; the other
     bandwidths stand.  Risks within round-off of the minimum (RISK_TIE_RTOL
     times its magnitude) are ties, and ties prefer the larger h (smoother
     estimate).  Grid entries whose risk is non-finite are skipped; if none
@@ -288,14 +288,12 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
         raise TuningError(
             "no bandwidth in the grid produced a risk estimate: %s" % exc
         ) from exc
-    estimates = []
-    for start in range(0, grid.size, risk_grid.size):
-        estimates += risk_grid.estimates(grid[start:start + risk_grid.size])
-    risks = np.array([np.nan if e is None else e.value for e in estimates])
+    table = risk_grid.table()
+    risks = table.risks
     finite = np.isfinite(risks)
     if not np.any(finite):
         raise TuningError("no bandwidth in the grid produced a finite risk estimate")
     lowest = int(np.nanargmin(np.where(finite, risks, np.nan)))
-    bound = risks[lowest] + RISK_TIE_RTOL * estimates[lowest].magnitude
-    index = int(np.nonzero(finite & (risks <= bound))[0][-1])
-    return BandwidthSelection(grid[index], grid, risks, index, estimates)
+    bound = risks[lowest] + RISK_TIE_RTOL * table.magnitudes[lowest]
+    table.index = int(np.nonzero(finite & (risks <= bound))[0][-1])
+    return table

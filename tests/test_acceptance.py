@@ -92,7 +92,7 @@ def test_criterion_03_risk_estimate_tracks_monte_carlo_risk(criterion_report):
                 losses[rep, bi] = p * empirical_loss(
                     truth_inv, decomp, 1.0 / est.values, 1
                 )
-                estimates[rep, bi] = risk_estimate(decomp, n, h, diagonals).value
+                estimates[rep, bi] = risk_estimate(decomp, n, h, diagonals).risks[0]
         for bi, h in enumerate(bandwidths):
             target = float(np.mean(losses[:, bi]))
             rel = abs(float(np.mean(estimates[:, bi])) - target) / target

@@ -256,7 +256,6 @@ def test_tune_collinear_data_exits_4(tmp_path, capsys):
     (errors.InsufficientDataError, 3, "error: precondition: "),
     (errors.SingularityError, 4, "error: numerical: "),
     (errors.TuningError, 4, "error: numerical: "),
-    (errors.DegeneracyError, 4, "error: numerical: "),
     (errors.NumericalError, 4, "error: numerical: "),
     (errors.ArtifactError, 4, "error: numerical: "),
 ])
@@ -342,10 +341,19 @@ def test_simulate_round_trip_with_alias(tmp_path, capsys):
     assert a == b
 
 
-def test_simulate_without_seed_exits_3(tmp_path):
-    code = main(["simulate", "--design", "mix", "--n", "12", "--p", "3",
-                 "--output-dir", str(tmp_path / "out")])
-    assert code == 3
+@pytest.mark.parametrize("args", [
+    ["simulate", "--design", "mix", "--n", "12", "--p", "3"],
+    ["crossval", "--design", "x.csv", "--response", "y.csv"],
+    ["prial"],
+], ids=lambda args: args[0])
+def test_stochastic_command_without_seed_exits_3(tmp_path, capsys, args):
+    # the option table requires --seed, so no input is read and nothing written
+    out = tmp_path / "out"
+    assert main(args + ["--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: precondition: missing required option --seed\n"
+    )
+    assert not out.exists()
 
 
 def test_simulate_unknown_design_exits_3(tmp_path, capsys):
@@ -442,10 +450,6 @@ def test_prial_small_run(tmp_path):
     assert len(lines) == 4
     oracle = [l for l in lines if ",oracle," in l]
     assert len(oracle) == 1 and ",100," in oracle[0]
-
-
-def test_prial_without_seed_exits_3(tmp_path):
-    assert main(["prial", "--output-dir", str(tmp_path / "out")]) == 3
 
 
 def test_config_file_supplies_and_flags_override(tmp_path):

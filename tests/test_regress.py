@@ -427,8 +427,8 @@ def equivariance_bundle(seed, p, sources):
     return rng, bundle
 
 
-def assert_close(got, want):
-    assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
+def assert_close(got, want, tol=1e-8):
+    assert np.max(np.abs(got - want)) <= tol * (1.0 + np.max(np.abs(want)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -668,6 +668,70 @@ def test_local_shrink_streams_the_up_front_draws():
     )
     assert np.array_equal(fit.coefficients, out)
     assert fit.diagnostics["final_component_sizes"] == diag["final_component_sizes"]
+
+
+# equivariance of the mixture sampler.  The bundles have two well-separated
+# coefficient scales and at least 15 sources per predictor, so every
+# component keeps well over p members in every sweep (at least 4.25 p in 600
+# draws): a component near p members magnifies round-off, which could flip a
+# label.  While the labels follow the same path, the outputs differ by
+# round-off only; each tolerance is about ten times the worst relative gap
+# of those 600 draws (scaling 8.5e-16, rotation 9.0e-15, permutation 2.4e-16).
+
+mixture_cases = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=60, max_value=100),
+    st.integers(min_value=1, max_value=2),
+)
+
+
+def mixture_fit(bundle, k, seed):
+    fit = local_shrink(bundle, k, sweeps=12, burn_in=3, seed=seed)
+    assert min(fit.diagnostics["final_component_sizes"]) > 3 * bundle.n_predictors
+    return fit
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixture_cases, st.floats(min_value=0.01, max_value=100.0), st.booleans())
+def test_local_shrink_scaling_responses_scales_coefficients(case, c, flip):
+    seed, p, sources, k = case
+    c = -c if flip else c
+    bundle = two_scale_bundle(seed, 3 * p + 20, p, sources)
+    base = mixture_fit(bundle, k, seed)
+    scaled = mixture_fit(SourceBundle(bundle.design, c * bundle.responses), k, seed)
+    assert_close(scaled.coefficients, c * base.coefficients, tol=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixture_cases)
+def test_local_shrink_rotating_design_rotates_coefficients(case):
+    seed, p, sources, k = case
+    bundle = two_scale_bundle(seed, 3 * p + 20, p, sources)
+    r, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    base = mixture_fit(bundle, k, seed)
+    turned = mixture_fit(SourceBundle(bundle.design @ r, bundle.responses), k, seed)
+    assert_close(turned.coefficients, base.coefficients @ r, tol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixture_cases)
+def test_mixture_sweeps_permuting_rows_permutes_output(case):
+    seed, p, sources, k = case
+    bundle = two_scale_bundle(seed, 3 * p + 20, p, sources)
+    estimate, noise = fit_ols(bundle)
+    bstar = standardize(estimate, noise)
+    labels = _initial_labels(bstar, k)
+    rng = np.random.default_rng(seed)
+    gumbels = rng.gumbel(size=(12, sources, k))
+    perm = rng.permutation(sources)
+    base, diag = _mixture_sweeps(estimate.coefficients, bstar, noise, labels, gumbels, 3)
+    moved, moved_diag = _mixture_sweeps(
+        estimate.coefficients[perm], bstar[perm], noise, labels[perm], gumbels[:, perm], 3
+    )
+    assert moved_diag == diag
+    assert min(diag["final_component_sizes"]) > 3 * p
+    assert_close(moved, base[perm], tol=3e-15)
 
 
 def test_mixture_sweeps_reject_misshapen_draws():

@@ -22,7 +22,6 @@ from artifact.shrinkage import (
 from artifact.spectral import eigh, sample_covariance
 from artifact.tuning import (
     COALESCENCE_RTOL,
-    RiskEstimate,
     default_bandwidth_grid,
     precision_diagonals,
     risk_estimate,
@@ -235,14 +234,15 @@ def test_risk_assembly_identity_exact():
     s = sample_covariance(z)
     diags = precision_diagonals(z)
     r = risk_estimate(s, 40, 0.3, diags)
-    n, p = r.n, r.p
+    assert r.index == 0 and r.h == 0.3
+    n, p = 40, 6
     expect = (
-        r.quadratic / n
-        - 2.0 * (n - p - 1) * r.inverse_sum / n
-        - 4.0 * r.derivative_trace / n
+        float(r.quadratic[0]) / n
+        - 2.0 * (n - p - 1) * float(r.inverse_sum[0]) / n
+        - 4.0 * float(r.derivative_trace[0]) / n
         + r.diagonal_sum
     )
-    assert r.value == expect
+    assert r.risks[0] == expect
 
 
 def test_risk_components_recompute_from_shrunk_spectrum():
@@ -252,9 +252,9 @@ def test_risk_components_recompute_from_shrunk_spectrum():
     r = risk_estimate(s, 30, h)
     est = shrink_covariance(s, 30, h)
     lam = est.decomposition.eigenvalues
-    assert r.quadratic == pytest.approx(np.sum(30 * lam / est.values ** 2), rel=1e-12)
-    assert r.inverse_sum == pytest.approx(np.sum(1.0 / est.values), rel=1e-12)
-    assert r.derivative_trace == pytest.approx(
+    assert r.quadratic[0] == pytest.approx(np.sum(30 * lam / est.values ** 2), rel=1e-12)
+    assert r.inverse_sum[0] == pytest.approx(np.sum(1.0 / est.values), rel=1e-12)
+    assert r.derivative_trace[0] == pytest.approx(
         zeta_derivative_trace(eigh(s), 30, h), abs=0
     )
     assert r.diagonal_sum is None
@@ -268,7 +268,7 @@ def test_risk_anchor_term_constant_in_h():
     r2 = risk_estimate(s, 50, 1.0, diags)
     assert r1.diagonal_sum == r2.diagonal_sum == pytest.approx(np.sum(diags), abs=0)
     without = risk_estimate(s, 50, 0.1)
-    assert r1.value - without.value == pytest.approx(np.sum(diags), rel=1e-12)
+    assert r1.risks[0] - without.risks[0] == pytest.approx(np.sum(diags), rel=1e-12)
 
 
 def test_risk_scalar_closed_chain():
@@ -280,15 +280,15 @@ def test_risk_scalar_closed_chain():
     r = risk_estimate(s, 30, 0.25, diags)
     delta = lam * 30 / 29
     expect = (30 * lam / delta ** 2) / 30 - 2 * 28 * (1 / delta) / 30 + diags[0]
-    assert r.value == pytest.approx(expect, rel=1e-12)
+    assert r.risks[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_risk_reports_clamping():
     q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((4, 4)))
     s = q @ np.diag([0.95, 1.0, 1.0, 1.0]) @ q.T
     r = risk_estimate(s, 7, 0.001)
-    assert r.clamp_count >= 1
-    assert np.isfinite(r.value)
+    assert r.clamp_counts[0] >= 1
+    assert np.isfinite(r.risks[0])
 
 
 # grid
@@ -335,7 +335,7 @@ def test_select_achieves_grid_minimum():
     h0 = default_bandwidth(60, 8)
     grid = [h0 / 4, h0, 4 * h0]
     chosen = select_bandwidth(s, 60, grid)
-    risks = [risk_estimate(s, 60, h).value for h in grid]
+    risks = [risk_estimate(s, 60, h).risks[0] for h in grid]
     assert chosen.h == grid[int(np.argmin(risks))]
     assert np.allclose(chosen.risks, risks)
 
@@ -346,10 +346,10 @@ def test_select_keeps_each_grid_estimate():
     decomp = eigh(sample_covariance(np.random.default_rng(13).standard_normal((n, p))))
     grid = default_bandwidth_grid(n, p)
     chosen = select_bandwidth(decomp, n, grid)
-    assert len(chosen.estimates) == grid.size
-    for h, est, risk in zip(grid, chosen.estimates, chosen.risks):
-        assert est.h == h and est.value == risk
-        assert np.array_equal(est.values, _shrink_spectrum(decomp, n, p, h).values)
+    assert chosen.values.shape == (grid.size, p)
+    for h, values, risk in zip(grid, chosen.values, chosen.risks):
+        assert risk == risk_estimate(decomp, n, h).risks[0]
+        assert np.array_equal(values, _shrink_spectrum(decomp, n, p, h).values)
 
 
 def test_select_grid_order_invariance():
@@ -362,10 +362,16 @@ def test_select_grid_order_invariance():
 # The risk grid is evaluated in blocks; these fakes replace one block's
 # evaluation, so selection is tested on chosen risks.
 
+def fake_columns(rule, risks):
+    # with the other terms zero, the risk is quadratic / n and its magnitude
+    # the risk's absolute value
+    zeros = np.zeros(len(risks))
+    return np.ones((len(risks), rule.p)), rule.n * np.asarray(risks), zeros, zeros, zeros
+
+
 def fake_risks(values):
     def block(self, hs):
-        return [SimpleNamespace(value=values[float(h)], magnitude=abs(values[float(h)]))
-                for h in hs]
+        return fake_columns(self.rule, [values[float(h)] for h in hs])
     return block
 
 
@@ -397,12 +403,17 @@ def test_select_skips_non_finite_risks(monkeypatch):
         # both bandwidths share one block, which fails as a whole
         if 1.0 in hs:
             raise SingularityError("no rule at h = 1")
-        return [SimpleNamespace(value=5.0, magnitude=5.0) for _ in hs]
+        return fake_columns(self.rule, [5.0] * hs.size)
 
     monkeypatch.setattr(tuning._RiskGrid, "block", singular_at_one)
     chosen = select_bandwidth(s, 30, [1.0, 2.0])
     assert chosen.h == 2.0 and np.isnan(chosen.risks[0])
-    assert chosen.estimates[0] is None and chosen.estimates[1].value == 5.0
+    # the failed bandwidth keeps a NaN row; the other stands
+    assert np.all(np.isnan(chosen.values[0]))
+    for column in (chosen.quadratic, chosen.inverse_sum, chosen.derivative_trace,
+                   chosen.clamp_counts, chosen.magnitudes):
+        assert np.isnan(column[0]) and np.isfinite(column[1])
+    assert chosen.risks[1] == 5.0 and np.all(chosen.values[1] == 1.0)
     monkeypatch.setattr(
         tuning._RiskGrid, "block", fake_risks({1.0: np.nan, 2.0: np.inf})
     )
@@ -450,24 +461,35 @@ def risk_oracle(decomp, n, h, diagonals=None):
         np.fill_diagonal(off, False)
         terms = np.where(off, limit, np.where(coalescent, 0.0, ratio))
         trace += 0.5 * float(np.sum(terms))
+    quadratic = float(np.sum(lamstar / delta ** 2))
+    inverse_sum = float(np.sum(1.0 / delta))
     diagonal_sum = None if diagonals is None else float(np.sum(diagonals))
-    return RiskEstimate(h, n, p, delta, np.sum(lamstar / delta ** 2), np.sum(1.0 / delta),
-                        trace, diagonal_sum, np.sum(clamped))
+    risk = quadratic / n - 2.0 * (n - p - 1) * inverse_sum / n - 4.0 * trace / n
+    if diagonal_sum is not None:
+        risk += diagonal_sum
+    magnitude = (
+        abs(quadratic) + 2.0 * (n - p - 1) * abs(inverse_sum) + 4.0 * abs(trace)
+    ) / n + abs(diagonal_sum or 0.0)
+    return SimpleNamespace(
+        risk=risk, magnitude=magnitude, values=delta, quadratic=quadratic,
+        inverse_sum=inverse_sum, derivative_trace=trace,
+        clamp_count=int(np.sum(clamped)), diagonal_sum=diagonal_sum,
+    )
 
 
 def assert_grid_matches_oracle(s, n, grid=None, diagonals=None):
     decomp = eigh(s)
     chosen = select_bandwidth(decomp, n, grid, diagonals)
-    for h, est, risk in zip(chosen.grid, chosen.estimates, chosen.risks):
+    for b, h in enumerate(chosen.grid):
         want = risk_oracle(decomp, n, h, diagonals)
-        assert est.h == want.h and est.value == want.value == risk
-        assert est.quadratic == want.quadratic
-        assert est.inverse_sum == want.inverse_sum
-        assert est.derivative_trace == want.derivative_trace
-        assert est.clamp_count == want.clamp_count
-        assert est.diagonal_sum == want.diagonal_sum
-        assert est.magnitude == want.magnitude
-        assert np.array_equal(est.values, want.values)
+        assert chosen.risks[b] == want.risk
+        assert chosen.quadratic[b] == want.quadratic
+        assert chosen.inverse_sum[b] == want.inverse_sum
+        assert chosen.derivative_trace[b] == want.derivative_trace
+        assert chosen.clamp_counts[b] == want.clamp_count
+        assert chosen.diagonal_sum == want.diagonal_sum
+        assert chosen.magnitudes[b] == want.magnitude
+        assert np.array_equal(chosen.values[b], want.values)
     return chosen
 
 
@@ -499,7 +521,7 @@ def test_grid_matches_oracle_on_a_clamped_spectrum():
     s = q @ np.diag([0.95, 1.0, 1.0, 1.0]) @ q.T
     grid = np.append(default_bandwidth_grid(7, 4), 0.001)
     chosen = assert_grid_matches_oracle(s, 7, grid)
-    assert chosen.estimates[0].clamp_count >= 1
+    assert chosen.clamp_counts[0] >= 1
 
 
 def test_grid_matches_oracle_on_a_user_grid_with_diagonals():
