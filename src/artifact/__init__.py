@@ -46,7 +46,6 @@ from .regress import (
     global_shrink,
     local_shrink,
     predictive_error,
-    select_components,
     standardize,
 )
 from .simlab import (

@@ -32,7 +32,7 @@ from .fileio import (
     read_matrix,
     write_files,
 )
-from .regress import SourceBundle, fit_ols, global_shrink, local_shrink, predictive_error
+from .regress import SourceBundle, predictive_error
 from .shrinkage import shrink_covariance
 from .simlab import (
     COEFFICIENT_DESIGNS,
@@ -257,26 +257,14 @@ def cmd_fit(opts, outdir):
     x = read_matrix(opts["design"])
     y = read_matrix(opts["response"])
     bundle = SourceBundle(x, y)
-    method = opts["method"]
-    extra = {}
-    if method == "ols":
-        est = fit_ols(bundle)[0]
-    elif method in ("global", "global-sure"):
-        policy = "auto" if method == "global-sure" else opts["h"]
-        est = global_shrink(bundle, policy)
-        extra["result_h"] = est.diagnostics["h"]
-        extra["result_h_policy"] = est.diagnostics["h_policy"]
-        extra["result_h_fallback"] = est.diagnostics["h_fallback"]
-    elif method.startswith("local-"):
-        parse_method(method)
+    method = parse_method(opts["method"])
+    if method.startswith("local-"):
         _require_seed(opts, "the mixture sampler")
-        k = int(method[len("local-"):])
-        est = local_shrink(bundle, k, sweeps=opts["sweeps"],
-                           burn_in=opts["burn_in"], seed=opts["seed"])
-        extra["result_pooled_resets"] = est.diagnostics["pooled_resets"]
-    else:
-        parse_method(method)  # raises with the canonical message
-        raise DomainError("method %r is not available in fit" % method)
+    est = estimate_with_method(bundle, method, opts["seed"], opts["sweeps"],
+                               opts["burn_in"], h=opts["h"])
+    extra = {"result_" + key: est.diagnostics[key]
+             for key in ("h", "h_policy", "h_fallback", "pooled_resets")
+             if key in est.diagnostics}
     extra["result_sigma2"] = est.diagnostics.get("sigma2", float("nan"))
     extra["result_method"] = est.method
 
@@ -374,6 +362,8 @@ def cmd_crossval(opts, outdir):
         raise InsufficientDataError("need at least one row per fold (N=%d, k=%d)"
                                     % (total, k))
     methods = [parse_method(m) for m in opts["methods"]]
+    if not methods:
+        raise DomainError("need at least one method")
     rng = np.random.default_rng(opts["seed"])
     shuffled = rng.permutation(total)
     folds = [shuffled[f::k] for f in range(k)]

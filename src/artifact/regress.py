@@ -366,47 +366,3 @@ def predictive_error(coefficients, design, responses):
     resid = y - x @ as_matrix(coefficients).T
     return float(np.mean(resid * resid))
 
-
-def select_components(bundle, candidates, holdout=0.2, sweeps=200, burn_in=50, seed=0):
-    """Pick the mixture size by holdout prediction error.
-
-    Samples (rows of the design) are split once into train and validation
-    with the given seed; each candidate component count is fitted on the
-    training part and scored on the validation part.  Ties prefer the
-    smaller count.  Returns (best_count, table) where table maps candidate
-    to its validation error.
-    """
-    cands = sorted(set(int(c) for c in candidates))
-    if not cands:
-        raise DomainError("candidate list is empty")
-    if not (0.0 < holdout < 1.0):
-        raise DomainError("holdout fraction must lie in (0, 1)")
-    total = bundle.n_samples
-    n_val = int(round(holdout * total))
-    if n_val < 1 or total - n_val <= bundle.n_predictors:
-        raise InsufficientDataError(
-            "holdout split leaves too few rows (total=%d, validation=%d, p=%d)"
-            % (total, n_val, bundle.n_predictors)
-        )
-    for c in cands:
-        if c < 1 or bundle.n_sources < 2 * c:
-            raise DomainError(
-                "candidate %d violates the sampler preconditions (n=%d)"
-                % (c, bundle.n_sources)
-            )
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(total)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    train = SourceBundle(bundle.design[train_idx], bundle.responses[train_idx])
-    x_val, y_val = bundle.design[val_idx], bundle.responses[val_idx]
-
-    table = {}
-    for i, c in enumerate(cands):
-        child = np.random.SeedSequence(seed, spawn_key=(i,))
-        fit = local_shrink(
-            train, c, sweeps=sweeps, burn_in=burn_in,
-            seed=child.generate_state(1)[0],
-        )
-        table[c] = predictive_error(fit.coefficients, x_val, y_val)
-    best = min(cands, key=lambda c: (table[c], c))
-    return best, table

@@ -96,13 +96,17 @@ def parse_method(name):
     )
 
 
-def estimate_with_method(bundle, method, seed=0, sweeps=200, burn_in=50):
-    """Dispatch one estimator by its method token."""
+def estimate_with_method(bundle, method, seed=0, sweeps=200, burn_in=50, h="default"):
+    """Dispatch one estimator by its method token.
+
+    h is the bandwidth policy of "global"; "global-sure" always tunes, and
+    seed, sweeps and burn_in reach only the local-K mixture sampler.
+    """
     parse_method(method)
     if method == "ols":
         return fit_ols(bundle)[0]
     if method == "global":
-        return global_shrink(bundle, "default")
+        return global_shrink(bundle, h)
     if method == "global-sure":
         return global_shrink(bundle, "auto")
     k = int(method[len("local-"):])
@@ -150,8 +154,8 @@ def run_experiment(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
     reordering methods never changes the data nor the other methods' results.
     """
     methods = [parse_method(m) for m in methods]
-    if reps < 1:
-        raise DomainError("need at least one replication")
+    if not methods or reps < 1 or n_test < 1:
+        raise DomainError("need at least one method, replication and test sample")
     records = []
     for rep in range(int(reps)):
         data_rng = np.random.default_rng(_replication_seed(seed, rep, 0))
@@ -209,6 +213,10 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
     for pol in policies:
         if pol not in ("default", "sure", "oracle"):
             raise DomainError("unknown bandwidth policy %r" % (pol,))
+    if not (len(aspect_ratios) and policies and reps >= 1):
+        raise DomainError("need at least one aspect ratio, policy and replication")
+    if not (np_product > 0 and all(np.isfinite(c) and c > 0 for c in aspect_ratios)):
+        raise DomainError("np_product and aspect ratios must be positive and finite")
     records = []
     for ci, c in enumerate(aspect_ratios):
         p = int(round(np.sqrt(c * np_product)))

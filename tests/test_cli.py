@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact import cli, errors
+from artifact import SourceBundle, cli, errors, global_shrink
 from artifact.cli import main
 from artifact.fileio import format_matrix, read_matrix
 from artifact.simlab import simulate_sources
@@ -165,6 +165,34 @@ def test_fit_unknown_method_exits_3(tmp_path, capsys):
                  "--method", "ridge", "--output-dir", str(tmp_path / "out")])
     assert code == 3
     assert "unknown method" in capsys.readouterr().err
+
+
+def test_fit_global_fixed_h_matches_global_shrink(tmp_path):
+    # fit dispatches through estimate_with_method and passes --h through
+    design, response = gaussian_files(tmp_path, 40, 3, 12, seed=2)
+    out = str(tmp_path / "out")
+    assert main(["fit", "--design", design, "--response", response,
+                 "--method", "global", "--h", "0.3", "--output-dir", out]) == 0
+    expected = global_shrink(SourceBundle(read_matrix(design), read_matrix(response)), 0.3)
+    text = Path(os.path.join(out, "fit_coefficients.csv")).read_text()
+    assert text == format_matrix(expected.coefficients)
+    manifest = read_manifest(os.path.join(out, "fit_manifest.txt"))
+    assert manifest["result_h"] == "0.3"
+    assert manifest["result_h_policy"] == "fixed"
+    assert manifest["result_h_fallback"] == "false"
+    assert "result_pooled_resets" not in manifest
+
+
+def test_fit_bad_local_token_reports_parse_error_before_seed(tmp_path, capsys):
+    design, response = gaussian_files(tmp_path, 40, 3, 12, seed=5)
+    out = tmp_path / "out"
+    code = main(["fit", "--design", design, "--response", response,
+                 "--method", "local-x", "--output-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: precondition: bad component count in method 'local-x'\n"
+    )
+    assert os.listdir(out) == []
 
 
 def test_tune_emits_risk_curve_and_manifest(tmp_path):
@@ -429,6 +457,32 @@ def test_crossval_pooled_shrinkage_helps_on_mixture_data(tmp_path):
     assert np.mean(global_means) <= np.mean(ols_means)
 
 
+def test_crossval_prefers_two_components_on_two_scale_mixture(tmp_path):
+    # sources split between a tight and a wide coefficient scale: the holdout
+    # error of two mixture components should beat one in most replicates
+    hits = 0
+    for rep in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence(200, spawn_key=(rep,)))
+        x = rng.standard_normal((50, 5))
+        q_half = np.linalg.cholesky(np.linalg.inv(x.T @ x))
+        scale = np.where(rng.random(60) < 0.5, 0.1, 10.0)
+        beta = (rng.standard_normal((60, 5)) * scale[:, None]) @ q_half.T
+        y = x @ beta.T + rng.standard_normal((50, 60))
+        design = str(tmp_path / ("x%d.csv" % rep))
+        response = str(tmp_path / ("y%d.csv" % rep))
+        write_matrix(design, x, fmt="%.17g")
+        write_matrix(response, y, fmt="%.17g")
+        out = str(tmp_path / ("out%d" % rep))
+        assert main(["crossval", "--design", design, "--response", response,
+                     "--methods", "local-1,local-2", "--folds", "5",
+                     "--sweeps", "40", "--burn-in", "10", "--seed", str(rep),
+                     "--output-dir", out]) == 0
+        manifest = read_manifest(os.path.join(out, "crossval_manifest.txt"))
+        one, two = (float(manifest["result_pmse_local-%d" % k]) for k in (1, 2))
+        hits += two < one
+    assert hits >= 16
+
+
 def test_crossval_validation_failures(tmp_path):
     design, response = gaussian_files(tmp_path, 10, 2, 3, seed=9)
     base = ["crossval", "--design", design, "--response", response,
@@ -450,6 +504,29 @@ def test_prial_small_run(tmp_path):
     assert len(lines) == 4
     oracle = [l for l in lines if ",oracle," in l]
     assert len(oracle) == 1 and ",100," in oracle[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["prial", "--aspects", "0"],
+    ["prial", "--aspects", "-0.5"],
+    ["prial", "--aspects", ""],
+    ["prial", "--policies", ""],
+    ["prial", "--reps", "0"],
+    ["prial", "--np-product", "-5"],
+    ["simulate", "--design", "mix", "--n", "12", "--p", "3", "--methods", ""],
+    ["simulate", "--design", "mix", "--n", "12", "--p", "3", "--test-samples", "0"],
+    ["crossval", "--methods", ""],
+], ids=lambda args: "%s%s=%r" % (args[0], args[-2], args[-1]))
+def test_options_leaving_nothing_to_compute_exit_3(tmp_path, capsys, args):
+    design, response = gaussian_files(tmp_path, 30, 3, 8, seed=10)
+    if args[0] == "crossval":
+        args = args + ["--design", design, "--response", response]
+    out = tmp_path / "out"
+    assert main(args + ["--seed", "1", "--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: precondition: ")
+    assert captured.out == ""
+    assert os.listdir(out) == []
 
 
 def test_config_file_supplies_and_flags_override(tmp_path):

@@ -28,7 +28,6 @@ from artifact import (
     local_shrink,
     predictive_error,
     sample_covariance,
-    select_components,
     shrink_covariance,
     standardize,
 )
@@ -779,53 +778,3 @@ def test_predictive_error_hand_value():
     design = np.array([[1.0], [1.0]])
     responses = np.array([[3.0], [1.0]])
     assert predictive_error(coef, design, responses) == pytest.approx(1.0)
-
-
-def test_select_components_single_candidate():
-    rng = np.random.default_rng(50)
-    bundle, _ = whitened_bundle(rng, 40, 3, 16, 1.0)
-    best, table = select_components(bundle, [2], sweeps=6, burn_in=1, seed=0)
-    assert best == 2
-    assert set(table) == {2}
-    assert np.isfinite(table[2])
-
-
-def test_select_components_finds_two_scale_mixture():
-    # sources split between a tight and a wide coefficient scale: the holdout
-    # score should prefer two components over one in most replicates
-    hits = 0
-    for rep in range(20):
-        rng = np.random.default_rng(np.random.SeedSequence(200, spawn_key=(rep,)))
-        x = rng.standard_normal((50, 5))
-        q = np.linalg.inv(x.T @ x)
-        q_half = np.linalg.cholesky(q)
-        scale = np.where(rng.random(60) < 0.5, 0.1, 10.0)
-        beta = (rng.standard_normal((60, 5)) * scale[:, None]) @ q_half.T
-        y = x @ beta.T + rng.standard_normal((50, 60))
-        bundle = SourceBundle(x, y)
-        best, _ = select_components(bundle, [1, 2], sweeps=40, burn_in=10, seed=rep)
-        hits += best == 2
-    assert hits >= 16
-
-
-def test_select_components_is_deterministic():
-    rng = np.random.default_rng(51)
-    bundle, _ = whitened_bundle(rng, 40, 3, 16, 1.0)
-    a = select_components(bundle, [1, 2], sweeps=6, burn_in=1, seed=4)
-    b = select_components(bundle, [1, 2], sweeps=6, burn_in=1, seed=4)
-    assert a[0] == b[0]
-    assert a[1] == b[1]
-
-
-def test_select_components_validation():
-    rng = np.random.default_rng(52)
-    bundle, _ = whitened_bundle(rng, 40, 3, 16, 1.0)
-    with pytest.raises(DomainError):
-        select_components(bundle, [])
-    with pytest.raises(DomainError):
-        select_components(bundle, [1], holdout=1.0)
-    with pytest.raises(DomainError):
-        select_components(bundle, [9], sweeps=4, burn_in=0)
-    small, _ = whitened_bundle(np.random.default_rng(53), 6, 4, 12, 1.0)
-    with pytest.raises(InsufficientDataError):
-        select_components(small, [1], holdout=0.4, sweeps=4, burn_in=0)

@@ -16,6 +16,7 @@ from artifact import (
     equicorrelated_design,
     estimate_with_method,
     factor_covariance,
+    global_shrink,
     matrix_error,
     parse_method,
     prial_experiment,
@@ -181,7 +182,11 @@ def test_estimate_with_method_dispatch():
     pooled = estimate_with_method(bundle, "global")
     assert pooled.method == "global"
     assert pooled.diagnostics["h_policy"] == "default"
-    sure = estimate_with_method(bundle, "global-sure")
+    fixed = estimate_with_method(bundle, "global", h=0.3)
+    assert fixed.diagnostics["h_policy"] == "fixed"
+    assert fixed.diagnostics["h"] == 0.3
+    assert np.array_equal(fixed.coefficients, global_shrink(bundle, 0.3).coefficients)
+    sure = estimate_with_method(bundle, "global-sure", h=0.3)
     assert sure.diagnostics["h_policy"] == "auto"
     local = estimate_with_method(bundle, "local-2", seed=3, sweeps=6, burn_in=1)
     assert local.method == "local(2)"
