@@ -40,13 +40,11 @@ from .tuning import (
 )
 from .regress import (
     CoefficientEstimate,
-    NoiseModel,
     SourceBundle,
     fit_ols,
     global_shrink,
     local_shrink,
     predictive_error,
-    standardize,
 )
 from .simlab import (
     COEFFICIENT_DESIGNS,

@@ -95,6 +95,13 @@ def _cast_int(text):
         raise DomainError("expected an integer, got %r" % text)
 
 
+def _cast_seed(text):
+    seed = _cast_int(text)
+    if seed < 0:
+        raise DomainError("--seed must be a non-negative integer, got %d" % seed)
+    return seed
+
+
 def _cast_float(text):
     try:
         return float(str(text).strip())
@@ -114,7 +121,7 @@ OPTIONS = {
         "h": (_cast_bandwidth, "default"),
         "sweeps": (_cast_int, 200),
         "burn_in": (_cast_int, 50),
-        "seed": (_cast_int, None),
+        "seed": (_cast_seed, None),
         "prefix": (str, "fit"),
     },
     "tune": {
@@ -141,7 +148,7 @@ OPTIONS = {
         "methods": (_cast_str_list, ["ols", "global"]),
         "sweeps": (_cast_int, 200),
         "burn_in": (_cast_int, 50),
-        "seed": (_cast_int, REQUIRED),
+        "seed": (_cast_seed, REQUIRED),
         "prefix": (str, "simulate"),
     },
     "crossval": {
@@ -151,7 +158,7 @@ OPTIONS = {
         "methods": (_cast_str_list, ["ols", "global"]),
         "sweeps": (_cast_int, 200),
         "burn_in": (_cast_int, 50),
-        "seed": (_cast_int, REQUIRED),
+        "seed": (_cast_seed, REQUIRED),
         "prefix": (str, "crossval"),
     },
     "prial": {
@@ -159,7 +166,7 @@ OPTIONS = {
         "aspects": (_cast_float_list, [0.3, 0.5, 0.7]),
         "reps": (_cast_int, 100),
         "policies": (_cast_str_list, ["default", "sure", "oracle"]),
-        "seed": (_cast_int, REQUIRED),
+        "seed": (_cast_seed, REQUIRED),
         "prefix": (str, "prial"),
     },
 }

@@ -27,15 +27,27 @@ NOISE_FLOOR = 1e-12
 
 
 class SourceBundle:
-    """Shared design plus per-source responses, validated and factorized once.
+    """Shared design plus per-source responses, validated and fitted once.
 
-    `factor` is the thin SVD X = U diag(s) V' as the tuple (U, s, V'),
-    singular values descending; least squares, the collinearity check and
-    the noise model's whitening factors all come from it.  The design is
+    One thin SVD X = U diag(s) V' (singular values descending) gives the
+    collinearity check and everything the estimators share.  The design is
     rejected as collinear when cond(X'X) = (s_max / s_min)^2 reaches
-    MAX_DESIGN_CONDITION.  `design` and `responses` are read-only views,
-    because the factor and the least-squares fit that fit_ols keeps on the
-    bundle are computed from them once.
+    MAX_DESIGN_CONDITION.  Every array attribute is read-only:
+      * `coefficients` (sources by predictors): per-source least squares
+        beta_hat = V diag(1/s) U' y, so the error grows with cond(X) and not
+        with cond(X)^2 as through the normal equations;
+      * `sigma2`: the noise variance pooled across sources (mean of
+        per-source residual variances with denominator N - p), floored at
+        NOISE_FLOOR;
+      * `q_half`, `q_half_inv`: Q^1/2 and Q^-1/2 of the coefficient noise
+        covariance Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V', the columns
+        of V scaled by sqrt(sigma2) / s and s / sqrt(sigma2).  Q itself is
+        never formed.  Both are symmetrized, because `standardized` uses
+        b Q^-1/2 for the whitening Q^-1/2 b of each row, and the mixture
+        sampler magnifies round-off in the whitened rows by the condition
+        of its component precisions;
+      * `standardized`: the whitened rows, coefficients @ q_half_inv;
+      * `design` and `responses`.
     """
 
     def __init__(self, design, responses):
@@ -59,41 +71,30 @@ class SourceBundle:
         # (s_max / s_min)^2 >= MAX without dividing, so s_min = 0 is caught too
         if s[-1] * np.sqrt(MAX_DESIGN_CONDITION) <= s[0]:
             raise SingularityError("design is numerically collinear")
+        coef = (vt.T / s) @ (u.T @ y)  # p by n
+        # residuals squared in place: one N by n temporary, not three
+        squares = x @ coef
+        np.subtract(y, squares, out=squares)
+        squares *= squares
+        sigma2 = float(np.mean(np.sum(squares, axis=0) / (samples - predictors)))
+        self.sigma2 = max(sigma2, NOISE_FLOOR)
+        v = vt.T
+        root = np.sqrt(self.sigma2) / s
         self.design = _read_only(x)
         self.responses = _read_only(y)
         self.n_samples = samples
         self.n_predictors = predictors
         self.n_sources = sources
-        self.factor = (u, s, vt)
-        self._ols = None
+        self.coefficients = _read_only(coef.T)
+        self.q_half = _read_only(symmetrize((v * root) @ v.T))
+        self.q_half_inv = _read_only(symmetrize((v / root) @ v.T))
+        self.standardized = _read_only(self.coefficients @ self.q_half_inv)
 
 
 def _read_only(a):
     view = a.view()
     view.flags.writeable = False
     return view
-
-
-class NoiseModel:
-    """Pooled noise scale and the whitening factors of the coefficient noise.
-
-    Built from sigma2 and the design's right singular vectors V (columns)
-    and singular values s: the coefficient noise covariance is
-    Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V', and Q^1/2, Q^-1/2 scale
-    the columns of V by sqrt(sigma2) / s and s / sqrt(sigma2).  Q itself is
-    never formed.  Both factors are symmetrized, because standardize uses
-    b Q^-1/2 for the whitening Q^-1/2 b of each row, and the mixture
-    sampler magnifies round-off in the whitened rows by the condition of
-    its component precisions.
-    """
-
-    def __init__(self, sigma2, vectors, singular_values):
-        self.sigma2 = float(sigma2)
-        v = np.asarray(vectors, dtype=float)
-        s = np.asarray(singular_values, dtype=float)
-        root = np.sqrt(self.sigma2) / s
-        self.q_half = symmetrize((v * root) @ v.T)
-        self.q_half_inv = symmetrize((v / root) @ v.T)
 
 
 class CoefficientEstimate:
@@ -106,42 +107,8 @@ class CoefficientEstimate:
 
 
 def fit_ols(bundle):
-    """Per-source least squares; returns (estimate, noise model).
-
-    Coefficient rows are beta_hat = V diag(1/s) U' y for each source, from
-    the bundle's thin SVD, so the error grows with cond(X) and not with
-    cond(X)^2 as through the normal equations.  The noise variance is pooled
-    across sources (mean of per-source residual variances with denominator
-    N - p) and floored at NOISE_FLOOR; the coefficient noise covariance is
-    sigma2 (X'X)^-1.  The fit is computed at the first call on a bundle and
-    kept on it, with read-only arrays, so every estimator that starts from
-    least squares shares one fit; each call returns a fresh estimate.
-    """
-    if bundle._ols is None:
-        x, y = bundle.design, bundle.responses
-        u, s, vt = bundle.factor
-        coef = (vt.T / s) @ (u.T @ y)  # p by n
-        # residuals squared in place: one N by n temporary, not three
-        squares = x @ coef
-        np.subtract(y, squares, out=squares)
-        squares *= squares
-        dof = bundle.n_samples - bundle.n_predictors
-        sigma2 = float(np.mean(np.sum(squares, axis=0) / dof))
-        sigma2 = max(sigma2, NOISE_FLOOR)
-        noise = NoiseModel(sigma2, vt.T, s)
-        noise.q_half.flags.writeable = False
-        noise.q_half_inv.flags.writeable = False
-        bundle._ols = _read_only(coef.T), noise
-    coef, noise = bundle._ols
-    return CoefficientEstimate(coef, "ols", {"sigma2": noise.sigma2}), noise
-
-
-def standardize(estimate, noise):
-    """Whiten coefficient rows: each beta_hat is mapped to Q^{-1/2} beta_hat."""
-    b = estimate.coefficients
-    if b.shape[1] != noise.q_half_inv.shape[0]:
-        raise DimensionError("coefficient width does not match the noise model")
-    return b @ noise.q_half_inv
+    """Per-source least squares: the bundle's fit as a fresh estimate."""
+    return CoefficientEstimate(bundle.coefficients, "ols", {"sigma2": bundle.sigma2})
 
 
 def _resolve_bandwidth(decomp, n, p, h):
@@ -176,8 +143,7 @@ def global_shrink(bundle, h="default"):
     (risk-minimizing bandwidth when the source count allows it, else the
     default with a fallback note in the diagnostics).
     """
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     n, p = bundle.n_sources, bundle.n_predictors
     if p == n:
         raise RegimeError(
@@ -187,12 +153,12 @@ def global_shrink(bundle, h="default"):
     hv, policy, fell_back, shrunk = _resolve_bandwidth(decomp, n, p, h)
     if shrunk is None:
         shrunk = shrink_covariance(decomp, n, hv)
-    rotate = noise.q_half @ shrunk.inverse() @ noise.q_half_inv
-    coef = estimate.coefficients @ (np.eye(p) - rotate).T
+    rotate = bundle.q_half @ shrunk.inverse() @ bundle.q_half_inv
+    coef = bundle.coefficients @ (np.eye(p) - rotate).T
     if not np.all(np.isfinite(coef)):
         raise NumericalError("shrunk coefficients are non-finite")
     diagnostics = {
-        "sigma2": noise.sigma2,
+        "sigma2": bundle.sigma2,
         "h": hv,
         "h_policy": policy,
         "h_fallback": fell_back,
@@ -254,7 +220,7 @@ def _initial_labels(standardized, k):
     return labels
 
 
-def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in):
+def _mixture_sweeps(coefficients, standardized, q_half, labels, gumbels, burn_in):
     """Run the label/estimate sweeps with explicit Gumbel variates.
 
     gumbels is an iterable of per-sweep (rows, components) draws, consumed
@@ -313,7 +279,7 @@ def _mixture_sweeps(coefficients, standardized, noise, labels, gumbels, burn_in)
         "clamp_count": clamp_total,
         "final_component_sizes": np.bincount(labels, minlength=k).tolist(),
     }
-    return coefficients - (accum / kept) @ noise.q_half, diagnostics
+    return coefficients - (accum / kept) @ q_half, diagnostics
 
 
 def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
@@ -340,22 +306,21 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     sweeps, burn_in = int(sweeps), int(burn_in)
     if sweeps < 1 or burn_in < 0 or burn_in >= sweeps:
         raise DomainError("need 0 <= burn_in < sweeps")
-    estimate, noise = fit_ols(bundle)
     n = bundle.n_sources
     if n < 2 * k:
         raise InsufficientDataError(
             "need at least two rows per component (n=%d, components=%d)" % (n, k)
         )
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     labels = _initial_labels(bstar, k)
     rng = np.random.default_rng(seed)
     gumbels = (rng.gumbel(size=(n, k)) for _ in range(sweeps))
     coef, diagnostics = _mixture_sweeps(
-        estimate.coefficients, bstar, noise, labels, gumbels, burn_in
+        bundle.coefficients, bstar, bundle.q_half, labels, gumbels, burn_in
     )
     if not np.all(np.isfinite(coef)):
         raise NumericalError("mixture-shrunk coefficients are non-finite")
-    diagnostics.update({"sigma2": noise.sigma2, "n_components": k, "seed": seed})
+    diagnostics.update({"sigma2": bundle.sigma2, "n_components": k, "seed": seed})
     return CoefficientEstimate(coef, "local(%d)" % k, diagnostics)
 
 

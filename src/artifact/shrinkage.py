@@ -169,7 +169,6 @@ class ShrinkageRule:
                 )
             self.kernel = lam
             self.divisor = self.p
-            self.zero_count = 0
             self.zero_rule_value = None
         else:
             self.regime = "over"
@@ -178,7 +177,6 @@ class ShrinkageRule:
             if self.kernel.size == 0:
                 raise SingularityError("spectrum has no nonzero eigenvalue")
             self.divisor = self.n
-            self.zero_count = int(np.sum(~keep))
             if self.p > self.n:
                 inv_delta0 = (self.aspect - 1.0) * np.sum(1.0 / self.kernel) / self.n
                 self.zero_rule_value = float(1.0 / inv_delta0)
@@ -237,10 +235,9 @@ def _shrink_spectrum(decomp, n, p, h):
     """Shared kernel: build the rule and push the whole spectrum through it."""
     rule = ShrinkageRule(decomp.eigenvalues, n, p, h)
     lam = decomp.eigenvalues
-    tol = zero_tolerance(lam)
     values = np.empty(p)
     clamps = 0
-    positive = lam > tol
+    positive = lam > decomp.zero_tolerance
     if np.any(positive):
         mapped, clamped = rule.evaluate(lam[positive])
         values[positive] = mapped

@@ -104,7 +104,7 @@ def estimate_with_method(bundle, method, seed=0, sweeps=200, burn_in=50, h="defa
     """
     parse_method(method)
     if method == "ols":
-        return fit_ols(bundle)[0]
+        return fit_ols(bundle)
     if method == "global":
         return global_shrink(bundle, h)
     if method == "global-sure":
@@ -156,6 +156,8 @@ def run_experiment(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
     methods = [parse_method(m) for m in methods]
     if not methods or reps < 1 or n_test < 1:
         raise DomainError("need at least one method, replication and test sample")
+    if min(n_sources, n_predictors, n_samples) < 1:
+        raise DomainError("need at least one source, predictor and sample")
     records = []
     for rep in range(int(reps)):
         data_rng = np.random.default_rng(_replication_seed(seed, rep, 0))

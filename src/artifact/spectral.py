@@ -52,7 +52,6 @@ class SpectralDecomposition:
         self.eigenvectors = np.asarray(eigenvectors, dtype=float)
         self.dim = self.eigenvalues.size
         self.zero_tolerance = zero_tolerance(self.eigenvalues)
-        self.rank = int(np.sum(self.eigenvalues > self.zero_tolerance))
 
 
 def eigh(matrix):

@@ -515,6 +515,9 @@ def test_prial_small_run(tmp_path):
     ["prial", "--np-product", "-5"],
     ["simulate", "--design", "mix", "--n", "12", "--p", "3", "--methods", ""],
     ["simulate", "--design", "mix", "--n", "12", "--p", "3", "--test-samples", "0"],
+    ["simulate", "--design", "mix", "--p", "3", "--n", "-3"],
+    ["simulate", "--design", "mix", "--n", "12", "--p", "-3"],
+    ["simulate", "--design", "mix", "--n", "12", "--p", "3", "--samples", "-5"],
     ["crossval", "--methods", ""],
 ], ids=lambda args: "%s%s=%r" % (args[0], args[-2], args[-1]))
 def test_options_leaving_nothing_to_compute_exit_3(tmp_path, capsys, args):
@@ -527,6 +530,28 @@ def test_options_leaving_nothing_to_compute_exit_3(tmp_path, capsys, args):
     assert captured.err.startswith("error: precondition: ")
     assert captured.out == ""
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--method", "local-2"],
+    ["simulate", "--design", "mix", "--n", "12", "--p", "3", "--reps", "2"],
+    ["crossval"],
+    ["prial", "--np-product", "200", "--aspects", "0.5", "--reps", "2"],
+], ids=lambda args: args[0])
+def test_negative_seed_exits_3(tmp_path, capsys, args):
+    # numpy rejects negative seeds; the option table does so first, so no
+    # input is read and nothing written
+    if args[0] in ("fit", "crossval"):
+        design, response = gaussian_files(tmp_path, 30, 3, 8, seed=10)
+        args = args + ["--design", design, "--response", response]
+    out = tmp_path / "out"
+    assert main(args + ["--seed", "-1", "--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: precondition: --seed must be a non-negative integer, got -1\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_config_file_supplies_and_flags_override(tmp_path):

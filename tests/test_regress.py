@@ -14,11 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact import (
-    CoefficientEstimate,
     DimensionError,
     DomainError,
     InsufficientDataError,
-    NoiseModel,
     RegimeError,
     SingularityError,
     SourceBundle,
@@ -29,7 +27,6 @@ from artifact import (
     predictive_error,
     sample_covariance,
     shrink_covariance,
-    standardize,
 )
 from artifact.regress import (
     _component_shrunk,
@@ -64,14 +61,28 @@ def designed_matrix(rng, rows, singular_values):
     return (u * singular_values) @ v.T
 
 
-def noise_from_q(sigma2, q):
-    """NoiseModel with coefficient covariance q, from the eigh of q.
+def noise_from_q(q):
+    """Whitening factors (Q^1/2, Q^-1/2) of a coefficient covariance q.
 
-    q = W diag(lam) W' is sigma2 (X'X)^-1 for a design with right singular
-    vectors W and singular values sqrt(sigma2 / lam).
+    From the eigh q = W diag(lam) W', with no shared code with the bundle's
+    factors from the SVD of the design.
     """
     lam, w = np.linalg.eigh(q)
-    return NoiseModel(sigma2, w, np.sqrt(sigma2 / lam))
+    return (w * np.sqrt(lam)) @ w.T, (w / np.sqrt(lam)) @ w.T
+
+
+def scalar_noise_bundle(rng, beta, scale, rows=12):
+    """Bundle with sigma2 = 1 and Q = scale^2 I, up to round-off.
+
+    The design is an orthonormal basis divided by scale, and each source's
+    residual lies in its orthogonal complement with squared norm N - p.
+    """
+    n, p = beta.shape
+    basis = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    x = basis[:, :p] / scale
+    resid = basis[:, p:] @ rng.standard_normal((rows - p, n))
+    resid *= np.sqrt(rows - p) / np.linalg.norm(resid, axis=0)
+    return SourceBundle(x, x @ beta.T + resid)
 
 
 def gaussian_density_oracle(x, variance):
@@ -100,8 +111,8 @@ def posterior_weights(rows, variances, counts):
     return logs, _posterior_weights(logs)
 
 
-def dense_mixture_sweeps_oracle(coefficients, standardized, noise, labels, gumbels,
-                                burn_in):
+def dense_mixture_sweeps_oracle(coefficients, standardized, q_half, q_half_inv, labels,
+                                gumbels, burn_in):
     # the sampler written out densely: all draws up front, one density pass and
     # one p-by-p operator coefficients @ (I - Q^1/2 Sigma_k^-1 Q^-1/2)' per
     # component per sweep, and the posterior mean built on every sweep
@@ -137,7 +148,7 @@ def dense_mixture_sweeps_oracle(coefficients, standardized, noise, labels, gumbe
         for comp, shrunk in enumerate(fitted):
             u = shrunk.decomposition.eigenvectors
             inv = u @ np.diag(1.0 / shrunk.values) @ u.T
-            rotate = noise.q_half @ inv @ noise.q_half_inv
+            rotate = q_half @ inv @ q_half_inv
             estimate += weights[:, comp, None] * (coefficients @ (np.eye(p) - rotate).T)
         if s >= burn_in:
             accum += estimate
@@ -213,21 +224,20 @@ def test_bundle_exposes_counts_and_gram():
     x = rng.standard_normal((9, 2))
     bundle = SourceBundle(x, rng.standard_normal((9, 4)))
     assert (bundle.n_samples, bundle.n_predictors, bundle.n_sources) == (9, 2, 4)
-    u, s, vt = bundle.factor
-    assert u.shape == (9, 2) and vt.shape == (2, 2)
-    assert np.allclose((u * s) @ vt, x, atol=1e-12)
-    assert np.allclose(u.T @ u, np.eye(2), atol=1e-12)
-    assert np.allclose(vt @ vt.T, np.eye(2), atol=1e-12)
-    assert np.allclose((vt.T * s**2) @ vt, x.T @ x, atol=1e-12)
+    assert bundle.coefficients.shape == bundle.standardized.shape == (4, 2)
+    assert bundle.q_half.shape == bundle.q_half_inv.shape == (2, 2)
+    # sigma2 Q^-1 = X'X
+    gram = bundle.sigma2 * bundle.q_half_inv @ bundle.q_half_inv
+    assert np.allclose(gram, x.T @ x, atol=1e-12)
 
 
 def test_ols_single_predictor_hand_value():
     # X = e1 in R^3, y = (2, 0, 0): beta_hat = 2, zero residual hits the floor
     x = np.array([[1.0], [0.0], [0.0]])
     y = np.array([[2.0], [0.0], [0.0]])
-    estimate, noise = fit_ols(SourceBundle(x, y))
+    estimate = fit_ols(SourceBundle(x, y))
     assert np.allclose(estimate.coefficients, [[2.0]], atol=1e-14)
-    assert noise.sigma2 == 1e-12
+    assert estimate.diagnostics["sigma2"] == 1e-12
     assert estimate.method == "ols"
 
 
@@ -235,7 +245,7 @@ def test_ols_noiseless_recovery():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((20, 4))
     beta = rng.standard_normal((6, 4))
-    estimate, _ = fit_ols(SourceBundle(x, x @ beta.T))
+    estimate = fit_ols(SourceBundle(x, x @ beta.T))
     assert np.allclose(estimate.coefficients, beta, atol=1e-10)
 
 
@@ -246,7 +256,7 @@ def test_ols_error_grows_with_cond_not_its_square():
     singular_values = np.logspace(0, -5, 5)
     x = designed_matrix(rng, 60, singular_values)
     beta = rng.standard_normal((4, 5))
-    estimate, _ = fit_ols(SourceBundle(x, x @ beta.T))
+    estimate = fit_ols(SourceBundle(x, x @ beta.T))
     error = np.max(np.abs(estimate.coefficients - beta)) / np.max(np.abs(beta))
     assert error <= 100 * 1e5 * np.finfo(float).eps
 
@@ -255,72 +265,71 @@ def test_ols_matches_cofactor_inverse_oracle():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((50, 3))
     y = rng.standard_normal((50, 4))
-    estimate, noise = fit_ols(SourceBundle(x, y))
+    bundle = SourceBundle(x, y)
+    estimate = fit_ols(bundle)
     gram_inv = inverse_3x3_oracle(x.T @ x)
     expected = (gram_inv @ x.T @ y).T
     assert np.allclose(estimate.coefficients, expected, rtol=0, atol=1e-10)
     # pooled residual variance and its induced coefficient covariance
     resid = y - x @ expected.T
     sigma2 = np.mean(np.sum(resid * resid, axis=0) / (50 - 3))
-    assert noise.sigma2 == pytest.approx(sigma2, rel=1e-12)
-    q = noise.q_half @ noise.q_half
+    assert bundle.sigma2 == pytest.approx(sigma2, rel=1e-12)
+    assert estimate.diagnostics["sigma2"] == bundle.sigma2
+    q = bundle.q_half @ bundle.q_half
     assert np.allclose(q, sigma2 * gram_inv, rtol=1e-10)
 
 
 def test_ols_fit_is_kept_on_the_bundle_read_only():
-    # every estimator starts from fit_ols, so a bundle scored by several
-    # methods is fitted once; the shared arrays cannot be written through
+    # the bundle is fitted once, so every estimator run on it shares the
+    # fit; the shared arrays cannot be written through
     rng = np.random.default_rng(12)
     bundle, _ = whitened_bundle(rng, 30, 3, 8, 1.0)
-    first, noise = fit_ols(bundle)
-    second, again = fit_ols(bundle)
-    assert second.coefficients is first.coefficients and again is noise
+    first = fit_ols(bundle)
+    second = fit_ols(bundle)
+    assert second.coefficients is first.coefficients is bundle.coefficients
     assert second is not first and second.diagnostics is not first.diagnostics
-    shared = (first.coefficients, noise.q_half, noise.q_half_inv,
-              bundle.design, bundle.responses)
+    shared = (bundle.coefficients, bundle.q_half, bundle.q_half_inv,
+              bundle.standardized, bundle.design, bundle.responses)
     for array in shared:
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
 
 
 def test_noise_model_square_root_factors():
+    # Q^1/2 squared is sigma2 (X'X)^-1 and matches the factors from its eigh
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 3))
-    noise = noise_from_q(2.0, a.T @ a / 6)
-    q = noise.q_half @ noise.q_half
-    assert np.allclose(q, a.T @ a / 6, atol=1e-12)
-    assert np.allclose(
-        noise.q_half @ noise.q_half_inv, np.eye(3), atol=1e-10
-    )
+    x = rng.standard_normal((6, 3))
+    bundle = SourceBundle(x, rng.standard_normal((6, 4)))
+    q = bundle.sigma2 * inverse_3x3_oracle(x.T @ x)
+    assert np.allclose(bundle.q_half @ bundle.q_half, q, atol=1e-12)
+    assert np.allclose(bundle.q_half @ bundle.q_half_inv, np.eye(3), atol=1e-10)
+    q_half, q_half_inv = noise_from_q(q)
+    assert np.allclose(bundle.q_half, q_half, atol=1e-12)
+    assert np.allclose(bundle.q_half_inv, q_half_inv, atol=1e-10)
 
 
 def test_standardize_identity_noise_is_identity_map():
-    b = np.array([[1.0, 2.0], [3.0, -1.0]])
-    estimate = CoefficientEstimate(b, "ols")
-    out = standardize(estimate, noise_from_q(1.0, np.eye(2)))
-    assert np.allclose(out, b)
+    beta = np.array([[1.0, 2.0], [3.0, -1.0]])
+    bundle = scalar_noise_bundle(np.random.default_rng(2), beta, 1.0)
+    assert np.allclose(bundle.coefficients, beta)
+    assert np.allclose(bundle.standardized, beta)
 
 
 def test_standardize_scalar_covariance():
     # Q = 4I halves every coordinate
-    estimate = CoefficientEstimate([[2.0, 2.0]], "ols")
-    out = standardize(estimate, noise_from_q(1.0, 4.0 * np.eye(2)))
-    assert np.allclose(out, [[1.0, 1.0]])
+    bundle = scalar_noise_bundle(np.random.default_rng(3), np.array([[2.0, 2.0]]), 2.0)
+    assert np.allclose(bundle.coefficients, [[2.0, 2.0]])
+    assert np.allclose(bundle.standardized, [[1.0, 1.0]])
 
 
 def test_standardize_round_trip():
+    # above and below p sources, with a spread design
     rng = np.random.default_rng(9)
-    a = rng.standard_normal((5, 3))
-    noise = noise_from_q(1.5, a.T @ a / 5)
-    b = rng.standard_normal((7, 3))
-    out = standardize(CoefficientEstimate(b, "ols"), noise)
-    assert np.allclose(out @ noise.q_half, b, atol=1e-8)
-
-
-def test_standardize_rejects_width_mismatch():
-    estimate = CoefficientEstimate(np.ones((2, 3)), "ols")
-    with pytest.raises(DimensionError):
-        standardize(estimate, noise_from_q(1.0, np.eye(2)))
+    for sources in (2, 7):
+        x = designed_matrix(rng, 12, [3.0, 1.0, 0.1])
+        bundle = SourceBundle(x, rng.standard_normal((12, sources)))
+        back = bundle.standardized @ bundle.q_half
+        assert np.allclose(back, bundle.coefficients, rtol=0, atol=1e-12)
 
 
 def test_global_shrink_matches_manual_recomposition():
@@ -328,12 +337,10 @@ def test_global_shrink_matches_manual_recomposition():
     bundle, _ = whitened_bundle(rng, 40, 3, 25, 2.0)
     fit = global_shrink(bundle)
 
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
-    s = sample_covariance(bstar)
+    s = sample_covariance(bundle.standardized)
     shrunk = shrink_covariance(s, 25, default_bandwidth(25, 3))
-    rotate = noise.q_half @ shrunk.inverse() @ noise.q_half_inv
-    expected = estimate.coefficients @ (np.eye(3) - rotate).T
+    rotate = bundle.q_half @ shrunk.inverse() @ bundle.q_half_inv
+    expected = bundle.coefficients @ (np.eye(3) - rotate).T
     assert np.allclose(fit.coefficients, expected, rtol=0, atol=1e-12)
     assert fit.method == "global"
     assert fit.diagnostics["h"] == pytest.approx(default_bandwidth(25, 3))
@@ -362,7 +369,7 @@ def test_global_shrink_beats_ols_under_spherical_signal():
     for rep in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(rep,)))
         bundle, beta = whitened_bundle(rng, 50, 5, 500, np.sqrt(3.0))
-        ols, _ = fit_ols(bundle)
+        ols = fit_ols(bundle)
         pooled = global_shrink(bundle)
         err_ols = np.mean((ols.coefficients - beta) ** 2)
         err_pooled = np.mean((pooled.coefficients - beta) ** 2)
@@ -550,16 +557,15 @@ def test_mixture_sweeps_component_relabeling_invariance():
     # columns) must reproduce the same trajectory and estimate
     rng = np.random.default_rng(41)
     bundle, _ = whitened_bundle(rng, 40, 3, 20, 1.0)
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     labels = _initial_labels(bstar, 2)
     gumbels = np.random.default_rng(5).gumbel(size=(6, 20, 2))
 
     out_a, diag_a = _mixture_sweeps(
-        estimate.coefficients, bstar, noise, labels, gumbels, 1
+        bundle.coefficients, bstar, bundle.q_half, labels, gumbels, 1
     )
     out_b, diag_b = _mixture_sweeps(
-        estimate.coefficients, bstar, noise, 1 - labels, gumbels[:, :, ::-1], 1
+        bundle.coefficients, bstar, bundle.q_half, 1 - labels, gumbels[:, :, ::-1], 1
     )
     assert np.allclose(out_a, out_b, rtol=0, atol=1e-10)
     assert diag_a["final_component_sizes"] == diag_b["final_component_sizes"][::-1]
@@ -570,14 +576,13 @@ def test_mixture_single_sweep_matches_posterior_assembly():
     # of the per-component rules fitted to the initial labels
     rng = np.random.default_rng(42)
     bundle, _ = whitened_bundle(rng, 40, 3, 21, 1.0)
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     labels = _initial_labels(bstar, 2)
     counts = np.bincount(labels, minlength=2)
     assert counts.min() >= 2 and counts[0] != 3 and counts[1] != 3
 
     gumbels = np.random.default_rng(9).gumbel(size=(1, 21, 2))
-    out, _ = _mixture_sweeps(estimate.coefficients, bstar, noise, labels, gumbels, 0)
+    out, _ = _mixture_sweeps(bundle.coefficients, bstar, bundle.q_half, labels, gumbels, 0)
 
     shrunk = []
     for comp in range(2):
@@ -591,14 +596,10 @@ def test_mixture_single_sweep_matches_posterior_assembly():
         logs[:, comp] = prior + log_density_rows_oracle(bstar, c.decomposition, c.values)
     weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
     weights /= np.sum(weights, axis=1, keepdims=True)
-    expected = np.zeros_like(estimate.coefficients)
+    expected = np.zeros_like(bundle.coefficients)
     for comp in range(2):
-        rotate = (
-            noise.q_half
-            @ shrunk[comp].inverse()
-            @ noise.q_half_inv
-        )
-        rows = estimate.coefficients @ (np.eye(3) - rotate).T
+        rotate = bundle.q_half @ shrunk[comp].inverse() @ bundle.q_half_inv
+        rows = bundle.coefficients @ (np.eye(3) - rotate).T
         expected += weights[:, comp, None] * rows
     assert np.allclose(out, expected, rtol=0, atol=1e-10)
 
@@ -606,11 +607,10 @@ def test_mixture_single_sweep_matches_posterior_assembly():
 def test_mixture_sweeps_pooled_reset_on_empty_component():
     rng = np.random.default_rng(43)
     bundle, _ = whitened_bundle(rng, 40, 3, 16, 1.0)
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     gumbels = np.random.default_rng(1).gumbel(size=(1, 16, 2))
     _, diag = _mixture_sweeps(
-        estimate.coefficients, bstar, noise, np.zeros(16, dtype=int), gumbels, 0
+        bundle.coefficients, bstar, bundle.q_half, np.zeros(16, dtype=int), gumbels, 0
     )
     assert diag["pooled_resets"] >= 1
 
@@ -635,17 +635,18 @@ def oracle_case(k, sweeps, burn_in, empty_start, top=1.0):
 )
 def test_mixture_sweeps_match_dense_oracle(k, sweeps, burn_in, empty_start, top):
     bundle = two_scale_bundle(60 + k, 30, 4, 45, top)
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     n = bundle.n_sources
     # starting every row in component 0 empties the others: pooled resets
     labels = np.zeros(n, dtype=int) if empty_start else _initial_labels(bstar, k)
     gumbels = np.random.default_rng(k).gumbel(size=(sweeps, n, k))
+    x = bundle.design
+    q_half, q_half_inv = noise_from_q(bundle.sigma2 * np.linalg.inv(x.T @ x))
     out, diag = _mixture_sweeps(
-        estimate.coefficients, bstar, noise, labels, gumbels, burn_in
+        bundle.coefficients, bstar, q_half, labels, gumbels, burn_in
     )
     expected, expected_diag = dense_mixture_sweeps_oracle(
-        estimate.coefficients, bstar, noise, labels, gumbels, burn_in
+        bundle.coefficients, bstar, q_half, q_half_inv, labels, gumbels, burn_in
     )
     assert diag == expected_diag
     if empty_start:
@@ -659,11 +660,10 @@ def test_local_shrink_streams_the_up_front_draws():
     bundle = two_scale_bundle(70, 30, 4, 40)
     k, sweeps, burn_in, seed = 3, 11, 2, 123
     fit = local_shrink(bundle, k, sweeps=sweeps, burn_in=burn_in, seed=seed)
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     gumbels = np.random.default_rng(seed).gumbel(size=(sweeps, bundle.n_sources, k))
     out, diag = _mixture_sweeps(
-        estimate.coefficients, bstar, noise, _initial_labels(bstar, k), gumbels, burn_in
+        bundle.coefficients, bstar, bundle.q_half, _initial_labels(bstar, k), gumbels, burn_in
     )
     assert np.array_equal(fit.coefficients, out)
     assert fit.diagnostics["final_component_sizes"] == diag["final_component_sizes"]
@@ -718,15 +718,15 @@ def test_local_shrink_rotating_design_rotates_coefficients(case):
 def test_mixture_sweeps_permuting_rows_permutes_output(case):
     seed, p, sources, k = case
     bundle = two_scale_bundle(seed, 3 * p + 20, p, sources)
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     labels = _initial_labels(bstar, k)
     rng = np.random.default_rng(seed)
     gumbels = rng.gumbel(size=(12, sources, k))
     perm = rng.permutation(sources)
-    base, diag = _mixture_sweeps(estimate.coefficients, bstar, noise, labels, gumbels, 3)
+    base, diag = _mixture_sweeps(bundle.coefficients, bstar, bundle.q_half, labels, gumbels, 3)
     moved, moved_diag = _mixture_sweeps(
-        estimate.coefficients[perm], bstar[perm], noise, labels[perm], gumbels[:, perm], 3
+        bundle.coefficients[perm], bstar[perm], bundle.q_half, labels[perm],
+        gumbels[:, perm], 3
     )
     assert moved_diag == diag
     assert min(diag["final_component_sizes"]) > 3 * p
@@ -735,22 +735,20 @@ def test_mixture_sweeps_permuting_rows_permutes_output(case):
 
 def test_mixture_sweeps_reject_misshapen_draws():
     bundle = two_scale_bundle(71, 30, 3, 20)
-    estimate, noise = fit_ols(bundle)
-    bstar = standardize(estimate, noise)
+    bstar = bundle.standardized
     labels = _initial_labels(bstar, 2)
     rng = np.random.default_rng(0)
     short = [rng.gumbel(size=(20, 2)), rng.gumbel(size=(19, 2))]
     with pytest.raises(DimensionError):
-        _mixture_sweeps(estimate.coefficients, bstar, noise, labels, short, 0)
+        _mixture_sweeps(bundle.coefficients, bstar, bundle.q_half, labels, short, 0)
     flat = [rng.gumbel(size=20)]
     with pytest.raises(DimensionError):
-        _mixture_sweeps(estimate.coefficients, bstar, noise, labels, flat, 0)
+        _mixture_sweeps(bundle.coefficients, bstar, bundle.q_half, labels, flat, 0)
 
 
 def test_local_shrink_memory_does_not_grow_with_sweeps():
     n, p, k = 3000, 10, 3
-    bundle = two_scale_bundle(72, 40, p, n)
-    fit_ols(bundle)  # kept on the bundle, so the peaks below are the sampler's
+    bundle = two_scale_bundle(72, 40, p, n)  # fitted at construction
     peaks = []
     for sweeps in (40, 400):
         tracemalloc.start()
@@ -762,7 +760,8 @@ def test_local_shrink_memory_does_not_grow_with_sweeps():
     # drawing every Gumbel variate up front would add 360 * 3000 * 3 * 8 B
     assert peaks[1] - peaks[0] <= 1 << 20
     # one (n, k p) product buffer reused by every sweep plus a few (n, p)
-    # arrays (2.9 n k p doubles); a fresh product per sweep reads 4.5
+    # arrays (2.5 n k p doubles, the whitened rows being the bundle's); a
+    # fresh product per sweep reads 4.5
     assert max(peaks) <= 3.5 * n * k * p * 8
 
 

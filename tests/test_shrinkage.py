@@ -159,13 +159,13 @@ def test_rule_regimes_and_kernels():
     under = ShrinkageRule([1.0, 2.0, 3.0], 10, 3, 0.5)
     assert under.regime == "under"
     assert under.divisor == 3
-    assert under.zero_count == 0
+    assert under.p - under.kernel.size == 0
     assert under.zero_rule_value is None
 
     over = ShrinkageRule([0.0, 0.0, 1.0, 3.0], 2, 4, 0.4)
     assert over.regime == "over"
     assert over.divisor == 2
-    assert over.zero_count == 2
+    assert over.p - over.kernel.size == 2
     assert np.array_equal(over.kernel, [1.0, 3.0])
 
     square = ShrinkageRule([0.0, 1.0, 2.0], 3, 3, 0.4)
@@ -312,8 +312,10 @@ def test_shrink_over_regime_fills_null_space():
     est = shrink_covariance(sample_covariance(z), 4)
     rule = est.rule
     assert rule.regime == "over"
-    assert rule.zero_count == 9 - est.decomposition.rank
-    null_values = est.values[: rule.zero_count]
+    decomp = est.decomposition
+    zero_count = int(np.sum(decomp.eigenvalues <= decomp.zero_tolerance))
+    assert rule.p - rule.kernel.size == zero_count == 9 - 4
+    null_values = est.values[:zero_count]
     assert np.allclose(null_values, rule.zero_rule_value)
     inv = est.inverse()
     assert np.all(np.isfinite(inv))
