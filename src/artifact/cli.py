@@ -334,8 +334,6 @@ def cmd_shrink_curve(opts, outdir):
 
 def cmd_simulate(opts, outdir):
     kind = _resolve_design(opts["design"])
-    for m in opts["methods"]:
-        parse_method(m)
     result = run_experiment(
         kind, opts["n"], opts["p"], rho=opts["rho"], n_samples=opts["samples"],
         n_test=opts["test_samples"], methods=opts["methods"], reps=opts["reps"],

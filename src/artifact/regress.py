@@ -282,6 +282,12 @@ def _mixture_sweeps(coefficients, standardized, q_half, labels, gumbels, burn_in
     return coefficients - (accum / kept) @ q_half, diagnostics
 
 
+def _require_seed(seed):
+    """Reject a negative integer seed as a DomainError; numpy raises a bare ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError("seed must be a non-negative integer, got %d" % seed)
+
+
 def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     """Shrink coefficient rows under a fitted finite scale mixture.
 
@@ -306,6 +312,7 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     sweeps, burn_in = int(sweeps), int(burn_in)
     if sweeps < 1 or burn_in < 0 or burn_in >= sweeps:
         raise DomainError("need 0 <= burn_in < sweeps")
+    _require_seed(seed)
     n = bundle.n_sources
     if n < 2 * k:
         raise InsufficientDataError(

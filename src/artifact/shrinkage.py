@@ -58,31 +58,40 @@ def _bandwidths(h):
 
 
 def _kernel_differences(inv, x):
-    """u[j, k] = inv[k] - x[j] and u**2; they do not depend on the bandwidth."""
-    u = inv - x[:, None]
-    return u, u * u
+    """inv[k] u[j, k] and u[j, k]**2 for u[j, k] = inv[k] - x[j].
 
-
-def _stein_sums(inv, u, u2, h, divisor, derivative=False, out=None):
-    """Stein-transform sums at the points x of u = _kernel_differences(inv, x).
-
-    h is a 1-d array of bandwidths; the result has shape (h.size, x.size).
-    With derivative, returns (g, g') where g' is the x-derivative.  out, if
-    given, is a pair of (h.size, x.size, inv.size) buffers the terms are
-    formed in; a caller that evaluates many bandwidths reuses them.
+    Neither depends on the bandwidth.  inv and x may carry a leading axis of
+    spectra, (R, p) each, which the results keep: (R, x.size, p).
     """
+    u = inv[..., None, :] - x[..., :, None]
+    u2 = u * u
+    u *= inv[..., None, :]
+    return u, u2
+
+
+def _stein_sums(inv, iu, u2, h, divisor, derivative=False, out=None):
+    """Stein-transform sums at the points x of iu, u2 = _kernel_differences(inv, x).
+
+    h is a 1-d array of bandwidths; the result has shape (h.size, x.size),
+    after the leading axis of spectra if inv has one.  With derivative,
+    returns (g, g') where g' is the x-derivative.  out, if given, is a pair
+    of buffers of the shape of the terms, ([R,] h.size, x.size, inv.size),
+    that the terms are formed in; a caller that evaluates many bandwidths
+    reuses them.
+    """
+    inv = inv[..., None, :]
     b2 = (h[:, None] * inv) ** 2
     if out is None:
-        out = (np.empty((h.size,) + u.shape), np.empty((h.size,) + u.shape))
+        shape = b2.shape[:-1] + iu.shape[-2:]
+        out = (np.empty(shape), np.empty(shape))
     den, terms = out
-    np.add(u2, b2[:, None, :], out=den)
-    np.multiply(inv, u, out=terms)
-    terms /= den
+    np.add(u2[..., None, :, :], b2[..., :, None, :], out=den)
+    np.divide(iu[..., None, :, :], den, out=terms)
     g = terms.sum(axis=-1) / divisor
     if not derivative:
         return g
-    np.subtract(u2, b2[:, None, :], out=terms)
-    terms *= inv
+    np.subtract(u2[..., None, :, :], b2[..., :, None, :], out=terms)
+    terms *= inv[..., None, :]
     den *= den
     terms /= den
     return g, terms.sum(axis=-1) / divisor
@@ -129,17 +138,21 @@ class ShrinkageRule:
     regime is "under" when p < n (kernel over all p eigenvalues, divisor p)
     and "over" when p >= n (kernel over the nonzero eigenvalues, divisor n).
     In the over regime, zero sample eigenvalues map to `zero_rule_value`,
-    which is None when p == n (the constant is undefined there).
+    which is None when p == n (the constant is undefined there).  In the
+    under regime the eigenvalues may also be an (R, p) stack of spectra,
+    each checked as a single one is; the kernel is then the (R, p) stack,
+    which the risk grid uses (evaluate takes a single spectrum).
 
     Instances are immutable after construction; evaluation is pure and
     returns the clamp mask to the caller instead of mutating state.
     """
 
     def __init__(self, eigenvalues, n, p, h):
-        lam = np.sort(np.asarray(eigenvalues, dtype=float).ravel())
-        if lam.size != p:
+        lam = np.asarray(eigenvalues, dtype=float)
+        lam = np.sort(lam if lam.ndim == 2 else lam.ravel(), axis=-1)
+        if lam.shape[-1] != p:
             raise DimensionError(
-                "expected %d eigenvalues, got %d" % (p, lam.size)
+                "expected %d eigenvalues, got %d" % (p, lam.shape[-1])
             )
         if int(n) != n or n < 1:
             raise DomainError("n must be a positive integer")
@@ -147,11 +160,11 @@ class ShrinkageRule:
             raise InputError("eigenvalues must be finite")
         hv = _bandwidths(h)
         n = int(n)
-        tol = zero_tolerance(lam)
-        if lam.size and lam[-1] <= 0:
+        tol = np.asarray(zero_tolerance(lam))[..., None]
+        if lam.size and (lam[..., -1] <= 0).any():
             raise SingularityError("spectrum has no positive eigenvalue")
-        if np.any(lam < -max(tol, 0.0)):
-            raise InputError("spectrum has a negative eigenvalue (%.6g)" % lam[0])
+        if (lam < -tol).any():
+            raise InputError("spectrum has a negative eigenvalue (%.6g)" % lam.min())
 
         self.n = n
         self.p = int(p)
@@ -161,17 +174,20 @@ class ShrinkageRule:
         if self.p < self.n:
             self.regime = "under"
             small = lam <= tol
-            if np.any(small):
-                idx = int(np.nonzero(small)[0][0])
+            if small.any():
+                first = tuple(int(i[0]) for i in np.nonzero(small))
+                where = " (spectrum %d of the stack)" % first[0] if lam.ndim == 2 else ""
                 raise SingularityError(
                     "eigenvalue %d is numerically zero (%.6g) but p < n requires "
-                    "a full-rank spectrum" % (idx, lam[idx])
+                    "a full-rank spectrum%s" % (first[-1], lam[first], where)
                 )
             self.kernel = lam
             self.divisor = self.p
             self.zero_rule_value = None
         else:
             self.regime = "over"
+            if lam.ndim == 2:
+                raise RegimeError("a stack of spectra needs p < n")
             keep = lam > tol
             self.kernel = lam[keep]
             if self.kernel.size == 0:
@@ -284,23 +300,29 @@ def empirical_loss(true_inverse, decomposition, inverse_values, degree=1):
     estimate then costs O(p^2).
 
     inverse_values is 1-d (one estimate; returns a float) or 2-d (one row per
-    estimate; returns one loss per row).  degree must be a nonnegative integer.
+    estimate; returns one loss per row).  A decomposition of an (R, p, p)
+    stack takes (R, E, p) inverse values, E estimates per matrix, and
+    returns (R, E) losses, each equal to the loss of that matrix alone.
+    degree must be a nonnegative integer.
     """
     a = symmetrize(true_inverse)
     if int(degree) != degree or degree < 0:
         raise DomainError("degree must be a nonnegative integer")
     values = np.asarray(inverse_values, dtype=float)
     lam = decomposition.eigenvalues
-    p = lam.size
-    if a.shape[0] != p or values.ndim not in (1, 2) or values.shape[-1] != p:
+    p = lam.shape[-1]
+    ndims = (3,) if lam.ndim == 2 else (1, 2)
+    if (a.shape != (p, p) or values.ndim not in ndims or values.shape[-1] != p
+            or values.shape[:-2] != lam.shape[:-1]):
         raise DimensionError("the truth, S and every estimate must share dimension p")
     u = decomposition.eigenvectors
-    rotated = u.T @ a @ u
-    weight = lam ** int(degree)
-    diagonal = np.diag(rotated)
+    rotated = np.swapaxes(u, -1, -2) @ a @ u
+    weight = (lam ** int(degree))[..., None]
+    diagonal = np.diagonal(rotated, axis1=-2, axis2=-1)[..., None, :]
     off = rotated * rotated
-    np.fill_diagonal(off, 0.0)
-    # only the diagonal of M depends on the estimate
-    shared = float(np.sum(off, axis=1) @ weight)
-    losses = (shared + ((diagonal - values) ** 2) @ weight) / p
-    return float(losses) if values.ndim == 1 else losses
+    off[..., np.arange(p), np.arange(p)] = 0.0
+    # only the diagonal of M depends on the estimate; each product is a
+    # matrix-vector product, one BLAS call per matrix of a stack
+    shared = np.sum(off, axis=-1)[..., None, :] @ weight
+    losses = ((shared + ((diagonal - values) ** 2) @ weight) / p)[..., 0]
+    return float(losses[0]) if values.ndim == 1 else losses

@@ -10,10 +10,10 @@ fresh design.
 import numpy as np
 
 from .errors import DomainError
-from .regress import SourceBundle, fit_ols, global_shrink, local_shrink
+from .regress import SourceBundle, _require_seed, fit_ols, global_shrink, local_shrink
 from .shrinkage import empirical_loss
 from .spectral import require_positive_definite, sample_covariance, spectral_inverse
-from .tuning import default_bandwidth_grid, select_bandwidth
+from .tuning import BLOCK_TERMS, default_bandwidth_grid, select_bandwidth
 
 COEFFICIENT_DESIGNS = ("low-rank", "all-small", "heavy-tail", "scale-mixture")
 LOW_RANK = 8
@@ -57,6 +57,7 @@ def coefficient_matrix(kind, n_sources, n_predictors, rng):
 def simulate_sources(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
                      n_test=20, rng=None):
     """One synthetic replication: bundle, truth, and a held-out design."""
+    _require_seed(rng)
     rng = np.random.default_rng(rng)
     x = equicorrelated_design(n_samples, n_predictors, rho, rng)
     truth = coefficient_matrix(kind, n_sources, n_predictors, rng)
@@ -158,6 +159,7 @@ def run_experiment(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
         raise DomainError("need at least one method, replication and test sample")
     if min(n_sources, n_predictors, n_samples) < 1:
         raise DomainError("need at least one source, predictor and sample")
+    _require_seed(seed)
     records = []
     for rep in range(int(reps)):
         data_rng = np.random.default_rng(_replication_seed(seed, rep, 0))
@@ -205,10 +207,15 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
     policy is asymptotically optimal, but at small n - p - 1 it can trail the
     default.  A nonpositive denominator flags the cell undefined.
 
-    Each replication factors S once and tunes once: the risk grid already
-    evaluates the rule at every grid bandwidth, and the raw inverse and every
-    grid estimate keep S's eigenvectors, so one empirical_loss call scores
-    them all after a single rotation of the true inverse.  A singular sample
+    Replications are scored in chunks of up to BLOCK_TERMS // p^2 (at least
+    one), so the stacked p x p arrays of a chunk stay within the risk grid's
+    term budget.  Each replication draws from its own seed stream and forms
+    its own S; then one stacked eigh factors the chunk's matrices, one
+    select_bandwidth call tunes them all, and one empirical_loss call scores
+    them: the risk grid already evaluates the rule at every grid bandwidth,
+    and the raw inverse and every grid estimate keep S's eigenvectors, so
+    each S needs a single rotation of the true inverse.  Every number equals
+    what one replication at a time would give.  A singular sample
     covariance raises SingularityError, as the raw inverse is undefined.
     """
     policies = list(policies)
@@ -219,6 +226,8 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
         raise DomainError("need at least one aspect ratio, policy and replication")
     if not (np_product > 0 and all(np.isfinite(c) and c > 0 for c in aspect_ratios)):
         raise DomainError("np_product and aspect ratios must be positive and finite")
+    _require_seed(seed)
+    reps = int(reps)
     records = []
     for ci, c in enumerate(aspect_ratios):
         p = int(round(np.sqrt(c * np_product)))
@@ -235,20 +244,27 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
         grid = default_bandwidth_grid(n, p, grid_size)
         mid = int(grid_size) // 2
 
-        raw_losses = np.empty(int(reps))
-        grid_losses = np.empty((int(reps), grid.size))
-        sure_losses = np.empty(int(reps))
-        for rep in range(int(reps)):
-            rng = np.random.default_rng(_replication_seed(seed, ci, rep + 1))
-            z = rng.standard_normal((n, p)) @ chol.T
-            decomp = require_positive_definite(sample_covariance(z), "inverse")
+        raw_losses = np.empty(reps)
+        grid_losses = np.empty((reps, grid.size))
+        sure_losses = np.empty(reps)
+        chunk = max(1, BLOCK_TERMS // (p * p))
+        for first in range(0, reps, chunk):
+            part = slice(first, min(first + chunk, reps))
+            s = np.empty((part.stop - first, p, p))
+            for k in range(s.shape[0]):
+                rng = np.random.default_rng(_replication_seed(seed, ci, first + k + 1))
+                s[k] = sample_covariance(rng.standard_normal((n, p)) @ chol.T)
+            decomp = require_positive_definite(s, "inverse")
+            del s  # freed before the risk grid allocates its buffers
             chosen = select_bandwidth(decomp, n, grid)
-            # row 0 is the raw inverse, row 1 + i the estimate at grid[i]
-            inverse_values = 1.0 / np.vstack([decomp.eigenvalues, chosen.values])
+            # row 0 of each replication is the raw inverse, row 1 + i the
+            # estimate at grid[i]
+            inverse_values = 1.0 / np.concatenate(
+                [decomp.eigenvalues[:, None, :], chosen.values], axis=1)
             losses = empirical_loss(truth_inv, decomp, inverse_values, 1)
-            raw_losses[rep] = losses[0]
-            grid_losses[rep] = losses[1:]
-            sure_losses[rep] = grid_losses[rep, chosen.index]
+            raw_losses[part] = losses[:, 0]
+            grid_losses[part] = losses[:, 1:]
+            sure_losses[part] = losses[np.arange(losses.shape[0]), 1 + chosen.index]
 
         mean_raw = float(np.mean(raw_losses))
         mean_grid = np.mean(grid_losses, axis=0)

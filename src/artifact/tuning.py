@@ -30,13 +30,17 @@ COALESCENCE_RTOL = 1e-8
 # digits would otherwise pick the bandwidth.
 RISK_TIE_RTOL = 1e-12
 
-# Entries in each (B, p, p) buffer of one block of the risk grid: a block holds
-# B = BLOCK_TERMS // p^2 bandwidths, at least one.  Larger blocks spread the
-# Python overhead over more bandwidths until the buffers outgrow the cache.
-# Timed at block sizes 1-15 and p = 24-160 (15-point grids, one BLAS
+# Entries in each (Rc, B, p, p) buffer of one block of the risk grid: a block
+# holds up to Rc spectra at B bandwidths each, with B = BLOCK_TERMS // p^2
+# bandwidths (at least one, at most the grid) and then as many spectra as
+# still fit, at least one.  Larger blocks spread the Python overhead over
+# more bandwidths until the buffers outgrow the cache.  Timed on single
+# spectra at block sizes 1-15 and p = 24-160 (15-point grids, one BLAS
 # thread), the fastest block held the whole grid up to p = 37, 8 bandwidths
 # at p = 64, 3 at p = 100 and 2 at p = 128 and 160.  This value gives those
-# sizes up to p = 128; from p = 129 on a block holds one bandwidth.
+# sizes up to p = 128; from p = 129 on a block holds one bandwidth of one
+# spectrum.  prial_experiment stacks up to BLOCK_TERMS // p^2 replicates per
+# call, so the h-free (R, p, p) arrays of a stack stay within the same budget.
 BLOCK_TERMS = 2 ** 15
 
 
@@ -78,13 +82,15 @@ def zeta_derivative_trace(decomp, n, h):
 
 
 class _RiskGrid:
-    """The risk estimate of one spectrum, evaluated a block of bandwidths at a time.
+    """The risk estimates of a stack of spectra, a block of them at a time.
 
-    What does not depend on h is built once: the rule's checks, the kernel
-    differences 1/lam_k - 1/lam_j with their squares, and the coalescent
-    eigenvalue pairs of the derivative trace.  block(hs) forms everything
-    that does depend on h for up to `size` bandwidths at once, in two
-    preallocated (size, p, p) buffers, and table() runs the grid through it.
+    decomp holds one spectrum or an (R, p) stack of them; one spectrum is a
+    stack of one.  What does not depend on h is built once: the rule's
+    checks, the kernel terms of _kernel_differences, and the coalescent
+    eigenvalue pairs of each spectrum's derivative trace.  block(rows, hs)
+    forms everything that does depend on h for the spectra `rows` (a slice)
+    at the bandwidths hs, in two preallocated buffers of `shape` = (Rc, B)
+    blocks of p x p terms, and table() runs the stack and the grid through it.
     """
 
     def __init__(self, decomp, n, grid, diagonals):
@@ -95,36 +101,46 @@ class _RiskGrid:
             )
         self.rule = ShrinkageRule(decomp.eigenvalues, n, p, grid)
         self.grid = grid
+        self.single = decomp.eigenvalues.ndim == 1
+        lam = self.rule.kernel.reshape(-1, p)
         if diagonals is not None:
-            diagonals = np.asarray(diagonals, dtype=float).ravel()
-            if diagonals.size != p:
+            diagonals = np.asarray(diagonals, dtype=float)
+            if diagonals.size != lam.size:
                 raise DimensionError("need one precision diagonal per variable")
             if np.any(diagonals <= 0):
                 raise DomainError("precision diagonals must be positive")
-        self.diagonal_sum = None if diagonals is None else float(np.sum(diagonals))
-        lam = self.rule.kernel
+            diagonals = np.sum(diagonals.reshape(lam.shape), axis=-1)
+        self.diagonal_sum = diagonals
         self.lamstar = self.rule.n * lam
         if p > 1:
             # pairs spaced within round-off of each other take the limit of
             # the divided difference, the diagonal derivative at the
-            # (numerically) shared eigenvalue
-            coalescent = np.abs(lam[:, None] - lam[None, :]) <= COALESCENCE_RTOL * lam[-1]
-            np.fill_diagonal(coalescent, True)
-            self.coalescent = np.nonzero(coalescent)
-            np.fill_diagonal(coalescent, False)
+            # (numerically) shared eigenvalue; off the diagonal they are
+            # rare, kept as (spectrum, j, k) triples sorted by spectrum
+            coalescent = (np.abs(lam[:, :, None] - lam[:, None, :])
+                          <= COALESCENCE_RTOL * lam[:, -1, None, None])
+            self.diagonal = np.arange(p)
+            coalescent[:, self.diagonal, self.diagonal] = False
             self.off = np.nonzero(coalescent)
         self.inv = 1.0 / lam
-        self.u, self.u2 = _kernel_differences(self.inv, self.inv)
-        self.size = min(grid.size, max(1, BLOCK_TERMS // (p * p)))
-        self.work = (np.empty((self.size, p, p)), np.empty((self.size, p, p)))
+        self.iu, self.u2 = _kernel_differences(self.inv, self.inv)
+        bandwidths = min(grid.size, max(1, BLOCK_TERMS // (p * p)))
+        self.shape = (min(lam.shape[0], max(1, BLOCK_TERMS // (bandwidths * p * p))),
+                      bandwidths)
+        terms = self.shape[0] * bandwidths * p * p
+        self.work = (np.empty(terms), np.empty(terms))
 
-    def block(self, hs):
-        """Shrunk spectra (B, p) and the quadratic, inverse-sum, derivative-trace
-        and clamp-count columns at the B bandwidths hs, B at most `size`."""
-        rule, inv, lamstar = self.rule, self.inv, self.lamstar
+    def block(self, rows, hs):
+        """Shrunk spectra (Rc, B, p) and the (Rc, B) quadratic, inverse-sum,
+        derivative-trace and clamp-count columns of the spectra `rows` at the
+        bandwidths hs, Rc and B at most `shape`."""
+        rule, inv, spectra = self.rule, self.inv[rows], self.lamstar[rows]
         n, p = rule.n, rule.p
-        den, terms = (w[:hs.size] for w in self.work)
-        g, dg = _stein_sums(inv, self.u, self.u2, hs, p, derivative=True, out=(den, terms))
+        shape = (inv.shape[0], hs.size, p, p)
+        den, terms = (w[:shape[0] * hs.size * p * p].reshape(shape) for w in self.work)
+        g, dg = _stein_sums(inv, self.iu[rows], self.u2[rows], hs, p, derivative=True,
+                            out=(den, terms))
+        inv, lamstar = inv[:, None, :], spectra[:, None, :]
         delta, clamped = rule._apply(inv, g)
         quadratic = np.sum(lamstar / delta ** 2, axis=-1)
         inverse_sum = np.sum(1.0 / delta, axis=-1)
@@ -145,40 +161,60 @@ class _RiskGrid:
             # cross-kernel terms cancel; the off-diagonal part is the half-sum
             # of the divided differences of zeta = lamstar / delta
             zeta = lamstar / delta
-            # den is free once g and g' are formed: it takes the lamstar
-            # differences, so no third p x p array is allocated
-            dl = den[0]
-            np.subtract.outer(lamstar, lamstar, out=dl)
-            ci, cj = self.coalescent
-            dl[ci, cj] = 1.0
-            np.subtract(zeta[:, :, None], zeta[:, None, :], out=terms)
-            terms /= dl
-            terms[:, ci, cj] = 0.0
-            i, j = self.off
-            terms[:, i, j] = 0.5 * (diag[:, i] + diag[:, j])
-            trace += 0.5 * terms.sum(axis=(1, 2))
+            # den is free once g and g' are formed: its first bandwidth takes
+            # the lamstar differences, so no third p x p array is allocated
+            dl = den[:, 0]
+            np.subtract(spectra[:, :, None], lamstar, out=dl)
+            d = self.diagonal
+            r, i, j = self._off_pairs(rows)
+            dl[:, d, d] = 1.0
+            dl[r, i, j] = 1.0
+            np.subtract(zeta[..., :, None], zeta[..., None, :], out=terms)
+            terms /= dl[:, None]
+            terms[..., d, d] = 0.0
+            terms[r, :, i, j] = 0.5 * (diag[r, :, i] + diag[r, :, j])
+            trace += 0.5 * terms.sum(axis=(-2, -1))
         return delta, quadratic, inverse_sum, trace, np.sum(clamped, axis=-1)
 
-    def table(self):
-        """The BandwidthSelection of the grid, index 0 (no selection made)."""
-        grid, p = self.grid, self.rule.p
-        values = np.full((grid.size, p), np.nan)
-        columns = np.full((4, grid.size), np.nan)
-        for start in range(0, grid.size, self.size):
-            part = slice(start, start + self.size)
-            self._fill(grid[part], [values[part], *columns[:, part]])
-        return BandwidthSelection(grid, self.rule.n, p, values, *columns, self.diagonal_sum)
+    def _off_pairs(self, rows):
+        """The off-diagonal coalescent (spectrum, j, k) triples of the spectra
+        `rows`, spectrum counted from rows.start."""
+        r, j, k = self.off
+        lo, hi = np.searchsorted(r, (rows.start, rows.stop))
+        return r[lo:hi] - rows.start, j[lo:hi], k[lo:hi]
 
-    def _fill(self, hs, out):
-        """Write block(hs) into the columns out; a bandwidth whose evaluation
-        raised keeps NaN in every column."""
+    def table(self):
+        """The BandwidthSelection of the grid, index 0 (no selection made),
+        with a leading axis of spectra unless decomp held a single one."""
+        grid, p, count = self.grid, self.rule.p, self.inv.shape[0]
+        values = np.full((count, grid.size, p), np.nan)
+        columns = np.full((4, count, grid.size), np.nan)
+        spectra, bandwidths = self.shape
+        for first in range(0, count, spectra):
+            rows = slice(first, min(first + spectra, count))
+            for start in range(0, grid.size, bandwidths):
+                part = slice(start, start + bandwidths)
+                self._fill(rows, grid[part], [values[rows, part], *columns[:, rows, part]])
+        diagonal_sum = self.diagonal_sum
+        if self.single:
+            values, columns = values[0], columns[:, 0]
+            diagonal_sum = None if diagonal_sum is None else float(diagonal_sum[0])
+        return BandwidthSelection(grid, self.rule.n, p, values, *columns, diagonal_sum)
+
+    def _fill(self, rows, hs, out):
+        """Write block(rows, hs) into the columns out; when a block raises,
+        each spectrum and then each bandwidth stands or fails alone, and a
+        failed one keeps NaN in every column."""
         try:
-            parts = self.block(hs)
+            parts = self.block(rows, hs)
         except (SingularityError, FloatingPointError):
-            if hs.size > 1:
-                # the block failed as a whole: each bandwidth stands or fails alone
+            if rows.stop - rows.start > 1:
+                for r in range(rows.stop - rows.start):
+                    self._fill(slice(rows.start + r, rows.start + r + 1), hs,
+                               [column[r:r + 1] for column in out])
+            elif hs.size > 1:
                 for b in range(hs.size):
-                    self._fill(hs[b:b + 1], [column[b:b + 1] for column in out])
+                    self._fill(rows, hs[b:b + 1], [column[:, b:b + 1] for column in out])
             return
         for column, part in zip(out, parts):
             column[...] = part
@@ -228,6 +264,10 @@ class BandwidthSelection:
     grid point need not evaluate the rule again; clamp_counts counts their
     clamped eigenvalues.  A bandwidth whose evaluation raised has NaN in
     every column.  index points at the chosen bandwidth h.
+
+    The table of a stack of R spectra puts a leading axis of length R on
+    every array but grid: each row is the table of that spectrum alone, and
+    diagonal_sum, index and h have one entry per spectrum.
     """
 
     def __init__(self, grid, n, p, values, quadratic, inverse_sum, derivative_trace,
@@ -244,32 +284,40 @@ class BandwidthSelection:
             - 2.0 * (n - p - 1) * inverse_sum / n
             - 4.0 * derivative_trace / n
         )
+        anchor = 0.0
         if diagonal_sum is not None:
-            self.risks += diagonal_sum
+            # one constant per spectrum, along the grid
+            anchor = np.asarray(diagonal_sum)[..., None]
+            self.risks += anchor
         self.magnitudes = (
             np.abs(quadratic) + 2.0 * (n - p - 1) * np.abs(inverse_sum)
             + 4.0 * np.abs(derivative_trace)
-        ) / n + abs(diagonal_sum or 0.0)
+        ) / n + np.abs(anchor)
         self.index = 0
 
     @property
     def h(self):
-        return float(self.grid[self.index])
+        h = self.grid[self.index]
+        return float(h) if np.ndim(h) == 0 else h
 
 
 def select_bandwidth(s, n, grid=None, diagonals=None):
-    """Minimize the risk estimate over a bandwidth grid.
+    """Minimize the risk estimate over a bandwidth grid, for one spectrum or a stack.
 
-    The grid is evaluated in blocks of bandwidths (BLOCK_TERMS sets the
-    block size from p): the h-free parts of the risk are built once per
-    grid, and each block forms the rest for all of its bandwidths at once.
-    A bandwidth whose evaluation raises SingularityError or
-    FloatingPointError gets a NaN row in the table and a NaN risk; the other
-    bandwidths stand.  Risks within round-off of the minimum (RISK_TIE_RTOL
-    times its magnitude) are ties, and ties prefer the larger h (smoother
-    estimate).  Grid entries whose risk is non-finite are skipped; if none
-    survive, a TuningError is raised.  The diagonal anchor term is constant
-    in h, so diagonals may be omitted.
+    s is a p-by-p second-moment matrix, an (R, p, p) stack of them, or the
+    decomposition of either; the table of a stack has one row per spectrum,
+    each equal to the table of that spectrum alone (diagonals then holds one
+    row of p per spectrum).  The stack and the grid are evaluated in blocks
+    of spectra and bandwidths (BLOCK_TERMS sets the block shape from p): the
+    h-free parts of the risk are built once per call, and each block forms
+    the rest for all of its spectra and bandwidths at once.  A bandwidth
+    whose evaluation raises SingularityError or FloatingPointError gets a
+    NaN row in its spectrum's table and a NaN risk; the other bandwidths and
+    spectra stand.  Per spectrum, risks within round-off of the minimum
+    (RISK_TIE_RTOL times its magnitude) are ties, and ties prefer the larger
+    h (smoother estimate).  Grid entries whose risk is non-finite are
+    skipped; if none survive for some spectrum, a TuningError is raised.  The
+    diagonal anchor term is constant in h, so diagonals may be omitted.
     """
     decomp = s if isinstance(s, SpectralDecomposition) else eigh(s)
     p = decomp.dim
@@ -289,11 +337,19 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
             "no bandwidth in the grid produced a risk estimate: %s" % exc
         ) from exc
     table = risk_grid.table()
-    risks = table.risks
+    risks = table.risks.reshape(-1, grid.size)
     finite = np.isfinite(risks)
-    if not np.any(finite):
-        raise TuningError("no bandwidth in the grid produced a finite risk estimate")
-    lowest = int(np.nanargmin(np.where(finite, risks, np.nan)))
-    bound = risks[lowest] + RISK_TIE_RTOL * table.magnitudes[lowest]
-    table.index = int(np.nonzero(finite & (risks <= bound))[0][-1])
+    dead = ~finite.any(axis=1)
+    if dead.any():
+        raise TuningError("no bandwidth in the grid produced a finite risk estimate%s"
+                          % ("" if risk_grid.single
+                             else " for spectrum %d of the stack" % dead.argmax()))
+    rows = np.arange(risks.shape[0])
+    lowest = np.where(finite, risks, np.inf).argmin(axis=1)
+    bound = (risks[rows, lowest]
+             + RISK_TIE_RTOL * table.magnitudes.reshape(risks.shape)[rows, lowest])
+    # the last tied grid point is the largest h
+    tied = finite & (risks <= bound[:, None])
+    index = grid.size - 1 - tied[:, ::-1].argmax(axis=1)
+    table.index = int(index[0]) if risk_grid.single else index
     return table

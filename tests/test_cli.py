@@ -195,6 +195,22 @@ def test_fit_bad_local_token_reports_parse_error_before_seed(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("methods, message", [
+    ("ols,ridge", "unknown method 'ridge'"),
+    ("global,local-0", "component count must be positive in 'local-0'"),
+])
+def test_simulate_bad_method_exits_3_without_output(tmp_path, capsys, methods, message):
+    # run_experiment parses the method list before it draws any data
+    out = tmp_path / "out"
+    code = main(["simulate", "--design", "mix", "--n", "12", "--p", "3", "--reps", "2",
+                 "--seed", "0", "--methods", methods, "--output-dir", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: precondition: ") and message in captured.err
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
 def test_tune_emits_risk_curve_and_manifest(tmp_path):
     data = str(tmp_path / "z.csv")
     write_matrix(data, np.random.default_rng(5).standard_normal((100, 20)),

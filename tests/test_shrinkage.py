@@ -187,6 +187,23 @@ def test_rule_construction_validation():
         ShrinkageRule([0.0, 1.0], 10, 2, 0.5)
 
 
+def test_rule_checks_each_spectrum_of_a_stack():
+    stack = ShrinkageRule([[3.0, 1.0, 2.0], [1.0, 1.0, 4.0]], 10, 3, [0.5, 1.0])
+    assert stack.regime == "under"
+    assert np.array_equal(stack.kernel, [[1.0, 2.0, 3.0], [1.0, 1.0, 4.0]])
+    with pytest.raises(SingularityError, match=r"eigenvalue 0 .*spectrum 1 of the stack"):
+        ShrinkageRule([[1.0, 2.0], [0.0, 1.0]], 10, 2, 0.5)
+    with pytest.raises(SingularityError):
+        ShrinkageRule([[1.0, 2.0], [0.0, 0.0]], 10, 2, 0.5)
+    with pytest.raises(InputError):
+        ShrinkageRule([[1.0, 2.0], [-1.0, 2.0]], 10, 2, 0.5)
+    with pytest.raises(DimensionError):
+        ShrinkageRule([[1.0, 2.0], [1.0, 2.0]], 10, 3, 0.5)
+    # the over regime drops each spectrum's own zeros, so it takes one spectrum
+    with pytest.raises(RegimeError):
+        ShrinkageRule([[0.0, 1.0, 3.0], [0.0, 2.0, 3.0]], 2, 3, 0.4)
+
+
 def test_rule_bandwidth_axis_matches_scalar_rules():
     hs = np.array([0.01, 0.3, 2.0])
     x = np.array([0.5, 1.0, 2.5])
@@ -426,6 +443,29 @@ def test_loss_factored_form_matches_dense_oracle(degree, n, p):
         assert isinstance(single, float)
         assert abs(single - want) <= 1e-12 * abs(want)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_loss_of_a_stack_matches_each_matrix_bit_for_bit():
+    # the stacked rotation and products must give each matrix's own loss,
+    # not one equal to round-off
+    rng = np.random.default_rng(21)
+    n, p, count = 30, 7, 4
+    loadings = rng.standard_normal((p, 2))
+    truth_inv = np.linalg.inv(loadings @ loadings.T + np.eye(p))
+    stack = np.stack([sample_covariance(rng.standard_normal((n, p))) for _ in range(count)])
+    decomp = eigh(stack)
+    values = rng.uniform(0.5, 2.0, (count, 3, p))
+    for degree in (0, 1, 2):
+        batch = empirical_loss(truth_inv, decomp, values, degree)
+        assert batch.shape == (count, 3)
+        for k, s in enumerate(stack):
+            assert np.array_equal(batch[k], empirical_loss(truth_inv, eigh(s), values[k], degree))
+    with pytest.raises(DimensionError):
+        empirical_loss(truth_inv, decomp, values[0])
+    with pytest.raises(DimensionError):
+        empirical_loss(truth_inv, decomp, values[:2])
+    with pytest.raises(DimensionError):
+        empirical_loss(np.stack([truth_inv] * count), decomp, values)
 
 
 def test_loss_validation():

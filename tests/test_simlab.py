@@ -4,6 +4,8 @@ Metric oracles are plain loops; generator checks reproduce the seeded draw
 stream line by line or assert coarse distributional facts with frozen seeds.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from artifact import (
     estimate_with_method,
     factor_covariance,
     global_shrink,
+    local_shrink,
     matrix_error,
     parse_method,
     prial_experiment,
@@ -26,6 +29,8 @@ from artifact import (
     shrink_covariance,
     simulate_sources,
 )
+from artifact.shrinkage import empirical_loss
+from artifact.spectral import require_positive_definite, spectral_inverse
 
 from loss_scenarios import loss_convergence, true_covariance
 
@@ -349,6 +354,98 @@ def test_prial_experiment_matches_dense_oracle():
         for got, expect in ((r["mean_loss"], want[r["policy"]]),
                             (r["raw_mean_loss"], want["raw_mean_loss"])):
             assert abs(got - expect) <= 1e-12 * expect
+
+
+def prial_replicate_oracle(np_product, aspect_ratios=(0.3, 0.5, 0.7), reps=100, seed=0,
+                           policies=("default", "sure", "oracle"), n_factors=5,
+                           grid_size=15):
+    """prial_experiment one replication at a time: each S is factored, tuned
+    and scored by calls of its own."""
+    records = []
+    for ci, c in enumerate(aspect_ratios):
+        p = int(round(np.sqrt(c * np_product)))
+        n = int(round(p / c))
+        cell_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci, 0)))
+        cov = factor_covariance(p, n_factors, cell_rng)
+        truth_inv = spectral_inverse(cov)
+        chol = np.linalg.cholesky(cov)
+        grid = default_bandwidth_grid(n, p, grid_size)
+        raw_losses = np.empty(reps)
+        grid_losses = np.empty((reps, grid.size))
+        sure_losses = np.empty(reps)
+        for rep in range(reps):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci, rep + 1)))
+            z = rng.standard_normal((n, p)) @ chol.T
+            decomp = require_positive_definite(sample_covariance(z), "inverse")
+            chosen = select_bandwidth(decomp, n, grid)
+            inverse_values = 1.0 / np.vstack([decomp.eigenvalues, chosen.values])
+            losses = empirical_loss(truth_inv, decomp, inverse_values, 1)
+            raw_losses[rep] = losses[0]
+            grid_losses[rep] = losses[1:]
+            sure_losses[rep] = grid_losses[rep, chosen.index]
+        mean_raw = float(np.mean(raw_losses))
+        mean_grid = np.mean(grid_losses, axis=0)
+        oracle_idx = int(np.argmin(mean_grid))
+        denominator = mean_raw - float(mean_grid[oracle_idx])
+        policy_means = {
+            "default": float(mean_grid[int(grid_size) // 2]),
+            "sure": float(np.mean(sure_losses)),
+            "oracle": float(mean_grid[oracle_idx]),
+        }
+        for pol in policies:
+            undefined = denominator <= 0
+            prial = np.nan if undefined else (
+                100.0 * (mean_raw - policy_means[pol]) / denominator)
+            records.append({
+                "aspect": float(c), "n": n, "p": p, "policy": pol, "prial": float(prial),
+                "mean_loss": policy_means[pol], "raw_mean_loss": mean_raw,
+                "oracle_h": float(grid[oracle_idx]), "undefined": bool(undefined),
+            })
+    return records
+
+
+@pytest.mark.parametrize("kwargs", [
+    # chunks of 56, 32 and 23 replications at p = 24, 32 and 37, each cell
+    # with a short last chunk
+    dict(np_product=2000, reps=60, seed=0),
+    dict(np_product=2000, aspect_ratios=(0.8,), reps=30, seed=1, grid_size=9),
+    # p = 1 and p = 2
+    dict(np_product=12, aspect_ratios=(0.1, 0.5), reps=9, seed=4),
+    # p = 447: one replication per chunk
+    dict(np_product=400000, aspect_ratios=(0.5,), reps=2, seed=1),
+], ids=["desk", "aspect-0.8", "tiny-p", "large-p"])
+def test_prial_experiment_matches_the_replicate_loop(kwargs):
+    # repr prints every float to round-trip precision, so this is bit-identity
+    assert repr(prial_experiment(**kwargs)) == repr(prial_replicate_oracle(**kwargs))
+
+
+def test_large_p_prial_cell_memory_stays_within_the_replicate_loop_peak():
+    # The benchmark's prial-large-p cell: at p = 447 a chunk holds one
+    # replication.  The bound is the peak of the one-at-a-time loop that
+    # chunking replaced, measured with tracemalloc on numpy 2.4.6 (2 vCPUs,
+    # OpenBLAS): 16.3 MB, 10.2 arrays of p x p doubles.  The chunked cell
+    # peaked at 14.5 MB (9.1 arrays) on the same machine.
+    p = 447
+    prial_experiment(np_product=200, aspect_ratios=(0.5,), reps=2)  # first-call caches
+    tracemalloc.start()
+    try:
+        prial_experiment(np_product=400000, aspect_ratios=(0.5,), reps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.2 * p * p * 8
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prial_experiment(np_product=200, aspect_ratios=(0.5,), reps=2, seed=-1),
+    lambda: run_experiment("low-rank", 6, 3, reps=1, seed=-1),
+    lambda: simulate_sources("low-rank", 6, 3, rng=-1),
+    lambda: local_shrink(simulate_sources("low-rank", 12, 3, rng=0)[0], 2, sweeps=3,
+                         burn_in=1, seed=-1),
+], ids=["prial_experiment", "run_experiment", "simulate_sources", "local_shrink"])
+def test_negative_seed_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer, got -1"):
+        call()
 
 
 def test_prial_experiment_validation():

@@ -7,6 +7,7 @@ from artifact.errors import DimensionError, InputError, SingularityError
 from artifact.spectral import (
     SpectralDecomposition,
     eigh,
+    require_positive_definite,
     sample_covariance,
     spectral_apply,
     spectral_inverse,
@@ -147,6 +148,45 @@ def test_eigh_twice_stable_eigenvalues():
 def test_eigh_rejects_non_finite():
     with pytest.raises(InputError):
         eigh([[np.inf, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("mats", [
+    # LAPACK returns (-r, r) and (r, r) with |-r| == |r| exactly for the first
+    # two, so both columns tie and the first of each is flipped
+    np.stack([[[2.0, 1.0], [1.0, 2.0]], [[2.0, -1.0], [-1.0, 2.0]], spd(2, 6),
+              np.diag([3.0, 1.0])]),
+    np.stack([spd(5, 7), np.diag([3.0, 1.0, 2.0, 5.0, 4.0]),
+              sample_covariance(np.random.default_rng(8).standard_normal((9, 5)))]),
+], ids=["tied", "generic"])
+def test_eigh_of_a_stack_matches_each_matrix_bit_for_bit(mats):
+    stacked = eigh(mats)
+    count, dim = mats.shape[:2]
+    assert stacked.eigenvalues.shape == (count, dim)
+    assert stacked.eigenvectors.shape == (count, dim, dim) and stacked.dim == dim
+    for k, matrix in enumerate(mats):
+        single = eigh(matrix)
+        assert np.array_equal(stacked.eigenvalues[k], single.eigenvalues)
+        assert np.array_equal(stacked.eigenvectors[k], single.eigenvectors)
+        assert stacked.zero_tolerance[k] == single.zero_tolerance
+    if dim == 2:
+        for vec in stacked.eigenvectors[:2]:
+            magnitude = np.abs(vec)
+            assert np.all(magnitude[0] == magnitude[1])
+            assert np.all(vec[0] > 0)
+
+
+def test_require_positive_definite_names_the_first_singular_matrix_of_a_stack():
+    v = np.array([[1.0], [1.0]])
+    mats = np.stack([np.eye(2), v @ v.T, np.diag([0.0, 1.0])])
+    with pytest.raises(SingularityError,
+                       match=r"eigenvalue 0 is .* \(matrix 1 of the stack\)"):
+        require_positive_definite(mats, "inverse")
+    assert require_positive_definite(mats[:1], "inverse").eigenvalues.shape == (1, 2)
+    with pytest.raises(SingularityError) as single:
+        require_positive_definite(v @ v.T, "inverse")
+    assert str(single.value).startswith("inverse requires a positive definite matrix; "
+                                        "eigenvalue 0 is ")
+    assert "stack" not in str(single.value)
 
 
 def test_rank_counts_eigenvalues_above_tolerance():

@@ -360,17 +360,19 @@ def test_select_grid_order_invariance():
 
 
 # The risk grid is evaluated in blocks; these fakes replace one block's
-# evaluation, so selection is tested on chosen risks.
+# evaluation, so selection is tested on chosen risks.  Each test selects for
+# one spectrum, so a block has one row of spectra.
 
 def fake_columns(rule, risks):
     # with the other terms zero, the risk is quadratic / n and its magnitude
     # the risk's absolute value
-    zeros = np.zeros(len(risks))
-    return np.ones((len(risks), rule.p)), rule.n * np.asarray(risks), zeros, zeros, zeros
+    zeros = np.zeros((1, len(risks)))
+    return (np.ones((1, len(risks), rule.p)), rule.n * np.asarray(risks)[None],
+            zeros, zeros, zeros)
 
 
 def fake_risks(values):
-    def block(self, hs):
+    def block(self, rows, hs):
         return fake_columns(self.rule, [values[float(h)] for h in hs])
     return block
 
@@ -399,7 +401,7 @@ def test_select_skips_non_finite_risks(monkeypatch):
     )
     assert select_bandwidth(s, 30, [1.0, 2.0]).h == 2.0
 
-    def singular_at_one(self, hs):
+    def singular_at_one(self, rows, hs):
         # both bandwidths share one block, which fails as a whole
         if 1.0 in hs:
             raise SingularityError("no rule at h = 1")
@@ -545,6 +547,91 @@ def test_grid_memory_stays_a_few_p_by_p_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * p * p * 8
+
+
+TABLE_COLUMNS = ("values", "quadratic", "inverse_sum", "derivative_trace",
+                 "clamp_counts", "risks", "magnitudes")
+
+
+def assert_stack_matches_each_spectrum(stack, n, grid, diagonals=None):
+    """select_bandwidth of a stack against one call per spectrum, bit for bit."""
+    batch = select_bandwidth(stack, n, grid, diagonals)
+    for k, s in enumerate(stack):
+        single = select_bandwidth(s, n, grid, None if diagonals is None else diagonals[k])
+        for name in TABLE_COLUMNS:
+            assert np.array_equal(getattr(batch, name)[k], getattr(single, name),
+                                  equal_nan=True), (k, name)
+        assert batch.index[k] == single.index and batch.h[k] == single.h
+        assert (batch.diagonal_sum is None) == (single.diagonal_sum is None)
+        if single.diagonal_sum is not None:
+            assert batch.diagonal_sum[k] == single.diagonal_sum
+    return batch
+
+
+def test_select_on_a_stack_matches_each_spectrum(monkeypatch):
+    # one batch holds a coalescent pair, a pair within round-off, a clamped
+    # spectrum, a tie within RISK_TIE_RTOL and a spectrum whose block raises
+    n = 15
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((4, 4)))
+    marked = np.diag([0.5, 1.5, 2.5, 7.0])
+    stack = np.stack([
+        np.diag([1.0, 1.0, 2.0, 3.0]),
+        np.diag([1.0, 1.0 + 1e-12, 2.0, 3.0]),
+        q @ np.diag([0.95, 1.0, 1.0, 1.0]) @ q.T,
+        sample_covariance(np.random.default_rng(18).standard_normal((n, 4))),
+        marked,
+    ])
+    base = np.append(default_bandwidth_grid(n, 4), 0.001)
+    # the tie: a grid point one ulp below the tie spectrum's minimum, where
+    # the risk comes out lower by round-off
+    best = select_bandwidth(stack[3], n, base).h
+    grid = np.unique(np.append(base, np.nextafter(best, 0.0)))
+    failing = grid[3]
+    real_block = tuning._RiskGrid.block
+
+    def block(self, rows, hs):
+        # the marked spectrum fails at one bandwidth, wherever it is evaluated
+        if np.any(self.lamstar[rows, -1] == 7.0 * n) and failing in hs:
+            raise SingularityError("no rule at the marked bandwidth")
+        return real_block(self, rows, hs)
+
+    monkeypatch.setattr(tuning._RiskGrid, "block", block)
+    assert block_size(4) >= grid.size * len(stack)  # the whole batch is one block
+    batch = assert_stack_matches_each_spectrum(stack, n, grid)
+    assert batch.clamp_counts[2, grid == 0.001] >= 1
+    tied = batch.risks[3]
+    low = int(np.nanargmin(tied))
+    assert batch.index[3] == low + 1 and grid[low + 1] == best
+    assert abs(tied[low + 1] - tied[low]) <= tuning.RISK_TIE_RTOL * batch.magnitudes[3, low]
+    # the fallback kept every bandwidth but the failed one
+    assert np.all(np.isnan(batch.values[4, grid == failing]))
+    assert np.sum(np.isnan(batch.risks[4])) == 1
+    assert np.all(np.isfinite(batch.risks[:4]))
+
+
+@pytest.mark.parametrize("n, p, count", [(60, 30, 5), (128, 64, 3)])
+def test_select_on_a_stack_over_several_blocks(n, p, count):
+    # p = 30 holds two spectra at the whole grid per block and leaves a short
+    # last block of spectra; p = 64 holds one spectrum at 8 bandwidths
+    rng = np.random.default_rng(19)
+    z = rng.standard_normal((count, n, p))
+    # one spectrum past the first block has eigenvalues repeated up to
+    # round-off, so its coalescent pairs sit at an offset within a block
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    z[-2] = np.sqrt(n) * q[:, :p] * np.repeat([1.0, 2.0], [p // 2, p - p // 2])
+    stack = np.stack([sample_covariance(x) for x in z])
+    grid = default_bandwidth_grid(n, p)
+    assert np.any(tuning._RiskGrid(eigh(stack), n, grid, None).off[0] == count - 2)
+    diagonals = np.stack([precision_diagonals(x) for x in z])
+    assert_stack_matches_each_spectrum(stack, n, grid, diagonals)
+
+
+def test_select_on_a_stack_rejects_mismatched_diagonals_and_spectra():
+    stack = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 3.0])])
+    with pytest.raises(DimensionError):
+        select_bandwidth(stack, 30, [0.5], np.ones(2))
+    with pytest.raises(TuningError, match="spectrum 1 of the stack"):
+        select_bandwidth(np.stack([np.eye(2), np.diag([0.0, 1.0])]), 30, [0.5])
 
 
 def test_select_validation():
