@@ -34,19 +34,16 @@ class SourceBundle:
     rejected as collinear when cond(X'X) = (s_max / s_min)^2 reaches
     MAX_DESIGN_CONDITION.  Every array attribute is read-only:
       * `coefficients` (sources by predictors): per-source least squares
-        beta_hat = V diag(1/s) U' y, so the error grows with cond(X) and not
+        B = (V diag(1/s) U'Y)', so the error grows with cond(X) and not
         with cond(X)^2 as through the normal equations;
       * `sigma2`: the noise variance pooled across sources (mean of
         per-source residual variances with denominator N - p), floored at
         NOISE_FLOOR;
-      * `q_half`, `q_half_inv`: Q^1/2 and Q^-1/2 of the coefficient noise
-        covariance Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V', the columns
-        of V scaled by sqrt(sigma2) / s and s / sqrt(sigma2).  Q itself is
-        never formed.  Both are symmetrized, because `standardized` uses
-        b Q^-1/2 for the whitening Q^-1/2 b of each row, and the mixture
-        sampler magnifies round-off in the whitened rows by the condition
-        of its component precisions;
-      * `standardized`: the whitened rows, coefficients @ q_half_inv;
+      * `q_half`: Q^1/2 of the coefficient noise covariance
+        Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V', the columns of V
+        scaled by sqrt(sigma2) / s, symmetrized so that the row form
+        b* Q^1/2 is exactly Q^1/2 b*.  Neither Q nor Q^-1/2 is formed;
+      * `standardized`: the whitened rows B Q^-1/2 = (U'Y)' V' / sqrt(sigma2);
       * `design` and `responses`.
     """
 
@@ -71,24 +68,23 @@ class SourceBundle:
         # (s_max / s_min)^2 >= MAX without dividing, so s_min = 0 is caught too
         if s[-1] * np.sqrt(MAX_DESIGN_CONDITION) <= s[0]:
             raise SingularityError("design is numerically collinear")
-        coef = (vt.T / s) @ (u.T @ y)  # p by n
+        uty = u.T @ y  # p by n
+        coef = (vt.T / s) @ uty
         # residuals squared in place: one N by n temporary, not three
         squares = x @ coef
         np.subtract(y, squares, out=squares)
         squares *= squares
         sigma2 = float(np.mean(np.sum(squares, axis=0) / (samples - predictors)))
         self.sigma2 = max(sigma2, NOISE_FLOOR)
-        v = vt.T
-        root = np.sqrt(self.sigma2) / s
+        sigma = np.sqrt(self.sigma2)
         self.design = _read_only(x)
         self.responses = _read_only(y)
         self.n_samples = samples
         self.n_predictors = predictors
         self.n_sources = sources
         self.coefficients = _read_only(coef.T)
-        self.q_half = _read_only(symmetrize((v * root) @ v.T))
-        self.q_half_inv = _read_only(symmetrize((v / root) @ v.T))
-        self.standardized = _read_only(self.coefficients @ self.q_half_inv)
+        self.q_half = _read_only(symmetrize((vt.T * (sigma / s)) @ vt))
+        self.standardized = _read_only(uty.T @ (vt / sigma))
 
 
 def _read_only(a):
@@ -139,6 +135,9 @@ def _resolve_bandwidth(decomp, n, p, h):
 def global_shrink(bundle, h="default"):
     """Shrink all coefficient rows with one pooled covariance of the spread.
 
+    The whitened rows B* are shrunk and un-whitened once,
+    B* E diag(1 - 1/delta) E' Q^1/2 (E, delta the eigenvectors and shrunk
+    eigenvalues of B*'B*/n), so round-off stays at the scale of the estimate.
     h may be a positive number, "default" (closed-form bandwidth), or "auto"
     (risk-minimizing bandwidth when the source count allows it, else the
     default with a fallback note in the diagnostics).
@@ -153,8 +152,8 @@ def global_shrink(bundle, h="default"):
     hv, policy, fell_back, shrunk = _resolve_bandwidth(decomp, n, p, h)
     if shrunk is None:
         shrunk = shrink_covariance(decomp, n, hv)
-    rotate = bundle.q_half @ shrunk.inverse() @ bundle.q_half_inv
-    coef = bundle.coefficients @ (np.eye(p) - rotate).T
+    e = shrunk.decomposition.eigenvectors
+    coef = bstar @ ((e * (1.0 - 1.0 / shrunk.values)) @ e.T @ bundle.q_half)
     if not np.all(np.isfinite(coef)):
         raise NumericalError("shrunk coefficients are non-finite")
     diagnostics = {
@@ -232,10 +231,13 @@ def _mixture_sweeps(coefficients, standardized, q_half, labels, gumbels, burn_in
 
     The posterior-mean row is b - sum_k w_k t_k Q^1/2 with t_k = b* P_k
     from _log_posteriors (P_k the component precision), so each sweep makes
-    one product and Q^1/2 is applied once at the end.  The log posteriors
-    and weights are (components, rows).  Working memory is
-    O(rows * components * p) whatever the sweep count: one (rows,
-    components * p) product buffer, allocated once and reused by every sweep.
+    one product and Q^1/2 is applied once at the end.  The average is taken
+    from b, as in the dense sampler oracle: the paper's (b* - E[b* P]) Q^1/2
+    is as accurate but leaves that oracle's 1e-12 bound on ill-conditioned
+    components.  The log posteriors and weights are (components, rows).
+    Working memory is O(rows * components * p) whatever the sweep count: one
+    (rows, components * p) product buffer, allocated once and reused by
+    every sweep.
     """
     n, p = standardized.shape
     labels = np.asarray(labels, dtype=int).copy()

@@ -242,10 +242,6 @@ class ShrunkCovariance:
         if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
             raise SingularityError("shrunk eigenvalues must be positive and finite")
 
-    def inverse(self):
-        u = self.decomposition.eigenvectors
-        return (u * (1.0 / self.values)) @ u.T
-
 
 def _shrink_spectrum(decomp, n, p, h):
     """Shared kernel: build the rule and push the whole spectrum through it."""

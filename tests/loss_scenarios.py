@@ -1,4 +1,5 @@
-"""Loss-convergence scenarios for the simulation tests and criterion 5.
+"""Loss-convergence scenarios for the simulation tests and criterion 5, and
+the dense inverse of a shrunk covariance that the tests use as an oracle.
 
 Only tests call them, so they are not part of the package API.
 """
@@ -9,6 +10,12 @@ from artifact.errors import DomainError
 from artifact.shrinkage import empirical_loss, shrink_covariance
 from artifact.simlab import _replication_seed
 from artifact.spectral import sample_covariance, spectral_inverse
+
+
+def dense_inverse(shrunk):
+    """The inverse of a shrunk covariance as a matrix: U diag(1 / values) U'."""
+    u = shrunk.decomposition.eigenvectors
+    return (u * (1.0 / shrunk.values)) @ u.T
 
 
 def true_covariance(model, p, rho=0.5, spike=0.5):

@@ -20,6 +20,8 @@ from artifact.shrinkage import (
 )
 from artifact.spectral import eigh, sample_covariance
 
+from loss_scenarios import dense_inverse
+
 
 # Independent straight-line oracles: plain loops over the displayed formulas,
 # no shared code with the implementation.
@@ -334,7 +336,7 @@ def test_shrink_over_regime_fills_null_space():
     assert rule.p - rule.kernel.size == zero_count == 9 - 4
     null_values = est.values[:zero_count]
     assert np.allclose(null_values, rule.zero_rule_value)
-    inv = est.inverse()
+    inv = dense_inverse(est)
     assert np.all(np.isfinite(inv))
     assert np.max(np.abs(dense(est) @ inv - np.eye(9))) <= 1e-8
 

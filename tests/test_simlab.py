@@ -32,7 +32,7 @@ from artifact import (
 from artifact.shrinkage import empirical_loss
 from artifact.spectral import require_positive_definite, spectral_inverse
 
-from loss_scenarios import loss_convergence, true_covariance
+from loss_scenarios import dense_inverse, loss_convergence, true_covariance
 
 
 def matrix_error_oracle(coefficients, truth):
@@ -332,7 +332,7 @@ def prial_dense_oracle(np_product, aspect, reps, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, rep + 1)))
         s = sample_covariance(rng.standard_normal((n, p)) @ chol.T)
         raw.append(loss(np.linalg.inv(s), s))
-        row = [loss(shrink_covariance(s, n, h).inverse(), s) for h in grid]
+        row = [loss(dense_inverse(shrink_covariance(s, n, h)), s) for h in grid]
         grid_losses.append(row)
         sure.append(row[select_bandwidth(s, n, grid).index])
     mean_grid = np.mean(grid_losses, axis=0)
