@@ -261,12 +261,10 @@ def _require_seed(opts, why):
 
 
 def cmd_fit(opts, outdir):
-    x = read_matrix(opts["design"])
-    y = read_matrix(opts["response"])
-    bundle = SourceBundle(x, y)
     method = parse_method(opts["method"])
     if method.startswith("local-"):
         _require_seed(opts, "the mixture sampler")
+    bundle = SourceBundle(read_matrix(opts["design"]), read_matrix(opts["response"]))
     est = estimate_with_method(bundle, method, opts["seed"], opts["sweeps"],
                                opts["burn_in"], h=opts["h"])
     extra = {"result_" + key: est.diagnostics[key]
@@ -306,15 +304,15 @@ def cmd_tune(opts, outdir):
 
 
 def cmd_shrink_curve(opts, outdir):
-    z = read_matrix(opts["data"])
-    n, p = z.shape
-    s = sample_covariance(z)
     h = None if opts["h"] == "default" else opts["h"]
     if h == "auto":
         raise DomainError("shrink-curve takes --h default or a number")
     points = opts["points"]
     if points < 2:
         raise DomainError("--points must be at least 2")
+    z = read_matrix(opts["data"])
+    n, p = z.shape
+    s = sample_covariance(z)
     shrunk = shrink_covariance(s, n, h)
     rule = shrunk.rule
     lam = shrunk.decomposition.eigenvalues
@@ -355,20 +353,20 @@ def cmd_simulate(opts, outdir):
 
 
 def cmd_crossval(opts, outdir):
+    k = opts["folds"]
+    if k < 2:
+        raise DomainError("need at least 2 folds")
+    methods = [parse_method(m) for m in opts["methods"]]
+    if not methods:
+        raise DomainError("need at least one method")
     x = read_matrix(opts["design"])
     y = read_matrix(opts["response"])
     if x.shape[0] != y.shape[0]:
         raise DimensionError("design and response row counts differ")
     total = x.shape[0]
-    k = opts["folds"]
-    if k < 2:
-        raise DomainError("need at least 2 folds")
     if total < k:
         raise InsufficientDataError("need at least one row per fold (N=%d, k=%d)"
                                     % (total, k))
-    methods = [parse_method(m) for m in opts["methods"]]
-    if not methods:
-        raise DomainError("need at least one method")
     rng = np.random.default_rng(opts["seed"])
     shuffled = rng.permutation(total)
     folds = [shuffled[f::k] for f in range(k)]

@@ -17,6 +17,7 @@ from .tuning import BLOCK_TERMS, default_bandwidth_grid, select_bandwidth
 
 COEFFICIENT_DESIGNS = ("low-rank", "all-small", "heavy-tail", "scale-mixture")
 LOW_RANK = 8
+N_FACTORS = 5  # loadings of the prial experiment's factor-model covariance
 SMALL_SCALE = 0.2
 MIXTURE_SCALES = (0.1, 10.0)
 
@@ -185,16 +186,16 @@ def run_experiment(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
     return ExperimentResult(records)
 
 
-def factor_covariance(p, n_factors=5, rng=None):
-    """Population covariance Xi Xi' + I with standard normal factor loadings."""
+def factor_covariance(p, rng=None):
+    """Population covariance Xi Xi' + I with N_FACTORS standard normal factor
+    loadings."""
     rng = np.random.default_rng(rng)
-    loadings = rng.standard_normal((p, int(n_factors)))
+    loadings = rng.standard_normal((p, N_FACTORS))
     return loadings @ loadings.T + np.eye(p)
 
 
 def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
-                     seed=0, policies=("default", "sure", "oracle"),
-                     n_factors=5, grid_size=15):
+                     seed=0, policies=("default", "sure", "oracle"), grid_size=15):
     """Percentage improvement over the raw inverse, per aspect ratio and policy.
 
     For each aspect ratio c, the cell uses p = round(sqrt(c * np_product)) and
@@ -238,7 +239,7 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
                 % (c, n, p)
             )
         cell_rng = np.random.default_rng(_replication_seed(seed, ci, 0))
-        cov = factor_covariance(p, n_factors, cell_rng)
+        cov = factor_covariance(p, cell_rng)
         truth_inv = spectral_inverse(cov)
         chol = np.linalg.cholesky(cov)
         grid = default_bandwidth_grid(n, p, grid_size)

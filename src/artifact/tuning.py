@@ -91,6 +91,10 @@ class _RiskGrid:
     forms everything that does depend on h for the spectra `rows` (a slice)
     at the bandwidths hs, in two preallocated buffers of `shape` = (Rc, B)
     blocks of p x p terms, and table() runs the stack and the grid through it.
+    The rule's checks hold or fail for the whole grid, so block() raises
+    nothing of its own: a term that overflows comes out non-finite, and
+    numpy floating-point errors (under np.seterr(all="raise")) propagate
+    uncaught.
     """
 
     def __init__(self, decomp, n, grid, diagonals):
@@ -187,37 +191,19 @@ class _RiskGrid:
         """The BandwidthSelection of the grid, index 0 (no selection made),
         with a leading axis of spectra unless decomp held a single one."""
         grid, p, count = self.grid, self.rule.p, self.inv.shape[0]
-        values = np.full((count, grid.size, p), np.nan)
-        columns = np.full((4, count, grid.size), np.nan)
+        values = np.empty((count, grid.size, p))
+        columns = np.empty((4, count, grid.size))
         spectra, bandwidths = self.shape
         for first in range(0, count, spectra):
             rows = slice(first, min(first + spectra, count))
             for start in range(0, grid.size, bandwidths):
                 part = slice(start, start + bandwidths)
-                self._fill(rows, grid[part], [values[rows, part], *columns[:, rows, part]])
+                values[rows, part], *columns[:, rows, part] = self.block(rows, grid[part])
         diagonal_sum = self.diagonal_sum
         if self.single:
             values, columns = values[0], columns[:, 0]
             diagonal_sum = None if diagonal_sum is None else float(diagonal_sum[0])
         return BandwidthSelection(grid, self.rule.n, p, values, *columns, diagonal_sum)
-
-    def _fill(self, rows, hs, out):
-        """Write block(rows, hs) into the columns out; when a block raises,
-        each spectrum and then each bandwidth stands or fails alone, and a
-        failed one keeps NaN in every column."""
-        try:
-            parts = self.block(rows, hs)
-        except (SingularityError, FloatingPointError):
-            if rows.stop - rows.start > 1:
-                for r in range(rows.stop - rows.start):
-                    self._fill(slice(rows.start + r, rows.start + r + 1), hs,
-                               [column[r:r + 1] for column in out])
-            elif hs.size > 1:
-                for b in range(hs.size):
-                    self._fill(rows, hs[b:b + 1], [column[:, b:b + 1] for column in out])
-            return
-        for column, part in zip(out, parts):
-            column[...] = part
 
 
 def risk_estimate(s, n, h, diagonals=None):
@@ -262,8 +248,10 @@ class BandwidthSelection:
     shrunk spectra delta(lambda) the terms were computed from, in ascending
     order of the sample eigenvalues, so callers that need the estimator at a
     grid point need not evaluate the rule again; clamp_counts counts their
-    clamped eigenvalues.  A bandwidth whose evaluation raised has NaN in
-    every column.  index points at the chosen bandwidth h.
+    clamped eigenvalues.  A term that overflowed is non-finite, and so is its
+    risk; numpy floating-point errors are not caught, so under
+    np.seterr(all="raise") no table is built.  index points at the chosen
+    bandwidth h.
 
     The table of a stack of R spectra puts a leading axis of length R on
     every array but grid: each row is the table of that spectrum alone, and
@@ -310,14 +298,15 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
     row of p per spectrum).  The stack and the grid are evaluated in blocks
     of spectra and bandwidths (BLOCK_TERMS sets the block shape from p): the
     h-free parts of the risk are built once per call, and each block forms
-    the rest for all of its spectra and bandwidths at once.  A bandwidth
-    whose evaluation raises SingularityError or FloatingPointError gets a
-    NaN row in its spectrum's table and a NaN risk; the other bandwidths and
-    spectra stand.  Per spectrum, risks within round-off of the minimum
-    (RISK_TIE_RTOL times its magnitude) are ties, and ties prefer the larger
-    h (smoother estimate).  Grid entries whose risk is non-finite are
-    skipped; if none survive for some spectrum, a TuningError is raised.  The
-    diagonal anchor term is constant in h, so diagonals may be omitted.
+    the rest for all of its spectra and bandwidths at once.  A spectrum the
+    rule rejects (SingularityError) leaves no bandwidth with an estimate,
+    and TuningError is raised.  Per spectrum, risks within round-off of the
+    minimum (RISK_TIE_RTOL times its magnitude) are ties, and ties prefer
+    the larger h (smoother estimate).  Grid entries whose risk is non-finite
+    are skipped; if none survive for some spectrum, a TuningError is raised.
+    numpy floating-point errors are not caught: under np.seterr(all="raise")
+    they propagate from here, as from every other numpy call in the package.
+    The diagonal anchor term is constant in h, so diagonals may be omitted.
     """
     decomp = s if isinstance(s, SpectralDecomposition) else eigh(s)
     p = decomp.dim
@@ -331,7 +320,7 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
 
     try:
         risk_grid = _RiskGrid(decomp, n, grid, diagonals)
-    except (SingularityError, FloatingPointError) as exc:
+    except SingularityError as exc:
         # a check that holds for every h failed, so no h has an estimate
         raise TuningError(
             "no bandwidth in the grid produced a risk estimate: %s" % exc

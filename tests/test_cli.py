@@ -570,6 +570,27 @@ def test_negative_seed_exits_3(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["fit", "--method", "ridge"],
+    ["fit", "--method", "local-2"],
+    ["crossval", "--seed", "0", "--folds", "1"],
+    ["crossval", "--seed", "0", "--methods", "ols,ridge"],
+    ["shrink-curve", "--h", "auto"],
+    ["shrink-curve", "--points", "1"],
+], ids=lambda args: "%s%s=%s" % (args[0], args[-2], args[-1]))
+def test_bad_option_exits_3_before_reading_inputs(tmp_path, capsys, args):
+    # the inputs do not exist: reading them first would exit 2
+    absent = str(tmp_path / "absent.csv")
+    inputs = (["--data", absent] if args[0] == "shrink-curve"
+              else ["--design", absent, "--response", absent])
+    out = tmp_path / "out"
+    assert main(args + inputs + ["--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: precondition: ")
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
 def test_config_file_supplies_and_flags_override(tmp_path):
     data = str(tmp_path / "z.csv")
     write_matrix(data, np.random.default_rng(5).standard_normal((40, 4)),

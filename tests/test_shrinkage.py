@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.errors import (
@@ -18,7 +18,7 @@ from artifact.shrinkage import (
     stein_transform,
     stein_transform_derivative,
 )
-from artifact.spectral import eigh, sample_covariance
+from artifact.spectral import eigh, sample_covariance, zero_tolerance
 
 from loss_scenarios import dense_inverse
 
@@ -514,3 +514,64 @@ def test_loss_nonnegative_on_psd_weight(dim, degree):
         0.5 * (a + a.T), eigh(sample_covariance(z)), rng.standard_normal(dim), degree
     )
     assert loss >= -1e-12
+
+
+# Scale equivariance.  Scaling a spectrum by c scales the Stein transform's
+# kernel differences and bandwidth terms alike by 1/c, so the rule maps cx
+# to c delta(x).  Each tolerance is about ten times the worst gap measured
+# on 18000 draws of these cases (c from 1e-3 to 1e3, p from 1 to 29, numpy
+# 2.4.6).
+
+scaling_cases = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=29),
+    st.booleans(),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+def scaling_case(seed, p, under, log_c, log_h):
+    """n, a sample covariance of Gaussian data with columns scaled from 1e-1
+    to 1e1 (p < n when under, else p > n), the scale c and a bandwidth
+    within a decade of the default."""
+    rng = np.random.default_rng(seed)
+    n = int(p + 2 + rng.integers(0, 3 * p)) if under or p == 1 else int(rng.integers(1, p))
+    z = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-1.0, 1.0, p)
+    return n, sample_covariance(z), 10.0 ** log_c, default_bandwidth(n, p) * 10.0 ** log_h
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaling_cases)
+@example((3, 12, False, 2.5, 0.0))  # the over regime, with a null space
+def test_rule_is_scale_equivariant(case):
+    # delta_{c lam}(c x) = c delta_lam(x) at fixed h, with the spectrum scaled
+    # directly: worst relative gap 3.9e-13 in the values and 9.0e-16 in
+    # zero_rule_value
+    n, s, c, h = scaling_case(*case)
+    lam = eigh(s).eigenvalues
+    p = lam.size
+    rule, scaled = ShrinkageRule(lam, n, p, h), ShrinkageRule(c * lam, n, p, h)
+    x = lam[lam > zero_tolerance(lam)]
+    values, _ = rule.evaluate(x)
+    scaled_values, _ = scaled.evaluate(c * x)
+    assert np.all(np.abs(scaled_values - c * values) <= 4e-12 * c * values)
+    assert scaled.regime == rule.regime
+    if rule.zero_rule_value is None:
+        assert scaled.zero_rule_value is None
+    else:
+        want = c * rule.zero_rule_value
+        assert abs(scaled.zero_rule_value - want) <= 1e-14 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaling_cases)
+@example((3, 12, False, 2.5, 0.0))  # the over regime, with a null space
+def test_shrink_covariance_is_scale_equivariant(case):
+    # shrink_covariance(cS) = c shrink_covariance(S), up to eigh of the scaled
+    # matrix: its eigenvalue errors of order eps ||S|| move every shrunk value
+    # through the kernel, a worst gap of 1.2e-10 of the largest one
+    n, s, c, h = scaling_case(*case)
+    base, scaled = shrink_covariance(s, n, h), shrink_covariance(c * s, n, h)
+    want = c * base.values
+    assert np.max(np.abs(scaled.values - want)) <= 1e-9 * np.max(want)

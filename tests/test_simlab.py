@@ -289,10 +289,10 @@ def test_loss_grows_with_aspect_ratio():
 
 
 def test_factor_covariance_shape_and_floor():
-    cov = factor_covariance(12, n_factors=5, rng=4)
+    cov = factor_covariance(12, rng=4)
     assert cov.shape == (12, 12)
     assert np.linalg.eigvalsh(cov).min() >= 1.0 - 1e-10
-    again = factor_covariance(12, n_factors=5, rng=4)
+    again = factor_covariance(12, rng=4)
     assert np.array_equal(cov, again)
 
 
@@ -318,7 +318,7 @@ def prial_dense_oracle(np_product, aspect, reps, seed):
     p = int(round(np.sqrt(aspect * np_product)))
     n = int(round(p / aspect))
     cell_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-    cov = factor_covariance(p, 5, cell_rng)
+    cov = factor_covariance(p, cell_rng)
     truth_inv = np.linalg.inv(cov)
     chol = np.linalg.cholesky(cov)
     grid = default_bandwidth_grid(n, p)
@@ -357,8 +357,7 @@ def test_prial_experiment_matches_dense_oracle():
 
 
 def prial_replicate_oracle(np_product, aspect_ratios=(0.3, 0.5, 0.7), reps=100, seed=0,
-                           policies=("default", "sure", "oracle"), n_factors=5,
-                           grid_size=15):
+                           policies=("default", "sure", "oracle"), grid_size=15):
     """prial_experiment one replication at a time: each S is factored, tuned
     and scored by calls of its own."""
     records = []
@@ -366,7 +365,7 @@ def prial_replicate_oracle(np_product, aspect_ratios=(0.3, 0.5, 0.7), reps=100, 
         p = int(round(np.sqrt(c * np_product)))
         n = int(round(p / c))
         cell_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci, 0)))
-        cov = factor_covariance(p, n_factors, cell_rng)
+        cov = factor_covariance(p, cell_rng)
         truth_inv = spectral_inverse(cov)
         chol = np.linalg.cholesky(cov)
         grid = default_bandwidth_grid(n, p, grid_size)
