@@ -33,7 +33,7 @@ from .fileio import (
     write_files,
 )
 from .regress import SourceBundle, predictive_error
-from .shrinkage import shrink_covariance
+from .shrinkage import default_bandwidth, shrink_covariance
 from .simlab import (
     COEFFICIENT_DESIGNS,
     ExperimentResult,
@@ -43,7 +43,12 @@ from .simlab import (
     run_experiment,
 )
 from .spectral import sample_covariance
-from .tuning import default_bandwidth_grid, precision_diagonals, select_bandwidth
+from .tuning import (
+    check_bandwidth_grid,
+    precision_diagonals,
+    relative_bandwidth_grid,
+    select_bandwidth,
+)
 
 OUTPUT_DIR_ENV = "ARTIFACT_OUTPUT_DIR"
 
@@ -285,12 +290,15 @@ def cmd_fit(opts, outdir):
 
 
 def cmd_tune(opts, outdir):
+    # the grid is checked before the read; the default one scales with h0(n, p)
+    relative = opts["grid"] is None
+    grid = (relative_bandwidth_grid(opts["grid_size"], opts["grid_span"]) if relative
+            else check_bandwidth_grid(opts["grid"]))
     z = read_matrix(opts["data"])
     n, p = z.shape
     s = sample_covariance(z)
-    grid = opts["grid"]
-    if grid is None:
-        grid = default_bandwidth_grid(n, p, opts["grid_size"], opts["grid_span"])
+    if relative:
+        grid = default_bandwidth(n, p) * grid
     diagonals = precision_diagonals(z)
     sel = select_bandwidth(s, n, grid, diagonals)
 

@@ -3,18 +3,35 @@
 The format_* helpers render text; write_files is the one write path.  It
 stages each file in a sibling temporary file and renames it into place, so a
 failed run never leaves a partial output behind.
+
+read_matrix keeps each parsed matrix in an on-disk cache keyed by the
+file's content, so a CSV that several runs read is parsed once.  The cache
+can only make a read faster: a read that hits returns the array that parsing
+the same bytes returns, and any failure of the cache falls back to parsing.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import os
+import re
 import tempfile
 import warnings
 
 import numpy as np
 
 from .errors import ParseError
+
+# Least-recently-used entries are evicted after a write until the cache
+# directory holds at most this many bytes.
+CACHE_MAX_BYTES = 1 << 30
+# Seeds each digest: a new entry format, or a numpy whose parser may read the
+# same bytes differently, starts a fresh set of keys.
+_CACHE_TAG = b"artifact read_matrix v1 numpy %s\0" % np.__version__.encode("ascii")
+_BLOCK = 1 << 20
+_NEWLINE = re.compile(rb"[\r\n]")
+_CACHE_ERRORS = (OSError, ValueError, EOFError)
 
 
 def _looks_numeric(line):
@@ -29,22 +46,128 @@ def _looks_numeric(line):
     return True
 
 
-def read_matrix(path):
-    """Read a dense comma-separated matrix; a single header line is tolerated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first == "":
-            raise ParseError("%s is empty" % path)
-    skip = 0 if _looks_numeric(first) else 1
+def _cache_dir():
+    """The cache directory, or None when there is no absolute home to put it in."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no HOME and no passwd entry: never under the cwd
+        return None
+    return os.path.join(base, "artifact", "matrices")
+
+
+def _stamp(st):
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _scan(path):
+    """One pass over the file: (content digest, first line, stamp before reading)."""
+    digest = hashlib.sha256(_CACHE_TAG)
+    first, first_done, empty = b"", False, True
+    with open(path, "rb") as fh:
+        stamp = _stamp(os.fstat(fh.fileno()))
+        for block in iter(lambda: fh.read(_BLOCK), b""):
+            digest.update(block)
+            empty = False
+            if not first_done:
+                newline = _NEWLINE.search(block)
+                first += block if newline is None else block[:newline.start()]
+                first_done = newline is not None
+    if empty:
+        raise ParseError("%s is empty" % path)
+    return digest.hexdigest(), first, stamp
+
+
+def _parse(path, first):
+    try:
+        skip = 0 if _looks_numeric(first.decode("utf-8")) else 1
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None
     try:
         with warnings.catch_warnings():
             # the empty-after-header case is reported as a ParseError below
             warnings.simplefilter("ignore")
-            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    except ValueError as exc:
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2,
+                              encoding="utf-8")
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ParseError("%s is not a numeric CSV matrix: %s" % (path, exc)) from None
     if data.size == 0:
         raise ParseError("%s contains no numeric rows" % path)
+    return data
+
+
+def _load_entry(entry):
+    """The cached matrix, or None unless the entry holds a non-empty 2-D float64 array."""
+    try:
+        with open(entry, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+    except _CACHE_ERRORS:
+        return None
+    if not (isinstance(data, np.ndarray) and data.dtype == np.float64
+            and data.ndim == 2 and data.size > 0):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)  # a hit makes the entry the most recently used
+    return data
+
+
+def _store(entry, data):
+    directory = os.path.dirname(entry)
+    os.makedirs(directory, mode=0o700, exist_ok=True)  # entries come from user data
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, data, allow_pickle=False)
+        os.replace(tmp, entry)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    _evict(directory, entry)
+
+
+def _evict(directory, keep):
+    """Remove the least recently used files until the directory fits CACHE_MAX_BYTES.
+
+    Every regular file counts, so temporaries that a killed run left behind
+    are evicted too; `keep`, the entry just written, never is.
+    """
+    files = []
+    with os.scandir(directory) as it:
+        for item in it:
+            if item.is_file(follow_symlinks=False):
+                st = item.stat(follow_symlinks=False)
+                files.append((st.st_mtime_ns, item.path, st.st_size))
+    total = sum(size for _, _, size in files)
+    for _, path, size in sorted(files):
+        if total <= CACHE_MAX_BYTES:
+            break
+        if path != keep:
+            with contextlib.suppress(FileNotFoundError):  # another run evicted it
+                os.unlink(path)
+            total -= size
+
+
+def read_matrix(path):
+    """Read a dense comma-separated matrix; a single header line is tolerated.
+
+    The parse is cached under $XDG_CACHE_HOME/artifact/matrices (default
+    ~/.cache) by the digest of the file's bytes.  A file edited while it is
+    read is not cached, and a file that does not parse leaves no entry.
+    """
+    digest, first, stamp = _scan(path)
+    directory = _cache_dir()
+    if directory is None:
+        return _parse(path, first)
+    entry = os.path.join(directory, digest + ".npy")
+    data = _load_entry(entry)
+    if data is not None:
+        return data
+    data = _parse(path, first)
+    with contextlib.suppress(*_CACHE_ERRORS):
+        # a changed stamp means the parse may not be of the bytes hashed
+        if _stamp(os.stat(path)) == stamp:
+            _store(entry, data)
     return data
 
 

@@ -225,14 +225,34 @@ def default_bandwidth_grid(n, p, size=15, span=10.0):
     Spans [h0/span, h0*span]; with odd size the default itself is the middle
     point.
     """
+    return default_bandwidth(n, p) * relative_bandwidth_grid(size, span)
+
+
+def relative_bandwidth_grid(size=15, span=10.0):
+    """default_bandwidth_grid in units of the default: [1/span, span], log-spaced.
+
+    It needs no data, so a caller can check size and span before reading any.
+    """
     if size < 2:
         raise DomainError("grid needs at least two points")
     if not (span > 1):
         raise DomainError("span must exceed 1")
-    h0 = default_bandwidth(n, p)
-    grid = h0 * np.logspace(-np.log10(span), np.log10(span), int(size))
+    grid = np.logspace(-np.log10(span), np.log10(span), int(size))
     if size % 2 == 1:
-        grid[int(size) // 2] = h0  # center is the default exactly, not up to rounding
+        grid[int(size) // 2] = 1.0  # center is the default exactly, not up to rounding
+    return grid
+
+
+def check_bandwidth_grid(grid):
+    """The distinct points of a bandwidth grid in ascending order.
+
+    DomainError unless there is at least one and all are positive and finite.
+    """
+    grid = np.unique(np.asarray(grid, dtype=float).ravel())
+    if grid.size < 1:
+        raise DomainError("bandwidth grid is empty")
+    if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
+        raise DomainError("bandwidth grid must be positive and finite")
     return grid
 
 
@@ -312,11 +332,7 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
     p = decomp.dim
     if grid is None:
         grid = default_bandwidth_grid(n, p)
-    grid = np.unique(np.asarray(grid, dtype=float).ravel())
-    if grid.size < 1:
-        raise DomainError("bandwidth grid is empty")
-    if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
-        raise DomainError("bandwidth grid must be positive and finite")
+    grid = check_bandwidth_grid(grid)
 
     try:
         risk_grid = _RiskGrid(decomp, n, grid, diagonals)

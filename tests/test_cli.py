@@ -152,6 +152,22 @@ def test_fit_missing_input_exits_2_without_outputs(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("line", [0, 2], ids=["header", "data-row"])
+def test_fit_non_utf8_input_exits_2_without_outputs(tmp_path, capsys, line):
+    design, response = gaussian_files(tmp_path, 30, 3, 8, seed=11)
+    lines = Path(design).read_bytes().split(b"\n")
+    lines.insert(0, b"a,b,c")
+    lines[line] += b"\xe9"  # latin-1 e-acute: not UTF-8
+    Path(design).write_bytes(b"\n".join(lines))
+    out = str(tmp_path / "out")
+    assert main(["fit", "--design", design, "--response", response,
+                 "--output-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: io: ")
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
 def test_fit_square_source_count_exits_3(tmp_path):
     design, response = gaussian_files(tmp_path, 30, 4, 4, seed=6)
     code = main(["fit", "--design", design, "--response", response,
@@ -577,11 +593,14 @@ def test_negative_seed_exits_3(tmp_path, capsys, args):
     ["crossval", "--seed", "0", "--methods", "ols,ridge"],
     ["shrink-curve", "--h", "auto"],
     ["shrink-curve", "--points", "1"],
+    ["tune", "--grid-size", "1"],
+    ["tune", "--grid-span", "1"],
+    ["tune", "--grid", "0,1"],
 ], ids=lambda args: "%s%s=%s" % (args[0], args[-2], args[-1]))
 def test_bad_option_exits_3_before_reading_inputs(tmp_path, capsys, args):
     # the inputs do not exist: reading them first would exit 2
     absent = str(tmp_path / "absent.csv")
-    inputs = (["--data", absent] if args[0] == "shrink-curve"
+    inputs = (["--data", absent] if args[0] in ("shrink-curve", "tune")
               else ["--design", absent, "--response", absent])
     out = tmp_path / "out"
     assert main(args + inputs + ["--output-dir", str(out)]) == 3

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact import ParseError
+from artifact import ParseError, fileio
 from artifact.fileio import (
     config_hash,
     format_cell,
@@ -42,6 +42,168 @@ def test_read_matrix_single_row_and_column(tmp_path):
     assert read_matrix(path).shape == (1, 2)
     Path(path).write_text("1.5\n2.5\n")
     assert read_matrix(path).shape == (2, 1)
+
+
+CACHE_CASES = {
+    "header": ("a,b,c\n1.5,-2,3e-7\n4,5,6\n", 1),
+    "no-header": ("1.5,-2,3e-7\n4,5,6\n", 0),
+    "one-row": ("0.1,0.2,0.3,0.4\n", 0),
+    "one-column": ("x\r\n0.1\r\n-0.0\r\n1e300\r\n", 1),
+}
+
+
+def parsed(path, skip):
+    """The parse path's result, independent of read_matrix."""
+    return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+
+
+def assert_same(actual, expected):
+    assert actual.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def write_case(path, name):
+    text, skip = CACHE_CASES[name]
+    Path(path).write_bytes(text.encode("ascii"))
+    return parsed(path, skip)
+
+
+def cache_files(cache):
+    return sorted(os.listdir(cache)) if cache.exists() else []
+
+
+def entry_of(cache, path):
+    return cache / (fileio._scan(path)[0] + ".npy")
+
+
+def no_parsing(*args, **kwargs):
+    raise AssertionError("the cache should have answered")
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_CASES))
+def test_warm_read_equals_cold_read(tmp_path, monkeypatch, private_matrix_cache, name):
+    path = str(tmp_path / "m.csv")
+    expected = write_case(path, name)
+    cold = read_matrix(path)
+    assert_same(cold, expected)
+    assert cache_files(private_matrix_cache) == [entry_of(private_matrix_cache, path).name]
+    assert oct(os.stat(private_matrix_cache).st_mode & 0o777) == "0o700"
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", no_parsing)
+        warm = read_matrix(path)
+    assert_same(warm, expected)
+
+
+@pytest.mark.parametrize("name", ["header", "no-header"])
+def test_first_line_spanning_blocks(tmp_path, monkeypatch, name):
+    path = str(tmp_path / "m.csv")
+    expected = write_case(path, name)
+    digest = fileio._scan(path)[0]
+    monkeypatch.setattr(fileio, "_BLOCK", 3)
+    assert fileio._scan(path)[0] == digest
+    assert_same(read_matrix(path), expected)
+
+
+def test_changed_content_misses(tmp_path, private_matrix_cache):
+    path = str(tmp_path / "m.csv")
+    expected = write_case(path, "no-header")
+    assert_same(read_matrix(path), expected)
+    Path(path).write_text("1.5,-2,3e-7\n4,5,7\n")  # same size, another value
+    assert_same(read_matrix(path), parsed(path, 0))
+    assert len(cache_files(private_matrix_cache)) == 2
+
+
+@pytest.mark.parametrize("bad", ["truncated", "float32", "pickled", "one-dimensional"])
+def test_bad_entry_is_ignored_and_replaced(tmp_path, private_matrix_cache, bad):
+    path = str(tmp_path / "m.csv")
+    expected = write_case(path, "header")
+    read_matrix(path)
+    entry = entry_of(private_matrix_cache, path)
+    if bad == "truncated":
+        entry.write_bytes(entry.read_bytes()[:-5])
+    elif bad == "float32":
+        np.save(entry, expected.astype(np.float32))
+    elif bad == "pickled":
+        np.save(entry, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+    else:
+        np.save(entry, expected.ravel())
+    assert_same(read_matrix(path), expected)
+    assert_same(np.load(entry, allow_pickle=False), expected)
+    assert cache_files(private_matrix_cache) == [entry.name]
+
+
+@pytest.mark.parametrize("failure", ["not-a-directory", "disk-full", "no-home"])
+def test_unusable_cache_falls_back_to_parsing(tmp_path, monkeypatch, private_matrix_cache,
+                                               failure):
+    path = str(tmp_path / "m.csv")
+    expected = write_case(path, "header")
+    if failure == "not-a-directory":
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    elif failure == "no-home":
+        # no HOME and no passwd entry: expanduser leaves "~" as it is
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setattr(os.path, "expanduser", lambda p: p)
+        monkeypatch.chdir(tmp_path)
+    else:
+        def full_disk(fh, *args, **kwargs):
+            fh.write(b"\x93NUMPY")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "save", full_disk)
+    assert_same(read_matrix(path), expected)
+    assert cache_files(private_matrix_cache) == []
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["m.csv"] + (["blocker"] if failure == "not-a-directory" else []))
+
+
+def test_malformed_csv_leaves_no_entry(tmp_path, private_matrix_cache):
+    path = str(tmp_path / "bad.csv")
+    for content in (b"h1,h2\n1.0,oops\n", b"1.0,2.0\n3.0\n", b"a,\xe9\n1,2\n",
+                    b"only,a,header\n"):
+        Path(path).write_bytes(content)
+        with pytest.raises(ParseError):
+            read_matrix(path)
+    assert cache_files(private_matrix_cache) == []
+
+
+def test_eviction_keeps_the_most_recently_used(tmp_path, monkeypatch, private_matrix_cache):
+    paths = [str(tmp_path / ("m%d.csv" % k)) for k in range(4)]
+    for k, path in enumerate(paths):
+        Path(path).write_text("%d,1\n2,3\n" % k)
+    read_matrix(paths[0])
+    size = entry_of(private_matrix_cache, paths[0]).stat().st_size
+    monkeypatch.setattr(fileio, "CACHE_MAX_BYTES", 2 * size)
+    read_matrix(paths[1])
+    entries = [entry_of(private_matrix_cache, path) for path in paths]
+    for age, entry in enumerate(entries[:2]):  # m0 older than m1
+        os.utime(entry, ns=(10**18 + age, 10**18 + age))
+    read_matrix(paths[0])  # a hit makes m0 the most recently used
+    read_matrix(paths[2])
+    assert cache_files(private_matrix_cache) == sorted(e.name for e in (entries[0], entries[2]))
+    monkeypatch.setattr(fileio, "CACHE_MAX_BYTES", 1)  # smaller than any entry
+    assert_same(read_matrix(paths[3]), parsed(paths[3], 0))
+    assert cache_files(private_matrix_cache) == [entries[3].name]
+
+
+def test_edit_during_read_is_not_cached(tmp_path, monkeypatch, private_matrix_cache):
+    path = str(tmp_path / "m.csv")
+    write_case(path, "no-header")
+    loadtxt = np.loadtxt
+
+    def edit_then_parse(*args, **kwargs):
+        Path(path).write_text("7,8,9\n")
+        return loadtxt(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", edit_then_parse)
+        assert_same(read_matrix(path), np.array([[7.0, 8.0, 9.0]]))
+    assert cache_files(private_matrix_cache) == []
+    assert_same(read_matrix(path), np.array([[7.0, 8.0, 9.0]]))
+    assert cache_files(private_matrix_cache) == [entry_of(private_matrix_cache, path).name]
 
 
 def test_format_matrix_uses_six_significant_digits():
