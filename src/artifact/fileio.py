@@ -16,6 +16,7 @@ import hashlib
 import io
 import os
 import re
+import stat
 import tempfile
 import warnings
 
@@ -26,12 +27,20 @@ from .errors import ParseError
 # Least-recently-used entries are evicted after a write until the cache
 # directory holds at most this many bytes.
 CACHE_MAX_BYTES = 1 << 30
-# Seeds each digest: a new entry format, or a numpy whose parser may read the
-# same bytes differently, starts a fresh set of keys.
-_CACHE_TAG = b"artifact read_matrix v1 numpy %s\0" % np.__version__.encode("ascii")
 _BLOCK = 1 << 20
 _NEWLINE = re.compile(rb"[\r\n]")
 _CACHE_ERRORS = (OSError, ValueError, EOFError)
+
+
+def _cache_tag():
+    """Seeds each digest with what decides the parse: this module's own code
+    and numpy's version.  Any edit here, or a numpy whose parser may read the
+    same bytes differently, starts a fresh set of keys."""
+    code = hashlib.sha256(__loader__.get_data(__file__)).hexdigest()  # zip imports too
+    return ("artifact read_matrix %s numpy %s\0" % (code, np.__version__)).encode("ascii")
+
+
+_CACHE_TAG = _cache_tag()
 
 
 def _looks_numeric(line):
@@ -47,13 +56,24 @@ def _looks_numeric(line):
 
 
 def _cache_dir():
-    """The cache directory, or None when there is no absolute home to put it in."""
+    """The cache directory, made 0700 if it is new; None when there is no
+    absolute home to put it in, or when the directory is not this user's alone."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative: the XDG default
         base = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):  # no HOME and no passwd entry: never under the cwd
         return None
-    return os.path.join(base, "artifact", "matrices")
+    directory = os.path.join(base, "artifact", "matrices")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)  # entries come from user data
+        st = os.lstat(directory)
+    except OSError:
+        return None
+    # makedirs leaves an existing directory's owner and mode as they are, and
+    # anyone who can write to it can plant an entry for a known input
+    if not stat.S_ISDIR(st.st_mode) or st.st_uid != os.getuid() or st.st_mode & 0o077:
+        return None
+    return directory
 
 
 def _stamp(st):
@@ -63,7 +83,7 @@ def _stamp(st):
 def _scan(path):
     """One pass over the file: (content digest, first line, stamp before reading)."""
     digest = hashlib.sha256(_CACHE_TAG)
-    first, first_done, empty = b"", False, True
+    first, first_done, empty = bytearray(), False, True
     with open(path, "rb") as fh:
         stamp = _stamp(os.fstat(fh.fileno()))
         for block in iter(lambda: fh.read(_BLOCK), b""):
@@ -75,7 +95,7 @@ def _scan(path):
                 first_done = newline is not None
     if empty:
         raise ParseError("%s is empty" % path)
-    return digest.hexdigest(), first, stamp
+    return digest.hexdigest(), bytes(first), stamp
 
 
 def _parse(path, first):
@@ -113,7 +133,6 @@ def _load_entry(entry):
 
 def _store(entry, data):
     directory = os.path.dirname(entry)
-    os.makedirs(directory, mode=0o700, exist_ok=True)  # entries come from user data
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:

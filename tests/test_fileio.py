@@ -1,5 +1,6 @@
 """Tests for CSV/config/manifest reading and atomic writing."""
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -158,6 +159,41 @@ def test_unusable_cache_falls_back_to_parsing(tmp_path, monkeypatch, private_mat
     assert cache_files(private_matrix_cache) == []
     assert sorted(os.listdir(tmp_path)) == sorted(
         ["m.csv"] + (["blocker"] if failure == "not-a-directory" else []))
+
+
+@pytest.mark.parametrize("exposure", ["world-writable", "another-owner"])
+def test_cache_directory_not_private_is_not_used(tmp_path, monkeypatch, private_matrix_cache,
+                                                 exposure):
+    path = str(tmp_path / "m.csv")
+    expected = write_case(path, "header")
+    private_matrix_cache.mkdir(parents=True)
+    planted = entry_of(private_matrix_cache, path)
+    np.save(planted, expected + 1.0)
+    if exposure == "world-writable":
+        private_matrix_cache.chmod(0o777)
+    else:
+        private_matrix_cache.chmod(0o700)
+        uid = private_matrix_cache.stat().st_uid
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    assert_same(read_matrix(path), expected)
+    assert_same(np.load(planted), expected + 1.0)  # neither read nor replaced
+    assert cache_files(private_matrix_cache) == [planted.name]
+
+
+def test_cache_key_covers_the_parse_code(tmp_path, monkeypatch, private_matrix_cache):
+    source = Path(fileio.__file__).read_bytes()
+    assert hashlib.sha256(source).hexdigest().encode() in fileio._CACHE_TAG
+    assert np.__version__.encode() in fileio._CACHE_TAG
+    path = str(tmp_path / "m.csv")
+    expected = write_case(path, "header")
+    read_matrix(path)
+    monkeypatch.setattr(fileio, "_CACHE_TAG", fileio._CACHE_TAG + b"edited")
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", no_parsing)
+        with pytest.raises(AssertionError, match="cache should have answered"):
+            read_matrix(path)  # another tag misses the old entry
+    assert_same(read_matrix(path), expected)
+    assert len(cache_files(private_matrix_cache)) == 2
 
 
 def test_malformed_csv_leaves_no_entry(tmp_path, private_matrix_cache):
