@@ -235,40 +235,69 @@ def _mixture_sweeps(coefficients, standardized, q_half, labels, gumbels, burn_in
     from b, as in the dense sampler oracle: the paper's (b* - E[b* P]) Q^1/2
     is as accurate but leaves that oracle's 1e-12 bound on ill-conditioned
     components.  The log posteriors and weights are (components, rows).
-    Working memory is O(rows * components * p) whatever the sweep count: one
-    (rows, components * p) product buffer, allocated once and reused by
-    every sweep.
+
+    Only what the new labels change is recomputed.  Each component keeps its
+    last member mask and its fit (spectrum, shrunk values, pooled fallback or
+    not, clamp count).  While its mask is unchanged its member rows are the
+    same rows in the same order, so the fit is reused instead of gathered,
+    factored and shrunk again (`reused_fits` counts these).  When no
+    component changed, the counts and precisions are unchanged too, so the
+    sweep reuses the last log posteriors, the product buffer and the
+    posterior-mean term (formed once, past burn-in) and does only the draw,
+    the accumulation and the argmax (`frozen_sweeps` counts these).  Reused
+    fits still add their pooled resets and clamps on every sweep, and the
+    result is bit-identical to refitting every sweep.  How often either
+    happens depends on the data.  Working memory is O(rows * components * p)
+    whatever the sweep count: one (rows, components * p) product buffer,
+    allocated once and reused by every sweep, plus the member masks, one
+    byte per row and component.
     """
     n, p = standardized.shape
     labels = np.asarray(labels, dtype=int).copy()
     pooled = _component_shrunk(standardized, n, p)
     accum = np.zeros((n, p))
     k = None
-    kept = pooled_resets = clamp_total = 0
+    kept = pooled_resets = clamp_total = frozen_sweeps = reused_fits = 0
     for sweeps, draw in enumerate(gumbels, start=1):
         draw = np.asarray(draw, dtype=float)
         if k is None and draw.ndim == 2:
             k = draw.shape[1]
             buffer = np.empty((n, k * p))
+            vectors, values = np.empty((p, k, p)), np.empty((k, p))
+            keys, fits = [None] * k, [None] * k
         if draw.shape != (n, k) or k < 1:
             raise DimensionError("each Gumbel draw must be (rows, components)")
-        vectors, values = np.empty((p, k, p)), np.empty((k, p))
+        changed = False
         for comp in range(k):
-            members = standardized[labels == comp]
-            shrunk = pooled
-            if members.shape[0] >= 2:
-                try:
-                    shrunk = _component_shrunk(members, members.shape[0], p)
-                except SingularityError:
-                    pass
-            pooled_resets += shrunk is pooled
-            clamp_total += shrunk.clamp_count
-            vectors[:, comp] = shrunk.decomposition.eigenvectors
-            values[comp] = shrunk.values
-        counts = np.bincount(labels, minlength=k)
-        logs, products = _log_posteriors(standardized, vectors, values, counts, buffer)
+            mask = labels == comp
+            key = mask.tobytes()  # bytes compare by memcmp, far cheaper than np.array_equal
+            if key == keys[comp]:
+                reused_fits += 1
+            else:
+                changed = True
+                keys[comp] = key
+                members = standardized[mask]
+                shrunk = pooled
+                if members.shape[0] >= 2:
+                    try:
+                        shrunk = _component_shrunk(members, members.shape[0], p)
+                    except SingularityError:
+                        pass
+                fits[comp] = shrunk
+                vectors[:, comp] = shrunk.decomposition.eigenvectors
+                values[comp] = shrunk.values
+            pooled_resets += fits[comp] is pooled
+            clamp_total += fits[comp].clamp_count
+        if changed:
+            term = None
+            counts = np.bincount(labels, minlength=k)
+            logs, products = _log_posteriors(standardized, vectors, values, counts, buffer)
+        else:
+            frozen_sweeps += 1
         if sweeps > burn_in:
-            accum += np.einsum("kn,nkp->np", _posterior_weights(logs), products)
+            if term is None:
+                term = np.einsum("kn,nkp->np", _posterior_weights(logs), products)
+            accum += term
             kept += 1
         labels = np.argmax(logs + draw.T, axis=0)
 
@@ -280,7 +309,10 @@ def _mixture_sweeps(coefficients, standardized, q_half, labels, gumbels, burn_in
         "pooled_resets": pooled_resets,
         "clamp_count": clamp_total,
         "final_component_sizes": np.bincount(labels, minlength=k).tolist(),
+        "frozen_sweeps": frozen_sweeps,
+        "reused_fits": reused_fits,
     }
+    del term  # an (n, p) array the assembly below would hold beside its own
     return coefficients - (accum / kept) @ q_half, diagnostics
 
 
@@ -304,7 +336,12 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     weighs the rows in precision form, with one product of the standardized
     rows and all component precisions into a buffer reused by every sweep,
     so working memory is O(sources * n_components * p) whatever the sweep
-    count.
+    count; the member masks add one byte per source and component.  A
+    component whose members did not change keeps its shrunk covariance, and
+    a sweep whose labels did not move reuses the whole posterior, so only
+    its Gumbel draw, accumulation and argmax are new; the diagnostics count
+    both (`reused_fits`, `frozen_sweeps`), and the result is bit-identical
+    to refitting every sweep.  How much this saves depends on the data.
     """
     k = int(n_components)
     if k != n_components or k < 1:

@@ -2,8 +2,9 @@
 
 Oracles here are deliberately naive: a cofactor-expansion 3x3 inverse for the
 normal equations, a scalar Gaussian density for posterior weights, direct
-recomposition of the shrinkage from public pieces, and a dense mixture sampler
-that assembles every component's p-by-p shrinkage operator each sweep.
+recomposition of the shrinkage from public pieces, a dense mixture sampler
+that assembles every component's p-by-p shrinkage operator each sweep, and
+the sampler's sweep loop with every component refitted on every sweep.
 """
 
 import tracemalloc
@@ -125,7 +126,9 @@ def dense_mixture_sweeps_oracle(coefficients, standardized, q_half, q_half_inv, 
     pooled = _component_shrunk(standardized, n, p)
     accum = np.zeros_like(coefficients)
     kept = pooled_resets = clamp_total = 0
+    frozen, reused, previous = 0, 0, None
     for s in range(sweeps):
+        frozen, reused, previous = count_unchanged(frozen, reused, previous, labels, k)
         fitted = []
         for comp in range(k):
             members = standardized[labels == comp]
@@ -163,8 +166,68 @@ def dense_mixture_sweeps_oracle(coefficients, standardized, q_half, q_half_inv, 
         "pooled_resets": pooled_resets,
         "clamp_count": clamp_total,
         "final_component_sizes": np.bincount(labels, minlength=k).tolist(),
+        "frozen_sweeps": frozen,
+        "reused_fits": reused,
     }
     return accum / kept, diagnostics
+
+
+def count_unchanged(frozen, reused, previous, labels, k):
+    """Add a sweep to the frozen-sweep and reused-fit counts, from the labels alone.
+
+    A sweep is frozen when its labels equal the previous sweep's, and a
+    component's fit is reused when its member mask equals the previous one.
+    Returns the new counts and the labels to compare the next sweep with.
+    """
+    if previous is not None:
+        frozen += bool(np.array_equal(labels, previous))
+        reused += sum(bool(np.array_equal(labels == c, previous == c)) for c in range(k))
+    return frozen, reused, labels.copy()
+
+
+def refit_every_sweep_oracle(coefficients, standardized, q_half, labels, gumbels, burn_in):
+    # the sweep loop with no reuse, the reference that reuse must match bit for
+    # bit: every component is gathered, factored and shrunk, and the log
+    # posteriors and posterior-mean term rebuilt, on every sweep
+    n, p = standardized.shape
+    labels = np.asarray(labels, dtype=int).copy()
+    pooled = _component_shrunk(standardized, n, p)
+    accum = np.zeros((n, p))
+    k = gumbels.shape[2]
+    buffer = np.empty((n, k * p))
+    kept = pooled_resets = clamp_total = 0
+    frozen, reused, previous = 0, 0, None
+    for sweeps, draw in enumerate(gumbels, start=1):
+        frozen, reused, previous = count_unchanged(frozen, reused, previous, labels, k)
+        vectors, values = np.empty((p, k, p)), np.empty((k, p))
+        for comp in range(k):
+            members = standardized[labels == comp]
+            shrunk = pooled
+            if members.shape[0] >= 2:
+                try:
+                    shrunk = _component_shrunk(members, members.shape[0], p)
+                except SingularityError:
+                    pass
+            pooled_resets += shrunk is pooled
+            clamp_total += shrunk.clamp_count
+            vectors[:, comp] = shrunk.decomposition.eigenvectors
+            values[comp] = shrunk.values
+        counts = np.bincount(labels, minlength=k)
+        logs, products = _log_posteriors(standardized, vectors, values, counts, buffer)
+        if sweeps > burn_in:
+            accum += np.einsum("kn,nkp->np", _posterior_weights(logs), products)
+            kept += 1
+        labels = np.argmax(logs + draw.T, axis=0)
+    diagnostics = {
+        "sweeps": sweeps,
+        "burn_in": burn_in,
+        "pooled_resets": pooled_resets,
+        "clamp_count": clamp_total,
+        "final_component_sizes": np.bincount(labels, minlength=k).tolist(),
+        "frozen_sweeps": frozen,
+        "reused_fits": reused,
+    }
+    return coefficients - (accum / kept) @ q_half, diagnostics
 
 
 def two_scale_bundle(seed, n_samples, p, n_sources, top=1.0):
@@ -733,6 +796,68 @@ def test_mixture_sweeps_match_dense_oracle(k, sweeps, burn_in, empty_start, top)
     # column by column, so the small columns of a scaled bundle count too
     scale = np.max(np.abs(expected), axis=0)
     assert np.all(np.max(np.abs(out - expected), axis=0) <= 1e-12 * scale)
+
+
+def moved(labels, rows, to):
+    out = labels.copy()
+    out[rows] = to
+    return out
+
+
+def forced_draws(path, k):
+    """Gumbel stand-ins that make the sampler follow a designed label path.
+
+    path[0] is the initial labelling and path[s] the labels that sweep s hands
+    on.  One entry of each row's draw is so large that the argmax takes it
+    whatever the log posteriors are.
+    """
+    later = np.asarray(path[1:])
+    draws = np.zeros(later.shape + (k,))
+    np.put_along_axis(draws, later[..., None], 1e6, axis=2)
+    return draws
+
+
+def forced_paths(bstar):
+    """Designed label paths: (path, k, burn_in, frozen, reused, pooled resets)."""
+    a = _initial_labels(bstar, 2)
+    b = moved(a, slice(0, 5), 1 - a[0:5])
+    c = moved(a, slice(5, 10), 1 - a[5:10])
+    d = moved(c, slice(10, 15), 1 - c[10:15])
+    e = moved(d, slice(0, 3), 1 - d[0:3])
+    # k = 3: rows of components 1 and 2 change places one pair per sweep
+    three = [_initial_labels(bstar, 3)]
+    ones, twos = np.flatnonzero(three[0] == 1), np.flatnonzero(three[0] == 2)
+    for i in range(8):
+        three.append(moved(three[-1], [ones[i], twos[i]], [2, 1]))
+    # component 2 of 3 starts empty and stays empty for six sweeps
+    a1 = moved(a, slice(0, 4), 1 - a[0:4])
+    a2 = moved(a1, slice(4, 7), 1 - a1[4:7])
+    filled = moved(a2, slice(7, 13), 2)
+    return {
+        # frozen in sweeps 4-7, across the end of burn-in, and in sweep 10
+        "move-freeze-move": ([a, b, c, c, c, c, c, d, e, e, e], 2, 4, 5, 10, 0),
+        "one-component-fixed": (three, 3, 2, 0, 7, 0),
+        "empty-component": ([a, a, a1, a1, a1, a2, filled, filled, filled], 3, 3, 4, 14, 6),
+    }
+
+
+@pytest.mark.parametrize("case", ["move-freeze-move", "one-component-fixed", "empty-component"])
+def test_mixture_sweeps_reuse_matches_refitting_every_sweep(case):
+    bundle = two_scale_bundle(80, 30, 4, 45)
+    bstar = bundle.standardized
+    path, k, burn_in, frozen, reused, resets = forced_paths(bstar)[case]
+    gumbels = forced_draws(path, k)
+    out, diag = _mixture_sweeps(
+        bundle.coefficients, bstar, bundle.q_half, path[0], gumbels, burn_in
+    )
+    expected, expected_diag = refit_every_sweep_oracle(
+        bundle.coefficients, bstar, bundle.q_half, path[0], gumbels, burn_in
+    )
+    assert np.array_equal(out, expected)
+    assert diag == expected_diag
+    assert diag["final_component_sizes"] == np.bincount(path[-1], minlength=k).tolist()
+    assert (diag["frozen_sweeps"], diag["reused_fits"], diag["pooled_resets"]) == (
+        frozen, reused, resets)
 
 
 def test_local_shrink_streams_the_up_front_draws():
