@@ -269,6 +269,8 @@ def cmd_fit(opts, outdir):
     method = parse_method(opts["method"])
     if method.startswith("local-"):
         _require_seed(opts, "the mixture sampler")
+    if opts["h"] != "default" and method != "global":
+        raise DomainError("--h applies to --method global only, not %s" % method)
     bundle = SourceBundle(read_matrix(opts["design"]), read_matrix(opts["response"]))
     est = estimate_with_method(bundle, method, opts["seed"], opts["sweeps"],
                                opts["burn_in"], h=opts["h"])

@@ -219,22 +219,18 @@ def _initial_labels(standardized, k):
     return labels
 
 
-def _mixture_sweeps(coefficients, standardized, q_half, labels, gumbels, burn_in):
-    """Run the label/estimate sweeps with explicit Gumbel variates.
+def _mixture_sweeps(standardized, labels, gumbels, burn_in):
+    """Run the label sweeps on the whitened rows B* with explicit Gumbel variates.
 
     gumbels is an iterable of per-sweep (rows, components) draws, consumed
     one at a time (a 3-d array iterates as one); sweep s resamples labels by
     argmax_k of (log posterior numerator + draw_s[:, k]), so permuting the
     component axis together with the initial labels permutes the whole
-    trajectory.  Returns the averaged post-burn-in coefficient matrix and a
-    diagnostics dict.
-
-    The posterior-mean row is b - sum_k w_k t_k Q^1/2 with t_k = b* P_k
-    from _log_posteriors (P_k the component precision), so each sweep makes
-    one product and Q^1/2 is applied once at the end.  The average is taken
-    from b, as in the dense sampler oracle: the paper's (b* - E[b* P]) Q^1/2
-    is as accurate but leaves that oracle's 1e-12 bound on ill-conditioned
-    components.  The log posteriors and weights are (components, rows).
+    trajectory.  Returns E[B* P], the post-burn-in average of the
+    posterior-mean term sum_k w_k b* P_k (P_k the component precisions,
+    b* P_k the products from _log_posteriors), and a diagnostics dict; the
+    shrunk whitened rows are B* - E[B* P].  The log posteriors and weights
+    are (components, rows).
 
     Only what the new labels change is recomputed.  Each component keeps its
     last member mask and its fit (spectrum, shrunk values, pooled fallback or
@@ -312,8 +308,8 @@ def _mixture_sweeps(coefficients, standardized, q_half, labels, gumbels, burn_in
         "frozen_sweeps": frozen_sweeps,
         "reused_fits": reused_fits,
     }
-    del term  # an (n, p) array the assembly below would hold beside its own
-    return coefficients - (accum / kept) @ q_half, diagnostics
+    accum /= kept
+    return accum, diagnostics
 
 
 def _require_seed(seed):
@@ -331,12 +327,14 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     sweep with a seeded generator, and the returned coefficients average the
     per-sweep posterior means after burn_in.  Components that empty out or
     lose their spectrum borrow the pooled all-rows covariance for that sweep.
-    Each sweep draws its own (sources, n_components) Gumbel block, the same
-    values as one up-front (sweeps, sources, n_components) draw.  Each sweep
-    weighs the rows in precision form, with one product of the standardized
-    rows and all component precisions into a buffer reused by every sweep,
-    so working memory is O(sources * n_components * p) whatever the sweep
-    count; the member masks add one byte per source and component.  A
+    As in global_shrink, the sampler sees only the whitened rows B*, and the
+    estimate (B* - E[B* P]) Q^1/2 un-whitens once.  Each sweep draws its own
+    (sources, n_components) Gumbel block, the same values as one up-front
+    (sweeps, sources, n_components) draw.  Each sweep weighs the rows in
+    precision form, with one product of the standardized rows and all
+    component precisions into a buffer reused by every sweep, so working
+    memory is O(sources * n_components * p) whatever the sweep count; the
+    member masks add one byte per source and component.  A
     component whose members did not change keeps its shrunk covariance, and
     a sweep whose labels did not move reuses the whole posterior, so only
     its Gumbel draw, accumulation and argmax are new; the diagnostics count
@@ -361,9 +359,8 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     labels = _initial_labels(bstar, k)
     rng = np.random.default_rng(seed)
     gumbels = (rng.gumbel(size=(n, k)) for _ in range(sweeps))
-    coef, diagnostics = _mixture_sweeps(
-        bundle.coefficients, bstar, bundle.q_half, labels, gumbels, burn_in
-    )
+    term, diagnostics = _mixture_sweeps(bstar, labels, gumbels, burn_in)
+    coef = (bstar - term) @ bundle.q_half
     if not np.all(np.isfinite(coef)):
         raise NumericalError("mixture-shrunk coefficients are non-finite")
     diagnostics.update({"sigma2": bundle.sigma2, "n_components": k, "seed": seed})

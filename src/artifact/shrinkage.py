@@ -284,26 +284,23 @@ def shrink_covariance(s, n, h=None):
     return _shrink_spectrum(decomp, n, p, h)
 
 
-def empirical_loss(true_inverse, decomposition, inverse_values, degree=1):
-    """Relative savings loss (1/p) tr[(A - B)^2 S^degree] in the eigenbasis of S.
+def empirical_loss(true_inverse, decomposition, inverse_values):
+    """Relative savings loss (1/p) tr[(A - B)^2 S] in the eigenbasis of S.
 
     A is the true inverse (a p-by-p matrix) and S = U diag(lambda) U' the
     sample second-moment matrix, given as its decomposition.  The estimate B
     must share S's eigenvectors, B = U diag(inverse_values) U', as every
     estimate built from S's spectrum does (the raw inverse and each shrunk
     inverse).  With M = U'AU - diag(inverse_values) the loss is
-    sum_ij M_ij^2 lambda_i^degree / p, so A is rotated once per call and each
+    sum_ij M_ij^2 lambda_i / p, so A is rotated once per call and each
     estimate then costs O(p^2).
 
     inverse_values is 1-d (one estimate; returns a float) or 2-d (one row per
     estimate; returns one loss per row).  A decomposition of an (R, p, p)
     stack takes (R, E, p) inverse values, E estimates per matrix, and
     returns (R, E) losses, each equal to the loss of that matrix alone.
-    degree must be a nonnegative integer.
     """
     a = symmetrize(true_inverse)
-    if int(degree) != degree or degree < 0:
-        raise DomainError("degree must be a nonnegative integer")
     values = np.asarray(inverse_values, dtype=float)
     lam = decomposition.eigenvalues
     p = lam.shape[-1]
@@ -313,7 +310,7 @@ def empirical_loss(true_inverse, decomposition, inverse_values, degree=1):
         raise DimensionError("the truth, S and every estimate must share dimension p")
     u = decomposition.eigenvectors
     rotated = np.swapaxes(u, -1, -2) @ a @ u
-    weight = (lam ** int(degree))[..., None]
+    weight = lam[..., None]
     diagonal = np.diagonal(rotated, axis1=-2, axis2=-1)[..., None, :]
     off = rotated * rotated
     off[..., np.arange(p), np.arange(p)] = 0.0

@@ -262,7 +262,7 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
             # estimate at grid[i]
             inverse_values = 1.0 / np.concatenate(
                 [decomp.eigenvalues[:, None, :], chosen.values], axis=1)
-            losses = empirical_loss(truth_inv, decomp, inverse_values, 1)
+            losses = empirical_loss(truth_inv, decomp, inverse_values)
             raw_losses[part] = losses[:, 0]
             grid_losses[part] = losses[:, 1:]
             sure_losses[part] = losses[np.arange(losses.shape[0]), 1 + chosen.index]

@@ -49,7 +49,7 @@ def loss_convergence(model, sample_sizes, aspect_ratios, reps=10, seed=0):
                 )
                 z = rng.standard_normal((int(n), p)) @ chol.T
                 est = shrink_covariance(sample_covariance(z), int(n))
-                loss = empirical_loss(truth_inv, est.decomposition, 1.0 / est.values, 1)
+                loss = empirical_loss(truth_inv, est.decomposition, 1.0 / est.values)
                 records.append({
                     "model": model,
                     "n": int(n),

@@ -89,9 +89,7 @@ def test_criterion_03_risk_estimate_tracks_monte_carlo_risk(criterion_report):
             diagonals = precision_diagonals(z)
             for bi, h in enumerate(bandwidths):
                 est = shrink_covariance(decomp, n, h)
-                losses[rep, bi] = p * empirical_loss(
-                    truth_inv, decomp, 1.0 / est.values, 1
-                )
+                losses[rep, bi] = p * empirical_loss(truth_inv, decomp, 1.0 / est.values)
                 estimates[rep, bi] = risk_estimate(decomp, n, h, diagonals).risks[0]
         for bi, h in enumerate(bandwidths):
             target = float(np.mean(losses[:, bi]))

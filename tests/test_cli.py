@@ -610,6 +610,22 @@ def test_bad_option_exits_3_before_reading_inputs(tmp_path, capsys, args):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("method", ["ols", "global-sure", "local-2"])
+def test_fit_bandwidth_with_other_method_exits_3_before_reading_inputs(
+        tmp_path, capsys, method):
+    # --h is the bandwidth of --method global; elsewhere it would be ignored
+    absent = str(tmp_path / "absent.csv")
+    out = tmp_path / "out"
+    assert main(["fit", "--method", method, "--h", "0.3", "--seed", "0",
+                 "--design", absent, "--response", absent, "--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: precondition: --h applies to --method global only, not %s\n" % method
+    )
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
 def test_config_file_supplies_and_flags_override(tmp_path):
     data = str(tmp_path / "z.csv")
     write_matrix(data, np.random.default_rng(5).standard_normal((40, 4)),

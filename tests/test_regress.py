@@ -115,16 +115,15 @@ def posterior_weights(rows, variances, counts):
     return logs, _posterior_weights(logs)
 
 
-def dense_mixture_sweeps_oracle(coefficients, standardized, q_half, q_half_inv, labels,
-                                gumbels, burn_in):
+def dense_mixture_sweeps_oracle(standardized, labels, gumbels, burn_in):
     # the sampler written out densely: all draws up front, one density pass and
-    # one p-by-p operator coefficients @ (I - Q^1/2 Sigma_k^-1 Q^-1/2)' per
+    # one p-by-p operator, the shrunk whitened rows B* (I - Sigma_k^-1), per
     # component per sweep, and the posterior mean built on every sweep
     sweeps, n, k = gumbels.shape
     p = standardized.shape[1]
     labels = np.asarray(labels, dtype=int).copy()
     pooled = _component_shrunk(standardized, n, p)
-    accum = np.zeros_like(coefficients)
+    accum = np.zeros_like(standardized)
     kept = pooled_resets = clamp_total = 0
     frozen, reused, previous = 0, 0, None
     for s in range(sweeps):
@@ -150,12 +149,11 @@ def dense_mixture_sweeps_oracle(coefficients, standardized, q_half, q_half_inv, 
             )
         weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
         weights /= np.sum(weights, axis=1, keepdims=True)
-        estimate = np.zeros_like(coefficients)
+        estimate = np.zeros_like(standardized)
         for comp, shrunk in enumerate(fitted):
             u = shrunk.decomposition.eigenvectors
             inv = u @ np.diag(1.0 / shrunk.values) @ u.T
-            rotate = q_half @ inv @ q_half_inv
-            estimate += weights[:, comp, None] * (coefficients @ (np.eye(p) - rotate).T)
+            estimate += weights[:, comp, None] * (standardized @ (np.eye(p) - inv))
         if s >= burn_in:
             accum += estimate
             kept += 1
@@ -185,7 +183,7 @@ def count_unchanged(frozen, reused, previous, labels, k):
     return frozen, reused, labels.copy()
 
 
-def refit_every_sweep_oracle(coefficients, standardized, q_half, labels, gumbels, burn_in):
+def refit_every_sweep_oracle(standardized, labels, gumbels, burn_in):
     # the sweep loop with no reuse, the reference that reuse must match bit for
     # bit: every component is gathered, factored and shrunk, and the log
     # posteriors and posterior-mean term rebuilt, on every sweep
@@ -227,7 +225,7 @@ def refit_every_sweep_oracle(coefficients, standardized, q_half, labels, gumbels
         "frozen_sweeps": frozen,
         "reused_fits": reused,
     }
-    return coefficients - (accum / kept) @ q_half, diagnostics
+    return accum / kept, diagnostics
 
 
 def two_scale_bundle(seed, n_samples, p, n_sources, top=1.0):
@@ -701,12 +699,8 @@ def test_mixture_sweeps_component_relabeling_invariance():
     labels = _initial_labels(bstar, 2)
     gumbels = np.random.default_rng(5).gumbel(size=(6, 20, 2))
 
-    out_a, diag_a = _mixture_sweeps(
-        bundle.coefficients, bstar, bundle.q_half, labels, gumbels, 1
-    )
-    out_b, diag_b = _mixture_sweeps(
-        bundle.coefficients, bstar, bundle.q_half, 1 - labels, gumbels[:, :, ::-1], 1
-    )
+    out_a, diag_a = _mixture_sweeps(bstar, labels, gumbels, 1)
+    out_b, diag_b = _mixture_sweeps(bstar, 1 - labels, gumbels[:, :, ::-1], 1)
     assert np.allclose(out_a, out_b, rtol=0, atol=1e-10)
     assert diag_a["final_component_sizes"] == diag_b["final_component_sizes"][::-1]
 
@@ -722,7 +716,7 @@ def test_mixture_single_sweep_matches_posterior_assembly():
     assert counts.min() >= 2 and counts[0] != 3 and counts[1] != 3
 
     gumbels = np.random.default_rng(9).gumbel(size=(1, 21, 2))
-    out, _ = _mixture_sweeps(bundle.coefficients, bstar, bundle.q_half, labels, gumbels, 0)
+    out, _ = _mixture_sweeps(bstar, labels, gumbels, 0)
 
     shrunk = []
     for comp in range(2):
@@ -736,14 +730,10 @@ def test_mixture_single_sweep_matches_posterior_assembly():
         logs[:, comp] = prior + log_density_rows_oracle(bstar, c.decomposition, c.values)
     weights = np.exp(logs - np.max(logs, axis=1, keepdims=True))
     weights /= np.sum(weights, axis=1, keepdims=True)
-    expected = np.zeros_like(bundle.coefficients)
-    x = bundle.design
-    q_half, q_half_inv = noise_from_q(bundle.sigma2 * np.linalg.inv(x.T @ x))
+    expected = np.zeros_like(bstar)
     for comp in range(2):
-        rotate = q_half @ dense_inverse(shrunk[comp]) @ q_half_inv
-        rows = bundle.coefficients @ (np.eye(3) - rotate).T
-        expected += weights[:, comp, None] * rows
-    assert np.allclose(out, expected, rtol=0, atol=1e-10)
+        expected += weights[:, comp, None] * (bstar @ (np.eye(3) - dense_inverse(shrunk[comp])))
+    assert np.allclose(bstar - out, expected, rtol=0, atol=1e-10)
 
 
 def test_mixture_sweeps_pooled_reset_on_empty_component():
@@ -751,9 +741,7 @@ def test_mixture_sweeps_pooled_reset_on_empty_component():
     bundle, _ = whitened_bundle(rng, 40, 3, 16, 1.0)
     bstar = bundle.standardized
     gumbels = np.random.default_rng(1).gumbel(size=(1, 16, 2))
-    _, diag = _mixture_sweeps(
-        bundle.coefficients, bstar, bundle.q_half, np.zeros(16, dtype=int), gumbels, 0
-    )
+    _, diag = _mixture_sweeps(bstar, np.zeros(16, dtype=int), gumbels, 0)
     assert diag["pooled_resets"] >= 1
 
 
@@ -782,18 +770,14 @@ def test_mixture_sweeps_match_dense_oracle(k, sweeps, burn_in, empty_start, top)
     # starting every row in component 0 empties the others: pooled resets
     labels = np.zeros(n, dtype=int) if empty_start else _initial_labels(bstar, k)
     gumbels = np.random.default_rng(k).gumbel(size=(sweeps, n, k))
-    x = bundle.design
-    q_half, q_half_inv = noise_from_q(bundle.sigma2 * np.linalg.inv(x.T @ x))
-    out, diag = _mixture_sweeps(
-        bundle.coefficients, bstar, q_half, labels, gumbels, burn_in
-    )
-    expected, expected_diag = dense_mixture_sweeps_oracle(
-        bundle.coefficients, bstar, q_half, q_half_inv, labels, gumbels, burn_in
-    )
+    term, diag = _mixture_sweeps(bstar, labels, gumbels, burn_in)
+    expected, expected_diag = dense_mixture_sweeps_oracle(bstar, labels, gumbels, burn_in)
     assert diag == expected_diag
     if empty_start:
         assert diag["pooled_resets"] >= k - 1
-    # column by column, so the small columns of a scaled bundle count too
+    # the shrunk rows, not E[B* P] alone, whose round-off sits at the scale of
+    # B*; column by column, so the small columns of a scaled bundle count too
+    out = bstar - term
     scale = np.max(np.abs(expected), axis=0)
     assert np.all(np.max(np.abs(out - expected), axis=0) <= 1e-12 * scale)
 
@@ -847,12 +831,8 @@ def test_mixture_sweeps_reuse_matches_refitting_every_sweep(case):
     bstar = bundle.standardized
     path, k, burn_in, frozen, reused, resets = forced_paths(bstar)[case]
     gumbels = forced_draws(path, k)
-    out, diag = _mixture_sweeps(
-        bundle.coefficients, bstar, bundle.q_half, path[0], gumbels, burn_in
-    )
-    expected, expected_diag = refit_every_sweep_oracle(
-        bundle.coefficients, bstar, bundle.q_half, path[0], gumbels, burn_in
-    )
+    out, diag = _mixture_sweeps(bstar, path[0], gumbels, burn_in)
+    expected, expected_diag = refit_every_sweep_oracle(bstar, path[0], gumbels, burn_in)
     assert np.array_equal(out, expected)
     assert diag == expected_diag
     assert diag["final_component_sizes"] == np.bincount(path[-1], minlength=k).tolist()
@@ -866,11 +846,31 @@ def test_local_shrink_streams_the_up_front_draws():
     fit = local_shrink(bundle, k, sweeps=sweeps, burn_in=burn_in, seed=seed)
     bstar = bundle.standardized
     gumbels = np.random.default_rng(seed).gumbel(size=(sweeps, bundle.n_sources, k))
-    out, diag = _mixture_sweeps(
-        bundle.coefficients, bstar, bundle.q_half, _initial_labels(bstar, k), gumbels, burn_in
-    )
-    assert np.array_equal(fit.coefficients, out)
+    term, diag = _mixture_sweeps(bstar, _initial_labels(bstar, k), gumbels, burn_in)
+    assert np.array_equal(fit.coefficients, (bstar - term) @ bundle.q_half)
     assert fit.diagnostics["final_component_sizes"] == diag["final_component_sizes"]
+
+
+def test_local_shrink_assembly_matches_extended_precision():
+    # (B* - E[B* P]) Q^1/2 with B* and Q^1/2 in np.longdouble from the float64
+    # SVD factors and E[B* P] as the sampler returns it; two components where
+    # there are four sources.  The worst error relative to max |estimate| was
+    # 3.6e-15 on these 200 bundles (1.0e-14 for the form B - E[B* P] Q^1/2),
+    # and the bound is about ten times the former
+    ld = np.longdouble
+    for seed in range(200):
+        bundle = design_scaled_bundle(seed)
+        n = bundle.n_sources
+        k = 2 if n >= 4 else 1
+        bstar = bundle.standardized
+        gumbels = np.random.default_rng(seed).gumbel(size=(20, n, k))
+        term, _ = _mixture_sweeps(bstar, _initial_labels(bstar, k), gumbels, 5)
+        u, s, vt = (f.astype(ld) for f in np.linalg.svd(bundle.design, full_matrices=False))
+        sigma = np.sqrt(ld(bundle.sigma2))
+        whitened = (u.T @ bundle.responses.astype(ld)).T @ vt / sigma
+        want = (whitened - term) @ ((vt.T * (sigma / s)) @ vt)
+        got = local_shrink(bundle, k, sweeps=20, burn_in=5, seed=seed).coefficients
+        assert np.max(np.abs(got - want)) <= 4e-14 * np.max(np.abs(want)), seed
 
 
 # equivariance of the mixture sampler.  The bundles have two well-separated
@@ -879,7 +879,8 @@ def test_local_shrink_streams_the_up_front_draws():
 # draws): a component near p members magnifies round-off, which could flip a
 # label.  While the labels follow the same path, the outputs differ by
 # round-off only; each tolerance is about ten times the worst relative gap
-# of those 600 draws (scaling 8.5e-16, rotation 9.0e-15, permutation 2.4e-16).
+# of those 600 draws (scaling 8.5e-16, rotation 9.0e-15, permutation 1.8e-16,
+# the last on the shrunk whitened rows B* - E[B* P]).
 
 mixture_cases = st.tuples(
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -943,14 +944,11 @@ def test_mixture_sweeps_permuting_rows_permutes_output(case):
     rng = np.random.default_rng(seed)
     gumbels = rng.gumbel(size=(12, sources, k))
     perm = rng.permutation(sources)
-    base, diag = _mixture_sweeps(bundle.coefficients, bstar, bundle.q_half, labels, gumbels, 3)
-    moved, moved_diag = _mixture_sweeps(
-        bundle.coefficients[perm], bstar[perm], bundle.q_half, labels[perm],
-        gumbels[:, perm], 3
-    )
+    base, diag = _mixture_sweeps(bstar, labels, gumbels, 3)
+    moved, moved_diag = _mixture_sweeps(bstar[perm], labels[perm], gumbels[:, perm], 3)
     assert moved_diag == diag
     assert min(diag["final_component_sizes"]) > 3 * p
-    assert_close(moved, base[perm], tol=3e-15)
+    assert_close(bstar[perm] - moved, (bstar - base)[perm], tol=3e-15)
 
 
 def test_mixture_sweeps_reject_misshapen_draws():
@@ -960,10 +958,10 @@ def test_mixture_sweeps_reject_misshapen_draws():
     rng = np.random.default_rng(0)
     short = [rng.gumbel(size=(20, 2)), rng.gumbel(size=(19, 2))]
     with pytest.raises(DimensionError):
-        _mixture_sweeps(bundle.coefficients, bstar, bundle.q_half, labels, short, 0)
+        _mixture_sweeps(bstar, labels, short, 0)
     flat = [rng.gumbel(size=20)]
     with pytest.raises(DimensionError):
-        _mixture_sweeps(bundle.coefficients, bstar, bundle.q_half, labels, flat, 0)
+        _mixture_sweeps(bstar, labels, flat, 0)
 
 
 def test_local_shrink_memory_does_not_grow_with_sweeps():

@@ -375,11 +375,10 @@ def test_shrink_clamp_floor_engages_on_adversarial_spectrum():
 # loss
 
 
-def dense_loss(a, b, s, degree):
-    """Reference: (1/p) tr[(A - B)^2 S^degree] with dense matrix products."""
+def dense_loss(a, b, s):
+    """Reference: (1/p) tr[(A - B)^2 S] with dense matrix products."""
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    weight = np.linalg.matrix_power(np.asarray(s, dtype=float), int(degree))
-    return float(np.trace(diff @ diff @ weight)) / diff.shape[0]
+    return float(np.trace(diff @ diff @ np.asarray(s, dtype=float))) / diff.shape[0]
 
 
 def in_eigenbasis(decomp, values):
@@ -396,14 +395,6 @@ def test_loss_zero_at_truth():
     assert empirical_loss(a, decomp, 1.0 / decomp.eigenvalues) == 0.0
 
 
-def test_loss_degree_zero_hand_trace():
-    # S's eigenvalues are 2 and 3 with eigenvectors e2 and e1, so values
-    # (1, 0) put B = diag(0, 1) and (A - B)^2 = I
-    a = np.diag([1.0, 0.0])
-    decomp = eigh(np.diag([3.0, 2.0]))
-    assert empirical_loss(a, decomp, [1.0, 0.0], 0) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_loss_matches_triple_loop_oracle():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((5, 5))
@@ -418,15 +409,14 @@ def test_loss_matches_triple_loop_oracle():
             for k in range(5):
                 expect += diff[i, j] * diff[j, k] * s[k, i]
     expect /= 5
-    assert empirical_loss(a, decomp, values, 1) == pytest.approx(expect, abs=1e-10)
+    assert empirical_loss(a, decomp, values) == pytest.approx(expect, abs=1e-10)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2])
 @pytest.mark.parametrize("n, p", [(60, 12), (8, 20)])
-def test_loss_factored_form_matches_dense_oracle(degree, n, p):
+def test_loss_factored_form_matches_dense_oracle(n, p):
     # p > n leaves p - n zero sample eigenvalues; an arbitrary spectrum and
     # two shrunk ones are scored both one at a time and as one 2-d batch
-    rng = np.random.default_rng(100 * n + p + degree)
+    rng = np.random.default_rng(100 * n + p + 1)
     loadings = rng.standard_normal((p, 3))
     cov = loadings @ loadings.T + np.eye(p)
     truth_inv = np.linalg.inv(cov)
@@ -437,11 +427,11 @@ def test_loss_factored_form_matches_dense_oracle(degree, n, p):
         1.0 / shrink_covariance(decomp, n).values,
         1.0 / shrink_covariance(decomp, n, 0.5).values,
     ])
-    batch = empirical_loss(truth_inv, decomp, rows, degree)
+    batch = empirical_loss(truth_inv, decomp, rows)
     assert batch.shape == (3,)
     for values, got in zip(rows, batch):
-        want = dense_loss(truth_inv, in_eigenbasis(decomp, values), s, degree)
-        single = empirical_loss(truth_inv, decomp, values, degree)
+        want = dense_loss(truth_inv, in_eigenbasis(decomp, values), s)
+        single = empirical_loss(truth_inv, decomp, values)
         assert isinstance(single, float)
         assert abs(single - want) <= 1e-12 * abs(want)
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -457,11 +447,10 @@ def test_loss_of_a_stack_matches_each_matrix_bit_for_bit():
     stack = np.stack([sample_covariance(rng.standard_normal((n, p))) for _ in range(count)])
     decomp = eigh(stack)
     values = rng.uniform(0.5, 2.0, (count, 3, p))
-    for degree in (0, 1, 2):
-        batch = empirical_loss(truth_inv, decomp, values, degree)
-        assert batch.shape == (count, 3)
-        for k, s in enumerate(stack):
-            assert np.array_equal(batch[k], empirical_loss(truth_inv, eigh(s), values[k], degree))
+    batch = empirical_loss(truth_inv, decomp, values)
+    assert batch.shape == (count, 3)
+    for k, s in enumerate(stack):
+        assert np.array_equal(batch[k], empirical_loss(truth_inv, eigh(s), values[k]))
     with pytest.raises(DimensionError):
         empirical_loss(truth_inv, decomp, values[0])
     with pytest.raises(DimensionError):
@@ -472,8 +461,6 @@ def test_loss_of_a_stack_matches_each_matrix_bit_for_bit():
 
 def test_loss_validation():
     decomp = eigh(np.eye(2))
-    with pytest.raises(DomainError):
-        empirical_loss(np.eye(2), decomp, [1.0, 1.0], -1)
     with pytest.raises(DimensionError):
         empirical_loss(np.eye(3), decomp, [1.0, 1.0])
     with pytest.raises(DimensionError):
@@ -506,12 +493,12 @@ def test_rule_outputs_stay_positive(lams, h, under):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=3))
-def test_loss_nonnegative_on_psd_weight(dim, degree):
-    rng = np.random.default_rng(dim * 7 + degree)
+def test_loss_nonnegative_on_psd_weight(dim, seed):
+    rng = np.random.default_rng(dim * 7 + seed)
     a = rng.standard_normal((dim, dim))
     z = rng.standard_normal((dim + 2, dim))
     loss = empirical_loss(
-        0.5 * (a + a.T), eigh(sample_covariance(z)), rng.standard_normal(dim), degree
+        0.5 * (a + a.T), eigh(sample_covariance(z)), rng.standard_normal(dim)
     )
     assert loss >= -1e-12
 

@@ -378,7 +378,7 @@ def prial_replicate_oracle(np_product, aspect_ratios=(0.3, 0.5, 0.7), reps=100, 
             decomp = require_positive_definite(sample_covariance(z), "inverse")
             chosen = select_bandwidth(decomp, n, grid)
             inverse_values = 1.0 / np.vstack([decomp.eigenvalues, chosen.values])
-            losses = empirical_loss(truth_inv, decomp, inverse_values, 1)
+            losses = empirical_loss(truth_inv, decomp, inverse_values)
             raw_losses[rep] = losses[0]
             grid_losses[rep] = losses[1:]
             sure_losses[rep] = grid_losses[rep, chosen.index]
