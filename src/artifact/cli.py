@@ -271,6 +271,10 @@ def cmd_fit(opts, outdir):
         _require_seed(opts, "the mixture sampler")
     if opts["h"] != "default" and method != "global":
         raise DomainError("--h applies to --method global only, not %s" % method)
+    if not method.startswith("local-") and any(
+            opts[opt] != OPTIONS["fit"][opt][1] for opt in ("sweeps", "burn_in")):
+        raise DomainError("--sweeps and --burn-in apply to --method local-K only, not %s"
+                          % method)
     bundle = SourceBundle(read_matrix(opts["design"]), read_matrix(opts["response"]))
     est = estimate_with_method(bundle, method, opts["seed"], opts["sweeps"],
                                opts["burn_in"], h=opts["h"])

@@ -24,6 +24,8 @@ from .tuning import default_bandwidth_grid, select_bandwidth
 
 MAX_DESIGN_CONDITION = 1e12
 NOISE_FLOOR = 1e-12
+# Fewest Gumbel variates that the mixture sampler draws at a time.
+GUMBEL_BLOCK = 1 << 14
 
 
 class SourceBundle:
@@ -209,6 +211,20 @@ def _component_shrunk(standardized_rows, count, p):
     return _shrink_spectrum(decomp, count, p, h)
 
 
+def _components_shrunk(blocks, p):
+    """Shrink the second moments of several components as one stack.
+
+    blocks holds each component's member rows, more than p of them.  One
+    eigh of the (m, p, p) stack of Grams and one rule with each component's
+    n and h on the leading axis give, bit for bit, what _component_shrunk
+    gives each block alone.  Raises SingularityError if any spectrum of the
+    stack is rejected.
+    """
+    counts = np.array([rows.shape[0] for rows in blocks])
+    decomp = eigh(np.stack([rows.T @ rows / rows.shape[0] for rows in blocks]))
+    return _shrink_spectrum(decomp, counts, p, [default_bandwidth(c, p) for c in counts])
+
+
 def _initial_labels(standardized, k):
     """Rank rows by norm and cut into k contiguous, near-equal groups."""
     norms = np.linalg.norm(standardized, axis=1)
@@ -233,20 +249,26 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
     are (components, rows).
 
     Only what the new labels change is recomputed.  Each component keeps its
-    last member mask and its fit (spectrum, shrunk values, pooled fallback or
-    not, clamp count).  While its mask is unchanged its member rows are the
-    same rows in the same order, so the fit is reused instead of gathered,
-    factored and shrunk again (`reused_fits` counts these).  When no
-    component changed, the counts and precisions are unchanged too, so the
-    sweep reuses the last log posteriors, the product buffer and the
-    posterior-mean term (formed once, past burn-in) and does only the draw,
-    the accumulation and the argmax (`frozen_sweeps` counts these).  Reused
-    fits still add their pooled resets and clamps on every sweep, and the
-    result is bit-identical to refitting every sweep.  How often either
-    happens depends on the data.  Working memory is O(rows * components * p)
-    whatever the sweep count: one (rows, components * p) product buffer,
-    allocated once and reused by every sweep, plus the member masks, one
-    byte per row and component.
+    last member mask and its fit (spectrum, shrunk values, pooled fallback
+    or not, clamp count).  While its mask is unchanged its member rows are
+    the same rows in the same order, so the fit is reused instead of
+    gathered, factored and shrunk again (`reused_fits` counts these).  When
+    two or more refitted components have more than p members, they are
+    fitted as one stack by _components_shrunk.  The rest go one at a time
+    (below two members they take the pooled fit), and so does every
+    component of the stack when any of its spectra is rejected, so that only
+    the rejected one takes the pooled fit.  When no component changed, the
+    counts and precisions are unchanged too, so the sweep reuses the last
+    log posteriors, the product buffer and the posterior-mean term (formed
+    once, past burn-in) and does only the draw, the accumulation and the
+    argmax (`frozen_sweeps` counts these).  Reused fits still add their
+    pooled resets and clamps on every sweep, and the result is bit-identical
+    to refitting every component on its own on every sweep.  How often
+    either reuse happens depends on the data.  Working memory is O(rows *
+    components * p) whatever the sweep count: one (rows, components * p)
+    product buffer, allocated once and reused by every sweep, plus the
+    member masks, one byte per row and component, and whatever the gumbels
+    iterable holds.
     """
     n, p = standardized.shape
     labels = np.asarray(labels, dtype=int).copy()
@@ -260,30 +282,43 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
             k = draw.shape[1]
             buffer = np.empty((n, k * p))
             vectors, values = np.empty((p, k, p)), np.empty((k, p))
-            keys, fits = [None] * k, [None] * k
+            keys, resets, clamps = [None] * k, [False] * k, [0] * k
         if draw.shape != (n, k) or k < 1:
             raise DimensionError("each Gumbel draw must be (rows, components)")
-        changed = False
+        refits = {}
         for comp in range(k):
             mask = labels == comp
             key = mask.tobytes()  # bytes compare by memcmp, far cheaper than np.array_equal
             if key == keys[comp]:
                 reused_fits += 1
             else:
-                changed = True
                 keys[comp] = key
-                members = standardized[mask]
-                shrunk = pooled
-                if members.shape[0] >= 2:
-                    try:
-                        shrunk = _component_shrunk(members, members.shape[0], p)
-                    except SingularityError:
-                        pass
-                fits[comp] = shrunk
-                vectors[:, comp] = shrunk.decomposition.eigenvectors
-                values[comp] = shrunk.values
-            pooled_resets += fits[comp] is pooled
-            clamp_total += fits[comp].clamp_count
+                refits[comp] = standardized[mask]
+        changed = bool(refits)
+        stack = [comp for comp, rows in refits.items() if rows.shape[0] > p]
+        if len(stack) > 1:
+            try:
+                shrunk = _components_shrunk([refits[comp] for comp in stack], p)
+            except SingularityError:
+                pass
+            else:
+                for i, comp in enumerate(stack):
+                    vectors[:, comp] = shrunk.decomposition.eigenvectors[i]
+                    values[comp] = shrunk.values[i]
+                    resets[comp], clamps[comp] = False, int(shrunk.clamp_count[i])
+                    del refits[comp]
+        for comp, rows in refits.items():
+            shrunk = pooled
+            if rows.shape[0] >= 2:
+                try:
+                    shrunk = _component_shrunk(rows, rows.shape[0], p)
+                except SingularityError:
+                    pass
+            vectors[:, comp] = shrunk.decomposition.eigenvectors
+            values[comp] = shrunk.values
+            resets[comp], clamps[comp] = shrunk is pooled, shrunk.clamp_count
+        pooled_resets += sum(resets)
+        clamp_total += sum(clamps)
         if changed:
             term = None
             counts = np.bincount(labels, minlength=k)
@@ -312,6 +347,35 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
     return accum, diagnostics
 
 
+def _gumbel_draws(rng, sweeps, rows, components):
+    """Yield rng's Gumbel variates one (rows, components) sweep at a time.
+
+    The values are those of one up-front rng.gumbel(size=(sweeps, rows,
+    components)).  They are drawn in blocks of whole sweeps, each of at
+    least GUMBEL_BLOCK variates save the last.  The first block is drawn
+    here, in the caller's thread; when there is more than one, a single
+    helper thread draws each next block while the caller works through the
+    current one.  Only one thread uses rng at any time, in block order, so
+    the stream is unchanged, and at most two blocks are held at once.  The
+    helper is joined whenever the generator ends, including when it is
+    closed early.
+    """
+    per_block = -(-GUMBEL_BLOCK // (rows * components))
+    block = rng.gumbel(size=(min(per_block, sweeps), rows, components))
+    if per_block >= sweeps:
+        yield from block
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only fits of several blocks pay for it
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for start in range(per_block, sweeps, per_block):
+            ahead = helper.submit(rng.gumbel, size=(min(per_block, sweeps - start),
+                                                    rows, components))
+            yield from block
+            block = ahead.result()
+        yield from block
+
+
 def _require_seed(seed):
     """Reject a negative integer seed as a DomainError; numpy raises a bare ValueError."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
@@ -328,18 +392,23 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     per-sweep posterior means after burn_in.  Components that empty out or
     lose their spectrum borrow the pooled all-rows covariance for that sweep.
     As in global_shrink, the sampler sees only the whitened rows B*, and the
-    estimate (B* - E[B* P]) Q^1/2 un-whitens once.  Each sweep draws its own
-    (sources, n_components) Gumbel block, the same values as one up-front
-    (sweeps, sources, n_components) draw.  Each sweep weighs the rows in
+    estimate (B* - E[B* P]) Q^1/2 un-whitens once.  The Gumbel variates come
+    in blocks of whole sweeps (see _gumbel_draws), the same values as one
+    up-front (sweeps, sources, n_components) draw.  Only when there is more
+    than one block does a single helper thread draw the next block while the
+    sweeps run; the result is bit-identical either way, and the draws hold
+    O(block) memory, two blocks at most.  Each sweep weighs the rows in
     precision form, with one product of the standardized rows and all
     component precisions into a buffer reused by every sweep, so working
     memory is O(sources * n_components * p) whatever the sweep count; the
-    member masks add one byte per source and component.  A
-    component whose members did not change keeps its shrunk covariance, and
-    a sweep whose labels did not move reuses the whole posterior, so only
-    its Gumbel draw, accumulation and argmax are new; the diagnostics count
-    both (`reused_fits`, `frozen_sweeps`), and the result is bit-identical
-    to refitting every sweep.  How much this saves depends on the data.
+    member masks add one byte per source and component.  A component whose
+    members did not change keeps its shrunk covariance, and a sweep whose
+    labels did not move reuses the whole posterior, so only its Gumbel draw,
+    accumulation and argmax are new; the diagnostics count both
+    (`reused_fits`, `frozen_sweeps`).  Two or more components refitted in
+    one sweep with more members than p are fitted as one stack.  The result
+    is bit-identical to refitting every component on its own on every sweep.
+    How much the reuse saves depends on the data.
     """
     k = int(n_components)
     if k != n_components or k < 1:
@@ -357,9 +426,11 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
         )
     bstar = bundle.standardized
     labels = _initial_labels(bstar, k)
-    rng = np.random.default_rng(seed)
-    gumbels = (rng.gumbel(size=(n, k)) for _ in range(sweeps))
-    term, diagnostics = _mixture_sweeps(bstar, labels, gumbels, burn_in)
+    draws = _gumbel_draws(np.random.default_rng(seed), sweeps, n, k)
+    try:
+        term, diagnostics = _mixture_sweeps(bstar, labels, draws, burn_in)
+    finally:
+        draws.close()
     coef = (bstar - term) @ bundle.q_half
     if not np.all(np.isfinite(coef)):
         raise NumericalError("mixture-shrunk coefficients are non-finite")

@@ -73,7 +73,9 @@ def _stein_sums(inv, iu, u2, h, divisor, derivative=False, out=None):
     """Stein-transform sums at the points x of iu, u2 = _kernel_differences(inv, x).
 
     h is a 1-d array of bandwidths; the result has shape (h.size, x.size),
-    after the leading axis of spectra if inv has one.  With derivative,
+    after the leading axis of spectra if inv has one.  With a stack, h may
+    instead be an (R, 1) column, one bandwidth per spectrum, which gives
+    (R, 1, x.size).  With derivative,
     returns (g, g') where g' is the x-derivative.  out, if given, is a pair
     of buffers of the shape of the terms, ([R,] h.size, x.size, inv.size),
     that the terms are formed in; a caller that evaluates many bandwidths
@@ -140,8 +142,13 @@ class ShrinkageRule:
     In the over regime, zero sample eigenvalues map to `zero_rule_value`,
     which is None when p == n (the constant is undefined there).  In the
     under regime the eigenvalues may also be an (R, p) stack of spectra,
-    each checked as a single one is; the kernel is then the (R, p) stack,
-    which the risk grid uses (evaluate takes a single spectrum).
+    each checked as a single one is; the kernel is then the (R, p) stack.
+    The risk grid builds such a rule with one n and a grid of h that every
+    spectrum shares, and evaluates it itself.  A stack may instead take one
+    sample count per spectrum, n a 1-d integer array, and then one bandwidth
+    per spectrum, h of the same length: n, h and aspect are then (R, 1)
+    columns, and evaluate maps an (R, q) array of points, row r through
+    spectrum r, exactly as R single-spectrum rules would.
 
     Instances are immutable after construction; evaluation is pure and
     returns the clamp mask to the caller instead of mutating state.
@@ -154,12 +161,22 @@ class ShrinkageRule:
             raise DimensionError(
                 "expected %d eigenvalues, got %d" % (p, lam.shape[-1])
             )
-        if int(n) != n or n < 1:
+        per_spectrum = np.ndim(n) == 1
+        if per_spectrum:
+            n = np.asarray(n)
+            if lam.ndim != 2 or n.shape != lam.shape[:1] or np.shape(h) != n.shape:
+                raise DimensionError("one n and one h per spectrum need a stack of as many")
+            if n.dtype.kind not in "iu" or n.min() < 1:
+                raise DomainError("n must be positive integers")
+        elif int(n) != n or n < 1:
             raise DomainError("n must be a positive integer")
         if not np.all(np.isfinite(lam)):
             raise InputError("eigenvalues must be finite")
         hv = _bandwidths(h)
-        n = int(n)
+        if per_spectrum:
+            n, hv = n[:, None], hv[:, None]
+        else:
+            n = int(n)
         tol = np.asarray(zero_tolerance(lam))[..., None]
         if lam.size and (lam[..., -1] <= 0).any():
             raise SingularityError("spectrum has no positive eigenvalue")
@@ -171,7 +188,7 @@ class ShrinkageRule:
         self.h = float(hv[0]) if np.ndim(h) == 0 else hv
         self.aspect = self.p / self.n
 
-        if self.p < self.n:
+        if self.p < (self.n.min() if per_spectrum else self.n):
             self.regime = "under"
             small = lam <= tol
             if small.any():
@@ -207,6 +224,7 @@ class ShrinkageRule:
         bracket fell below the floor: 1-d arrays for a scalar h, and one row
         per bandwidth for a 1-d h.  x may be scalar or 1-d; entries must be
         strictly positive (zeros are the caller's job via zero_rule_value).
+        A rule with one n and h per spectrum takes and returns (R, q) arrays.
         """
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xv <= 0) or not np.all(np.isfinite(xv)):
@@ -216,6 +234,9 @@ class ShrinkageRule:
         inv = 1.0 / self.kernel
         g = _stein_sums(inv, *_kernel_differences(inv, inv_x), np.atleast_1d(self.h),
                         self.divisor)
+        if np.ndim(self.n):
+            # one bandwidth per spectrum: g is (R, 1, q)
+            return self._apply(inv_x, g[:, 0])
         values, clamped = self._apply(inv_x, g)
         return (values, clamped) if np.ndim(self.h) else (values[0], clamped[0])
 
@@ -232,21 +253,33 @@ class ShrinkageRule:
 
 
 class ShrunkCovariance:
-    """Shrunk covariance in factored form: sample eigenvectors, new eigenvalues."""
+    """Shrunk covariance in factored form: sample eigenvectors, new eigenvalues.
+
+    For a stack of spectra, values are (R, p) and clamp_count has one entry
+    per spectrum.
+    """
 
     def __init__(self, decomposition, values, rule, clamp_count):
         self.decomposition = decomposition
         self.values = np.asarray(values, dtype=float)
         self.rule = rule
-        self.clamp_count = int(clamp_count)
+        self.clamp_count = int(clamp_count) if np.ndim(clamp_count) == 0 else clamp_count
         if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
             raise SingularityError("shrunk eigenvalues must be positive and finite")
 
 
 def _shrink_spectrum(decomp, n, p, h):
-    """Shared kernel: build the rule and push the whole spectrum through it."""
+    """Shared kernel: build the rule and push the whole spectrum through it.
+
+    A stack of spectra takes one n and h per spectrum.  Its rule is in the
+    under regime, which accepts full-rank spectra only, so every eigenvalue
+    is mapped.
+    """
     rule = ShrinkageRule(decomp.eigenvalues, n, p, h)
     lam = decomp.eigenvalues
+    if lam.ndim == 2:
+        values, clamped = rule.evaluate(lam)
+        return ShrunkCovariance(decomp, values, rule, np.sum(clamped, axis=-1))
     values = np.empty(p)
     clamps = 0
     positive = lam > decomp.zero_tolerance

@@ -626,6 +626,25 @@ def test_fit_bandwidth_with_other_method_exits_3_before_reading_inputs(
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("method", ["ols", "global", "global-sure"])
+@pytest.mark.parametrize("option", [["--sweeps", "3"], ["--burn-in", "7"]])
+def test_fit_sampler_options_with_other_method_exit_3_before_reading_inputs(
+        tmp_path, capsys, method, option):
+    # --sweeps and --burn-in drive the mixture sampler; elsewhere they would
+    # be ignored, and only the manifest's config_hash would show them
+    absent = str(tmp_path / "absent.csv")
+    out = tmp_path / "out"
+    assert main(["fit", "--method", method, *option,
+                 "--design", absent, "--response", absent, "--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: precondition: --sweeps and --burn-in apply to --method local-K only, "
+        "not %s\n" % method
+    )
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
 def test_config_file_supplies_and_flags_override(tmp_path):
     data = str(tmp_path / "z.csv")
     write_matrix(data, np.random.default_rng(5).standard_normal((40, 4)),

@@ -7,6 +7,7 @@ that assembles every component's p-by-p shrinkage operator each sweep, and
 the sampler's sweep loop with every component refitted on every sweep.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,8 +30,12 @@ from artifact import (
     sample_covariance,
     shrink_covariance,
 )
+from artifact import regress
 from artifact.regress import (
+    GUMBEL_BLOCK,
     _component_shrunk,
+    _components_shrunk,
+    _gumbel_draws,
     _initial_labels,
     _log_posteriors,
     _mixture_sweeps,
@@ -838,6 +843,120 @@ def test_mixture_sweeps_reuse_matches_refitting_every_sweep(case):
     assert diag["final_component_sizes"] == np.bincount(path[-1], minlength=k).tolist()
     assert (diag["frozen_sweeps"], diag["reused_fits"], diag["pooled_resets"]) == (
         frozen, reused, resets)
+
+
+def four_case_rows(p=4):
+    """Whitened rows in five components that meet every case of a component fit.
+
+    Component 0 has one member (pooled fit), component 1 has p - 1 (the over
+    regime), component 2 has 2 p members whose last column is zero (a
+    rank-deficient Gram, which the rule rejects), and components 3 and 4 have
+    3 p members each (ordinary fits).  Returns the rows and their labels.
+    """
+    sizes = [1, p - 1, 2 * p, 3 * p, 3 * p]
+    rows = np.random.default_rng(90).standard_normal((sum(sizes), p))
+    labels = np.repeat(np.arange(5), sizes)
+    rows[labels == 2, -1] = 0.0
+    return rows, labels
+
+
+def test_components_shrunk_matches_component_shrunk_bit_for_bit():
+    rows, labels = four_case_rows()
+    p = rows.shape[1]
+    # six rows spread over two decades: one shrunk eigenvalue clamps
+    clamping = np.random.default_rng(53).standard_normal((6, p)) * np.geomspace(1, 100, p)
+    blocks = [rows[labels == 3], clamping, rows[labels == 4]]
+    stacked = _components_shrunk(blocks, p)
+    assert stacked.clamp_count.tolist() == [0, 1, 0]
+    for r, block in enumerate(blocks):
+        alone = _component_shrunk(block, block.shape[0], p)
+        assert np.array_equal(stacked.decomposition.eigenvectors[r],
+                              alone.decomposition.eigenvectors)
+        assert np.array_equal(stacked.values[r], alone.values)
+        assert stacked.clamp_count[r] == alone.clamp_count
+    # one rejected spectrum rejects the stack, naming it
+    with pytest.raises(SingularityError, match="spectrum 1 of the stack"):
+        _components_shrunk([blocks[0], rows[labels == 2], blocks[2]], p)
+
+
+def test_mixture_sweeps_stacked_stage_matches_refitting_one_at_a_time(monkeypatch):
+    # sweep 1 refits all five components: the stack of components 2-4 is
+    # rejected for component 2, so they go one at a time, and only 0 and 2
+    # take the pooled fit; sweep 2 refits components 3 and 4 as one stack;
+    # sweep 3 refits 1 and 3, and 3 alone has more than p members, so both
+    # go one at a time
+    rows, labels = four_case_rows()
+    p = rows.shape[1]
+    swapped = labels.copy()
+    three, four = np.flatnonzero(labels == 3)[:2], np.flatnonzero(labels == 4)[:3]
+    swapped[three], swapped[four] = 4, 3
+    moved = swapped.copy()
+    moved[np.flatnonzero(labels == 1)[0]] = 3
+    gumbels = forced_draws([labels, swapped, moved, moved], 5)
+    shapes = []
+
+    def recording_eigh(matrix):
+        shapes.append(np.shape(matrix))
+        return eigh(matrix)
+
+    monkeypatch.setattr(regress, "eigh", recording_eigh)
+    out, diag = _mixture_sweeps(rows, labels, gumbels, 0)
+    monkeypatch.undo()
+    expected, expected_diag = refit_every_sweep_oracle(rows, labels, gumbels, 0)
+    assert np.array_equal(out, expected)
+    assert diag == expected_diag
+    assert (diag["pooled_resets"], diag["reused_fits"]) == (6, 6)
+    one = (p, p)
+    assert shapes == [one, (3, p, p), one, one, one, one, (2, p, p), one, one]
+
+
+def test_gumbel_draws_are_the_up_front_stream_across_blocks():
+    rows, components, sweeps = 40, 3, 300
+    per_block = -(-GUMBEL_BLOCK // (rows * components))
+    # three blocks, the last one partial
+    assert 2 * per_block < sweeps < 3 * per_block
+    draws = list(_gumbel_draws(np.random.default_rng(5), sweeps, rows, components))
+    want = np.random.default_rng(5).gumbel(size=(sweeps, rows, components))
+    assert np.array_equal(np.array(draws), want)
+    bundle = two_scale_bundle(70, 30, 4, rows)
+    fit = local_shrink(bundle, components, sweeps=sweeps, burn_in=50, seed=5)
+    bstar = bundle.standardized
+    term, diag = _mixture_sweeps(bstar, _initial_labels(bstar, components), want, 50)
+    assert np.array_equal(fit.coefficients, (bstar - term) @ bundle.q_half)
+    assert fit.diagnostics["final_component_sizes"] == diag["final_component_sizes"]
+
+
+def test_gumbel_draws_join_their_helper_thread(monkeypatch):
+    bundle = two_scale_bundle(70, 30, 4, 40)
+    before = threading.active_count()
+    local_shrink(bundle, 3, sweeps=300, burn_in=50, seed=1)
+    assert threading.active_count() == before
+    # closed early, with the helper drawing the second block
+    draws = _gumbel_draws(np.random.default_rng(1), 300, 40, 3)
+    next(draws)
+    assert threading.active_count() == before + 1
+    draws.close()
+    assert threading.active_count() == before
+
+    # and when a sweep raises
+    def failing(*args):
+        raise RegimeError("stop")
+
+    monkeypatch.setattr(regress, "_log_posteriors", failing)
+    with pytest.raises(RegimeError) as caught:
+        local_shrink(bundle, 3, sweeps=300, burn_in=50, seed=1)
+    # the traceback keeps local_shrink's frame, and with it the generator, alive
+    assert caught.tb is not None and threading.active_count() == before
+
+
+def test_gumbel_draws_in_one_block_start_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError("a one-block fit started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    n, k, sweeps = 40, 2, 200
+    assert n * k * sweeps <= GUMBEL_BLOCK
+    local_shrink(two_scale_bundle(70, 30, 4, n), k, sweeps=sweeps, burn_in=50, seed=1)
 
 
 def test_local_shrink_streams_the_up_front_draws():

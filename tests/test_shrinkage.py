@@ -206,6 +206,30 @@ def test_rule_checks_each_spectrum_of_a_stack():
         ShrinkageRule([[0.0, 1.0, 3.0], [0.0, 2.0, 3.0]], 2, 3, 0.4)
 
 
+def test_rule_with_one_n_and_h_per_spectrum_matches_single_rules():
+    # the first spectrum clamps at its n and h (as in the adversarial test below)
+    spectra = np.array([[0.95, 1.0, 1.0, 1.0], [0.2, 0.9, 1.5, 4.0], [1.0, 2.0, 3.0, 8.0]])
+    counts, hs = np.array([5, 40, 9]), [0.01, 0.3, 1.2]
+    rule = ShrinkageRule(spectra, counts, 4, hs)
+    assert rule.regime == "under" and rule.aspect.shape == (3, 1)
+    values, clamped = rule.evaluate(spectra)
+    assert values.shape == clamped.shape == (3, 4) and clamped[0].any()
+    for lam, n, h, row, mask in zip(spectra, counts, hs, values, clamped):
+        want, want_mask = ShrinkageRule(lam, int(n), 4, h).evaluate(lam)
+        assert np.array_equal(row, want) and np.array_equal(mask, want_mask)
+    with pytest.raises(DimensionError):
+        ShrinkageRule(spectra, counts[:2], 4, hs[:2])
+    with pytest.raises(DimensionError):
+        ShrinkageRule(spectra, counts, 4, 0.5)
+    with pytest.raises(DimensionError):
+        ShrinkageRule(spectra[0], counts[:1], 4, hs[:1])
+    with pytest.raises(DomainError):
+        ShrinkageRule(spectra, counts + 0.5, 4, hs)
+    # a count at or below p puts its spectrum in the over regime
+    with pytest.raises(RegimeError):
+        ShrinkageRule(spectra, np.array([5, 4, 9]), 4, hs)
+
+
 def test_rule_bandwidth_axis_matches_scalar_rules():
     hs = np.array([0.01, 0.3, 2.0])
     x = np.array([0.5, 1.0, 2.5])
