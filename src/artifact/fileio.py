@@ -192,12 +192,15 @@ def read_matrix(path):
 
 def format_matrix(matrix, fmt="%.6g", header=None):
     rows = np.atleast_2d(np.asarray(matrix, dtype=float))
+    n, m = rows.shape
     lines = [] if header is None else [",".join(header)]
-    for row in rows:
-        # Python floats format faster than numpy scalars.  One % per row is
-        # faster still, but CPython 3.11 never reuses the 20-item argument
-        # tuples it puts on its free list (about 0.4 MB per process).
-        lines.append(",".join([fmt % v for v in row.tolist()]))
+    if n:
+        # One % over every cell, with the row pattern repeated per row, on
+        # Python floats (they format faster than numpy scalars).  The n * m
+        # argument tuple is freed whole afterwards: a tuple that large never
+        # goes on CPython's free list, which keeps only small ones.
+        pattern = "\n".join([",".join([fmt] * m)] * n)
+        lines.append(pattern % tuple(rows.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

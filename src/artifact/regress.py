@@ -24,8 +24,6 @@ from .tuning import default_bandwidth_grid, select_bandwidth
 
 MAX_DESIGN_CONDITION = 1e12
 NOISE_FLOOR = 1e-12
-# Fewest Gumbel variates that the mixture sampler draws at a time.
-GUMBEL_BLOCK = 1 << 14
 
 
 class SourceBundle:
@@ -239,14 +237,15 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
     """Run the label sweeps on the whitened rows B* with explicit Gumbel variates.
 
     gumbels is an iterable of per-sweep (rows, components) draws, consumed
-    one at a time (a 3-d array iterates as one); sweep s resamples labels by
-    argmax_k of (log posterior numerator + draw_s[:, k]), so permuting the
-    component axis together with the initial labels permutes the whole
-    trajectory.  Returns E[B* P], the post-burn-in average of the
-    posterior-mean term sum_k w_k b* P_k (P_k the component precisions,
-    b* P_k the products from _log_posteriors), and a diagnostics dict; the
-    shrunk whitened rows are B* - E[B* P].  The log posteriors and weights
-    are (components, rows).
+    one at a time (a 3-d array iterates as one); each draw is used up before
+    the next is requested, so the iterable may yield one reused buffer.
+    Sweep s resamples labels by argmax_k of (log posterior numerator +
+    draw_s[:, k]), so permuting the component axis together with the initial
+    labels permutes the whole trajectory.  Returns E[B* P], the post-burn-in
+    average of the posterior-mean term sum_k w_k b* P_k (P_k the component
+    precisions, b* P_k the products from _log_posteriors), and a diagnostics
+    dict; the shrunk whitened rows are B* - E[B* P].  The log posteriors and
+    weights are (components, rows).
 
     Only what the new labels change is recomputed.  Each component keeps its
     last member mask and its fit (spectrum, shrunk values, pooled fallback
@@ -348,32 +347,29 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
 
 
 def _gumbel_draws(rng, sweeps, rows, components):
-    """Yield rng's Gumbel variates one (rows, components) sweep at a time.
+    """Yield one (rows, components) array of standard Gumbel variates per sweep.
 
-    The values are those of one up-front rng.gumbel(size=(sweeps, rows,
-    components)).  They are drawn in blocks of whole sweeps, each of at
-    least GUMBEL_BLOCK variates save the last.  The first block is drawn
-    here, in the caller's thread; when there is more than one, a single
-    helper thread draws each next block while the caller works through the
-    current one.  Only one thread uses rng at any time, in block order, so
-    the stream is unchanged, and at most two blocks are held at once.  The
-    helper is joined whenever the generator ends, including when it is
-    closed early.
+    Each draw is G = -log(-log(1 - u)) over u = rng.random, numpy's own
+    formula for gumbel(0, 1), computed in place in one buffer that every
+    sweep reuses: a yielded draw is valid only until the next one is
+    requested.  The stream is that of one up-front -log(-log(1 -
+    rng.random((sweeps, rows, components)))).  It differs from
+    rng.gumbel(size=(sweeps, rows, components)) only by the rounding of the
+    vectorized log (about 0.4% of entries by at most a few units in the last
+    place, none where numpy falls back to libm) and at u = 0, where
+    Generator.gumbel would draw again and this gives +inf: that row takes
+    the first component whose u is 0.
     """
-    per_block = -(-GUMBEL_BLOCK // (rows * components))
-    block = rng.gumbel(size=(min(per_block, sweeps), rows, components))
-    if per_block >= sweeps:
-        yield from block
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only fits of several blocks pay for it
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for start in range(per_block, sweeps, per_block):
-            ahead = helper.submit(rng.gumbel, size=(min(per_block, sweeps - start),
-                                                    rows, components))
-            yield from block
-            block = ahead.result()
-        yield from block
+    draw = np.empty((rows, components))
+    for _ in range(sweeps):
+        rng.random(out=draw)
+        np.subtract(1.0, draw, out=draw)
+        np.log(draw, out=draw)
+        np.negative(draw, out=draw)
+        with np.errstate(divide="ignore"):  # -log(1 - 0) = -0, whose log is -inf
+            np.log(draw, out=draw)
+        np.negative(draw, out=draw)
+        yield draw
 
 
 def _require_seed(seed):
@@ -392,12 +388,12 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     per-sweep posterior means after burn_in.  Components that empty out or
     lose their spectrum borrow the pooled all-rows covariance for that sweep.
     As in global_shrink, the sampler sees only the whitened rows B*, and the
-    estimate (B* - E[B* P]) Q^1/2 un-whitens once.  The Gumbel variates come
-    in blocks of whole sweeps (see _gumbel_draws), the same values as one
-    up-front (sweeps, sources, n_components) draw.  Only when there is more
-    than one block does a single helper thread draw the next block while the
-    sweeps run; the result is bit-identical either way, and the draws hold
-    O(block) memory, two blocks at most.  Each sweep weighs the rows in
+    estimate (B* - E[B* P]) Q^1/2 un-whitens once.  Each sweep draws its
+    (sources, n_components) Gumbel variates as -log(-log(1 - u)) from
+    uniform doubles u = rng.random into one reused buffer (see
+    _gumbel_draws): the same stream as one up-front draw, and equal to
+    Generator.gumbel's up to the rounding of the vectorized log, which
+    enters only through the label argmax.  Each sweep weighs the rows in
     precision form, with one product of the standardized rows and all
     component precisions into a buffer reused by every sweep, so working
     memory is O(sources * n_components * p) whatever the sweep count; the
@@ -427,10 +423,7 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     bstar = bundle.standardized
     labels = _initial_labels(bstar, k)
     draws = _gumbel_draws(np.random.default_rng(seed), sweeps, n, k)
-    try:
-        term, diagnostics = _mixture_sweeps(bstar, labels, draws, burn_in)
-    finally:
-        draws.close()
+    term, diagnostics = _mixture_sweeps(bstar, labels, draws, burn_in)
     coef = (bstar - term) @ bundle.q_half
     if not np.all(np.isfinite(coef)):
         raise NumericalError("mixture-shrunk coefficients are non-finite")

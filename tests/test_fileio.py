@@ -261,7 +261,15 @@ def test_format_matrix_matches_per_cell_formatting():
     for matrix, fmt in ((edge, "%.6g"), (edge, "%.17g"), (2.5, "%.6g"), (np.empty((3, 0)), "%.6g"),
                         (np.array([1.0, -0.0, np.nan]), "%.3e")):
         assert format_matrix(matrix, fmt) == per_cell_format(matrix, fmt)
-    assert format_matrix(edge, header=["a", "b", "c"]) == per_cell_format(edge, header=["a", "b", "c"])
+    # with and without a header, down to no rows ("\n" alone, or the header
+    # line alone) and one cell
+    for matrix in (edge, np.empty((0, 3)), np.empty((0, 0)), np.empty((2, 0)), np.array([]),
+                   np.array([[-0.0]]), np.array([[np.nan]]), np.array([[-np.inf]])):
+        columns = ["c%d%%s" % j for j in range(np.atleast_2d(matrix).shape[1])]
+        for header in (None, columns):
+            assert format_matrix(matrix, header=header) == per_cell_format(matrix, header=header)
+    assert format_matrix(np.empty((0, 3))) == "\n"
+    assert format_matrix(np.empty((0, 2)), header=["a", "b"]) == "a,b\n"
 
 
 def test_read_matrix_rejects_bad_content(tmp_path):

@@ -32,7 +32,6 @@ from artifact import (
 )
 from artifact import regress
 from artifact.regress import (
-    GUMBEL_BLOCK,
     _component_shrunk,
     _components_shrunk,
     _gumbel_draws,
@@ -910,13 +909,48 @@ def test_mixture_sweeps_stacked_stage_matches_refitting_one_at_a_time(monkeypatc
     assert shapes == [one, (3, p, p), one, one, one, one, (2, p, p), one, one]
 
 
-def test_gumbel_draws_are_the_up_front_stream_across_blocks():
+def test_mixture_sweeps_keep_each_stacked_components_clamp_count(monkeypatch):
+    # sweep 1 fits components 0 and 1 as one stack, whose clamp counts differ
+    # (1 and 0); sweep 2 moves a row from component 2 to 1, so it refits 1
+    # and 2 and keeps component 0's fit, which must add component 0's own
+    # clamp count again, not its stack neighbour's
+    rows, labels = four_case_rows()
+    p = rows.shape[1]
+    clamping = np.random.default_rng(53).standard_normal((6, p)) * np.geomspace(1, 100, p)
+    ordinary, small = rows[labels == 3], rows[labels == 1]
+    rows = np.vstack([clamping, ordinary, small])
+    labels = np.repeat([0, 1, 2], [len(clamping), len(ordinary), len(small)])
+    moved = labels.copy()
+    moved[-1] = 1
+    gumbels = forced_draws([labels, moved, moved], 3)
+    shapes = []
+
+    def recording_eigh(matrix):
+        shapes.append(np.shape(matrix))
+        return eigh(matrix)
+
+    monkeypatch.setattr(regress, "eigh", recording_eigh)
+    out, diag = _mixture_sweeps(rows, labels, gumbels, 0)
+    monkeypatch.undo()
+    expected, expected_diag = refit_every_sweep_oracle(rows, labels, gumbels, 0)
+    assert np.array_equal(out, expected)
+    assert diag == expected_diag
+    one = (p, p)
+    assert shapes == [one, (2, p, p), one, one, one]
+    assert _components_shrunk([clamping, ordinary], p).clamp_count.tolist() == [1, 0]
+    assert (diag["clamp_count"], diag["reused_fits"]) == (2, 1)
+
+
+def up_front_gumbels(seed, shape):
+    # the sampler's stream drawn at once: numpy's formula for gumbel(0, 1)
+    # over uniform doubles u = rng.random
+    return -np.log(-np.log(1.0 - np.random.default_rng(seed).random(shape)))
+
+
+def test_gumbel_draws_are_the_up_front_uniform_stream():
     rows, components, sweeps = 40, 3, 300
-    per_block = -(-GUMBEL_BLOCK // (rows * components))
-    # three blocks, the last one partial
-    assert 2 * per_block < sweeps < 3 * per_block
-    draws = list(_gumbel_draws(np.random.default_rng(5), sweeps, rows, components))
-    want = np.random.default_rng(5).gumbel(size=(sweeps, rows, components))
+    draws = [d.copy() for d in _gumbel_draws(np.random.default_rng(5), sweeps, rows, components)]
+    want = up_front_gumbels(5, (sweeps, rows, components))
     assert np.array_equal(np.array(draws), want)
     bundle = two_scale_bundle(70, 30, 4, rows)
     fit = local_shrink(bundle, components, sweeps=sweeps, burn_in=50, seed=5)
@@ -926,37 +960,40 @@ def test_gumbel_draws_are_the_up_front_stream_across_blocks():
     assert fit.diagnostics["final_component_sizes"] == diag["final_component_sizes"]
 
 
-def test_gumbel_draws_join_their_helper_thread(monkeypatch):
-    bundle = two_scale_bundle(70, 30, 4, 40)
-    before = threading.active_count()
-    local_shrink(bundle, 3, sweeps=300, burn_in=50, seed=1)
-    assert threading.active_count() == before
-    # closed early, with the helper drawing the second block
-    draws = _gumbel_draws(np.random.default_rng(1), 300, 40, 3)
-    next(draws)
-    assert threading.active_count() == before + 1
-    draws.close()
-    assert threading.active_count() == before
-
-    # and when a sweep raises
-    def failing(*args):
-        raise RegimeError("stop")
-
-    monkeypatch.setattr(regress, "_log_posteriors", failing)
-    with pytest.raises(RegimeError) as caught:
-        local_shrink(bundle, 3, sweeps=300, burn_in=50, seed=1)
-    # the traceback keeps local_shrink's frame, and with it the generator, alive
-    assert caught.tb is not None and threading.active_count() == before
+def test_gumbel_draws_match_generator_gumbel_to_round_off():
+    # the same uniforms and formula as Generator.gumbel, which rounds its two
+    # logs in libm where np.log may use a vectorized log: the gaps are a few
+    # units in the last place of draws no larger than about 37 (u = 2^-53),
+    # 8.9e-16 at most in 3.6 M variates, and the bound is 1e-14
+    shape = (50, 2000, 3)
+    draws = np.array([d.copy() for d in _gumbel_draws(np.random.default_rng(8), *shape)])
+    want = np.random.default_rng(8).gumbel(size=shape)
+    assert np.max(np.abs(draws - want)) <= 1e-14
 
 
-def test_gumbel_draws_in_one_block_start_no_thread(monkeypatch):
+def test_gumbel_draws_at_u_zero_are_plus_infinity():
+    # u = 0 (1 - u = 1), where Generator.gumbel draws again, gives +inf with
+    # no floating-point error, and the row takes the first such component
+    class StubGenerator:
+        def random(self, out):
+            out[...] = 0.5
+            out[1, 1:] = 0.0
+
+    with np.errstate(all="raise"):
+        (draw,) = _gumbel_draws(StubGenerator(), 1, 3, 3)
+        labels = np.argmax(np.zeros((3, 3)) + draw.T, axis=0)
+    half = -np.log(-np.log(1.0 - np.full(1, 0.5)))[0]
+    assert np.array_equal(draw[1], [half, np.inf, np.inf])
+    assert np.all(draw[[0, 2]] == half)
+    assert labels.tolist() == [0, 1, 0]
+
+
+def test_local_shrink_starts_no_thread(monkeypatch):
     def refuse(thread):
-        raise AssertionError("a one-block fit started a thread")
+        raise AssertionError("the sampler started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    n, k, sweeps = 40, 2, 200
-    assert n * k * sweeps <= GUMBEL_BLOCK
-    local_shrink(two_scale_bundle(70, 30, 4, n), k, sweeps=sweeps, burn_in=50, seed=1)
+    local_shrink(two_scale_bundle(70, 30, 4, 40), 3, sweeps=300, burn_in=50, seed=1)
 
 
 def test_local_shrink_streams_the_up_front_draws():
@@ -964,7 +1001,7 @@ def test_local_shrink_streams_the_up_front_draws():
     k, sweeps, burn_in, seed = 3, 11, 2, 123
     fit = local_shrink(bundle, k, sweeps=sweeps, burn_in=burn_in, seed=seed)
     bstar = bundle.standardized
-    gumbels = np.random.default_rng(seed).gumbel(size=(sweeps, bundle.n_sources, k))
+    gumbels = up_front_gumbels(seed, (sweeps, bundle.n_sources, k))
     term, diag = _mixture_sweeps(bstar, _initial_labels(bstar, k), gumbels, burn_in)
     assert np.array_equal(fit.coefficients, (bstar - term) @ bundle.q_half)
     assert fit.diagnostics["final_component_sizes"] == diag["final_component_sizes"]
@@ -982,7 +1019,7 @@ def test_local_shrink_assembly_matches_extended_precision():
         n = bundle.n_sources
         k = 2 if n >= 4 else 1
         bstar = bundle.standardized
-        gumbels = np.random.default_rng(seed).gumbel(size=(20, n, k))
+        gumbels = up_front_gumbels(seed, (20, n, k))
         term, _ = _mixture_sweeps(bstar, _initial_labels(bstar, k), gumbels, 5)
         u, s, vt = (f.astype(ld) for f in np.linalg.svd(bundle.design, full_matrices=False))
         sigma = np.sqrt(ld(bundle.sigma2))
