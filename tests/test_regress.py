@@ -988,12 +988,40 @@ def test_gumbel_draws_at_u_zero_are_plus_infinity():
     assert labels.tolist() == [0, 1, 0]
 
 
-def test_local_shrink_starts_no_thread(monkeypatch):
+def refuse_thread_start(monkeypatch):
     def refuse(thread):
         raise AssertionError("the sampler started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    local_shrink(two_scale_bundle(70, 30, 4, 40), 3, sweeps=300, burn_in=50, seed=1)
+
+
+def test_gumbel_draws_join_their_helper_thread(monkeypatch):
+    # the draws run in the caller's thread: no thread is started, and none is
+    # left running after a fit, an early close or a raising sweep
+    refuse_thread_start(monkeypatch)
+    bundle = two_scale_bundle(70, 30, 4, 40)
+    before = threading.active_count()
+    local_shrink(bundle, 3, sweeps=300, burn_in=50, seed=1)
+    assert threading.active_count() == before
+    draws = _gumbel_draws(np.random.default_rng(1), 300, 40, 3)
+    next(draws)
+    assert threading.active_count() == before
+    draws.close()
+    assert threading.active_count() == before
+
+    def failing(*args):
+        raise RegimeError("stop")
+
+    monkeypatch.setattr(regress, "_log_posteriors", failing)
+    with pytest.raises(RegimeError) as caught:
+        local_shrink(bundle, 3, sweeps=300, burn_in=50, seed=1)
+    assert caught.tb is not None and threading.active_count() == before
+
+
+def test_gumbel_draws_in_one_block_start_no_thread(monkeypatch):
+    # a k = 2 fit, the size whose labels freeze, draws every sweep inline
+    refuse_thread_start(monkeypatch)
+    local_shrink(two_scale_bundle(70, 30, 4, 40), 2, sweeps=200, burn_in=50, seed=1)
 
 
 def test_local_shrink_streams_the_up_front_draws():
