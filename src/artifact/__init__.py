@@ -18,7 +18,6 @@ from .spectral import (
     SpectralDecomposition,
     eigh,
     sample_covariance,
-    spectral_apply,
     spectral_inverse,
 )
 from .shrinkage import (
@@ -27,16 +26,12 @@ from .shrinkage import (
     default_bandwidth,
     empirical_loss,
     shrink_covariance,
-    stein_transform,
-    stein_transform_derivative,
 )
 from .tuning import (
     BandwidthSelection,
     default_bandwidth_grid,
     precision_diagonals,
-    risk_estimate,
     select_bandwidth,
-    zeta_derivative_trace,
 )
 from .regress import (
     CoefficientEstimate,

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .fileio import (
     config_hash,
+    format_cell,
     format_manifest,
     format_matrix,
     format_rows,
@@ -66,10 +67,6 @@ _PRECONDITION_ERRORS = (
     RegimeError,
     InsufficientDataError,
 )
-
-
-def fmt(value):
-    return "%.6g" % value
 
 
 def _cast_float_list(text):
@@ -260,21 +257,29 @@ def _resolve_design(token):
     return kind
 
 
-def _require_seed(opts, why):
-    if opts.get("seed") is None:
+def _require_seed_option(opts, why):
+    if opts["seed"] is None:
         raise DomainError("--seed is mandatory for %s (no wall-clock seeding)" % why)
+
+
+def _refuse_unread(subcommand, opts, names, where):
+    """DomainError naming `names`, which nothing reads, if any is not its default."""
+    if any(opts[name] != OPTIONS[subcommand][name][1] for name in names):
+        flags = " and ".join("--" + name.replace("_", "-") for name in names)
+        raise DomainError("%s %s %s" % (flags, "applies" if len(names) == 1 else "apply",
+                                        where))
 
 
 def cmd_fit(opts, outdir):
     method = parse_method(opts["method"])
     if method.startswith("local-"):
-        _require_seed(opts, "the mixture sampler")
-    if opts["h"] != "default" and method != "global":
-        raise DomainError("--h applies to --method global only, not %s" % method)
-    if not method.startswith("local-") and any(
-            opts[opt] != OPTIONS["fit"][opt][1] for opt in ("sweeps", "burn_in")):
-        raise DomainError("--sweeps and --burn-in apply to --method local-K only, not %s"
-                          % method)
+        _require_seed_option(opts, "the mixture sampler")
+    if method != "global":
+        _refuse_unread("fit", opts, ("h",), "to --method global only, not %s" % method)
+    if not method.startswith("local-"):
+        where = "to --method local-K only, not %s" % method
+        _refuse_unread("fit", opts, ("sweeps", "burn_in"), where)
+        _refuse_unread("fit", opts, ("seed",), where)
     bundle = SourceBundle(read_matrix(opts["design"]), read_matrix(opts["response"]))
     est = estimate_with_method(bundle, method, opts["seed"], opts["sweeps"],
                                opts["burn_in"], h=opts["h"])
@@ -286,11 +291,11 @@ def cmd_fit(opts, outdir):
 
     lines = ["fit method=%s sources=%d predictors=%d sigma2=%s"
              % (est.method, bundle.n_sources, bundle.n_predictors,
-                fmt(extra["result_sigma2"]))]
+                format_cell(extra["result_sigma2"]))]
     if "result_h" in extra:
         note = " (fallback to default)" if extra["result_h_fallback"] else ""
-        lines.append("bandwidth h=%s policy=%s%s" % (fmt(extra["result_h"]),
-                                                    extra["result_h_policy"], note))
+        lines.append("bandwidth h=%s policy=%s%s" % (format_cell(extra["result_h"]),
+                                                     extra["result_h_policy"], note))
     return write_outputs("fit", opts, outdir, "_coefficients.csv",
                          format_matrix(est.coefficients), extra, lines)
 
@@ -298,6 +303,9 @@ def cmd_fit(opts, outdir):
 def cmd_tune(opts, outdir):
     # the grid is checked before the read; the default one scales with h0(n, p)
     relative = opts["grid"] is None
+    if not relative:
+        _refuse_unread("tune", opts, ("grid_size", "grid_span"),
+                       "to the default grid only, not with --grid")
     grid = (relative_bandwidth_grid(opts["grid_size"], opts["grid_span"]) if relative
             else check_bandwidth_grid(opts["grid"]))
     z = read_matrix(opts["data"])
@@ -312,7 +320,7 @@ def cmd_tune(opts, outdir):
     results = {"result_h": sel.h, "result_risk": sel.risks[sel.index],
                "result_n": n, "result_p": p}
     lines = ["selected h=%s risk=%s over %d grid points"
-             % (fmt(sel.h), fmt(sel.risks[sel.index]), sel.grid.size)]
+             % (format_cell(sel.h), format_cell(sel.risks[sel.index]), sel.grid.size)]
     return write_outputs("tune", opts, outdir, "_risk.csv",
                          format_matrix(table, header=["h", "risk"]), results, lines)
 
@@ -337,7 +345,8 @@ def cmd_shrink_curve(opts, outdir):
     results = {"result_h": rule.h, "result_regime": rule.regime,
                "result_n": n, "result_p": p}
     lines = ["curve regime=%s h=%s range=[%s, %s] points=%d"
-             % (rule.regime, fmt(rule.h), fmt(grid[0]), fmt(grid[-1]), points)]
+             % (rule.regime, format_cell(rule.h), format_cell(grid[0]),
+                format_cell(grid[-1]), points)]
     return write_outputs("shrink-curve", opts, outdir, "_curve.csv",
                          format_matrix(np.column_stack([grid, values]),
                                        header=["x", "delta"]),
@@ -346,6 +355,9 @@ def cmd_shrink_curve(opts, outdir):
 
 def cmd_simulate(opts, outdir):
     kind = _resolve_design(opts["design"])
+    if not any(m.startswith("local-") for m in opts["methods"]):
+        _refuse_unread("simulate", opts, ("sweeps", "burn_in"),
+                       "only when --methods lists a local-K")
     result = run_experiment(
         kind, opts["n"], opts["p"], rho=opts["rho"], n_samples=opts["samples"],
         n_test=opts["test_samples"], methods=opts["methods"], reps=opts["reps"],
@@ -360,9 +372,10 @@ def cmd_simulate(opts, outdir):
         results["result_mse_%s" % method] = mean_mse
         results["result_pe_%s" % method] = mean_pe
         lines.append("method=%s mse=%s (sd %s) pe=%s (sd %s)"
-                     % (method, fmt(mean_mse), fmt(sd_mse), fmt(mean_pe), fmt(sd_pe)))
+                     % (method, format_cell(mean_mse), format_cell(sd_mse),
+                        format_cell(mean_pe), format_cell(sd_pe)))
     return write_outputs("simulate", opts, outdir, "_results.csv",
-                         format_rows(result.to_rows(), ExperimentResult.COLUMNS),
+                         format_rows(result.records, ExperimentResult.COLUMNS),
                          results, lines)
 
 
@@ -373,6 +386,9 @@ def cmd_crossval(opts, outdir):
     methods = [parse_method(m) for m in opts["methods"]]
     if not methods:
         raise DomainError("need at least one method")
+    if not any(m.startswith("local-") for m in methods):
+        _refuse_unread("crossval", opts, ("sweeps", "burn_in"),
+                       "only when --methods lists a local-K")
     x = read_matrix(opts["design"])
     y = read_matrix(opts["response"])
     if x.shape[0] != y.shape[0]:
@@ -416,7 +432,7 @@ def cmd_crossval(opts, outdir):
             continue
         sd = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
         lines.append("method=%s pmse=%s (sd %s) folds=%d"
-                     % (m, fmt(vals.mean()), fmt(sd), vals.size))
+                     % (m, format_cell(vals.mean()), format_cell(sd), vals.size))
         results["result_pmse_%s" % m] = float(vals.mean())
     return write_outputs("crossval", opts, outdir, "_scores.csv",
                          format_rows(rows, ("method", "fold", "pmse", "status")),
@@ -430,12 +446,12 @@ def cmd_prial(opts, outdir):
     )
     columns = ("aspect", "n", "p", "policy", "prial", "mean_loss",
                "raw_mean_loss", "oracle_h", "undefined")
-    rows = [[r[c] for c in columns] for r in records]
     lines = ["aspect=%s n=%d p=%d policy=%s prial=%s"
-             % (fmt(r["aspect"]), r["n"], r["p"], r["policy"], fmt(r["prial"]))
+             % (format_cell(r["aspect"]), r["n"], r["p"], r["policy"],
+                format_cell(r["prial"]))
              for r in records]
     return write_outputs("prial", opts, outdir, "_prial.csv",
-                         format_rows(rows, columns), {}, lines)
+                         format_rows(records, columns), {}, lines)
 
 
 COMMANDS = {

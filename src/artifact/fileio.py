@@ -30,6 +30,8 @@ CACHE_MAX_BYTES = 1 << 30
 _BLOCK = 1 << 20
 _NEWLINE = re.compile(rb"[\r\n]")
 _CACHE_ERRORS = (OSError, ValueError, EOFError)
+# Every float the package writes or prints has six significant digits.
+_FLOAT = "%.6g"
 
 
 def _cache_tag():
@@ -190,7 +192,7 @@ def read_matrix(path):
     return data
 
 
-def format_matrix(matrix, fmt="%.6g", header=None):
+def format_matrix(matrix, header=None):
     rows = np.atleast_2d(np.asarray(matrix, dtype=float))
     n, m = rows.shape
     lines = [] if header is None else [",".join(header)]
@@ -199,22 +201,22 @@ def format_matrix(matrix, fmt="%.6g", header=None):
         # Python floats (they format faster than numpy scalars).  The n * m
         # argument tuple is freed whole afterwards: a tuple that large never
         # goes on CPython's free list, which keeps only small ones.
-        pattern = "\n".join([",".join([fmt] * m)] * n)
+        pattern = "\n".join([",".join([_FLOAT] * m)] * n)
         lines.append(pattern % tuple(rows.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
-def format_cell(value, fmt="%.6g"):
+def format_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return fmt % value
+        return _FLOAT % value
     return str(value)
 
 
-def format_rows(rows, columns, fmt="%.6g"):
+def format_rows(rows, columns):
     """Render tidy records (dicts or sequences) as headed CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -222,7 +224,7 @@ def format_rows(rows, columns, fmt="%.6g"):
     for row in rows:
         if isinstance(row, dict):
             row = [row[c] for c in columns]
-        writer.writerow([format_cell(v, fmt) for v in row])
+        writer.writerow([format_cell(v) for v in row])
     return buf.getvalue()
 
 

@@ -79,7 +79,6 @@ class SourceBundle:
         sigma = np.sqrt(self.sigma2)
         self.design = _read_only(x)
         self.responses = _read_only(y)
-        self.n_samples = samples
         self.n_predictors = predictors
         self.n_sources = sources
         self.coefficients = _read_only(coef.T)
@@ -107,12 +106,13 @@ def fit_ols(bundle):
     return CoefficientEstimate(bundle.coefficients, "ols", {"sigma2": bundle.sigma2})
 
 
-def _resolve_bandwidth(decomp, n, p, h):
+def _resolve_bandwidth(decomp, n, h):
     """Translate an h policy into (h, policy, fell_back, shrunk).
 
     Under "auto", shrunk is the spectrum the risk grid already evaluated at
     the chosen h; otherwise it is None and the caller shrinks at h.
     """
+    p = decomp.dim
     if isinstance(h, str):
         policy = h.lower()
         if policy == "default":
@@ -149,7 +149,7 @@ def global_shrink(bundle, h="default"):
             "source count equals predictor count (%d); the pooled rule is undefined" % p
         )
     decomp = eigh(bstar.T @ bstar / n)
-    hv, policy, fell_back, shrunk = _resolve_bandwidth(decomp, n, p, h)
+    hv, policy, fell_back, shrunk = _resolve_bandwidth(decomp, n, h)
     if shrunk is None:
         shrunk = shrink_covariance(decomp, n, hv)
     e = shrunk.decomposition.eigenvectors
@@ -202,14 +202,14 @@ def _posterior_weights(logs):
     return weights
 
 
-def _component_shrunk(standardized_rows, count, p):
+def _component_shrunk(rows):
     """Shrink one component's second moment, allowing the p >= count regime."""
-    decomp = eigh(standardized_rows.T @ standardized_rows / count)
-    h = default_bandwidth(count, p)
-    return _shrink_spectrum(decomp, count, p, h)
+    count, p = rows.shape
+    decomp = eigh(rows.T @ rows / count)
+    return _shrink_spectrum(decomp, count, default_bandwidth(count, p))
 
 
-def _components_shrunk(blocks, p):
+def _components_shrunk(blocks):
     """Shrink the second moments of several components as one stack.
 
     blocks holds each component's member rows, more than p of them.  One
@@ -220,7 +220,7 @@ def _components_shrunk(blocks, p):
     """
     counts = np.array([rows.shape[0] for rows in blocks])
     decomp = eigh(np.stack([rows.T @ rows / rows.shape[0] for rows in blocks]))
-    return _shrink_spectrum(decomp, counts, p, [default_bandwidth(c, p) for c in counts])
+    return _shrink_spectrum(decomp, counts, [default_bandwidth(c, decomp.dim) for c in counts])
 
 
 def _initial_labels(standardized, k):
@@ -244,34 +244,27 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
     labels permutes the whole trajectory.  Returns E[B* P], the post-burn-in
     average of the posterior-mean term sum_k w_k b* P_k (P_k the component
     precisions, b* P_k the products from _log_posteriors), and a diagnostics
-    dict; the shrunk whitened rows are B* - E[B* P].  The log posteriors and
-    weights are (components, rows).
+    dict.
 
-    Only what the new labels change is recomputed.  Each component keeps its
-    last member mask and its fit (spectrum, shrunk values, pooled fallback
-    or not, clamp count).  While its mask is unchanged its member rows are
-    the same rows in the same order, so the fit is reused instead of
-    gathered, factored and shrunk again (`reused_fits` counts these).  When
-    two or more refitted components have more than p members, they are
-    fitted as one stack by _components_shrunk.  The rest go one at a time
-    (below two members they take the pooled fit), and so does every
-    component of the stack when any of its spectra is rejected, so that only
-    the rejected one takes the pooled fit.  When no component changed, the
-    counts and precisions are unchanged too, so the sweep reuses the last
-    log posteriors, the product buffer and the posterior-mean term (formed
-    once, past burn-in) and does only the draw, the accumulation and the
-    argmax (`frozen_sweeps` counts these).  Reused fits still add their
-    pooled resets and clamps on every sweep, and the result is bit-identical
-    to refitting every component on its own on every sweep.  How often
-    either reuse happens depends on the data.  Working memory is O(rows *
-    components * p) whatever the sweep count: one (rows, components * p)
-    product buffer, allocated once and reused by every sweep, plus the
-    member masks, one byte per row and component, and whatever the gumbels
-    iterable holds.
+    Guarantee: the result and the diagnostics are bit-identical to refitting
+    every component on its own on every sweep.  Only what the new labels
+    change is recomputed.  A component whose member mask is unchanged keeps
+    its fit (spectrum, shrunk values, pooled fallback or not, clamp count);
+    `reused_fits` counts these, and a kept fit still adds its pooled reset
+    and clamps on every sweep.  Two or more refitted components with more
+    than p members are fitted as one stack by _components_shrunk; when any
+    spectrum of the stack is rejected they go one at a time, so only the
+    rejected one takes the pooled fit, as does any component below two
+    members.  A sweep in which no component changed reuses the last log
+    posteriors and posterior-mean term and does only the draw, the
+    accumulation and the argmax; `frozen_sweeps` counts these.  Working
+    memory is one (rows, components * p) product buffer, reused by every
+    sweep, plus one byte per row and component for the masks, whatever the
+    sweep count.
     """
     n, p = standardized.shape
     labels = np.asarray(labels, dtype=int).copy()
-    pooled = _component_shrunk(standardized, n, p)
+    pooled = _component_shrunk(standardized)
     accum = np.zeros((n, p))
     k = None
     kept = pooled_resets = clamp_total = frozen_sweeps = reused_fits = 0
@@ -297,7 +290,7 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
         stack = [comp for comp, rows in refits.items() if rows.shape[0] > p]
         if len(stack) > 1:
             try:
-                shrunk = _components_shrunk([refits[comp] for comp in stack], p)
+                shrunk = _components_shrunk([refits[comp] for comp in stack])
             except SingularityError:
                 pass
             else:
@@ -310,7 +303,7 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
             shrunk = pooled
             if rows.shape[0] >= 2:
                 try:
-                    shrunk = _component_shrunk(rows, rows.shape[0], p)
+                    shrunk = _component_shrunk(rows)
                 except SingularityError:
                     pass
             vectors[:, comp] = shrunk.decomposition.eigenvectors
@@ -388,23 +381,12 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     per-sweep posterior means after burn_in.  Components that empty out or
     lose their spectrum borrow the pooled all-rows covariance for that sweep.
     As in global_shrink, the sampler sees only the whitened rows B*, and the
-    estimate (B* - E[B* P]) Q^1/2 un-whitens once.  Each sweep draws its
-    (sources, n_components) Gumbel variates as -log(-log(1 - u)) from
-    uniform doubles u = rng.random into one reused buffer (see
-    _gumbel_draws): the same stream as one up-front draw, and equal to
-    Generator.gumbel's up to the rounding of the vectorized log, which
-    enters only through the label argmax.  Each sweep weighs the rows in
-    precision form, with one product of the standardized rows and all
-    component precisions into a buffer reused by every sweep, so working
-    memory is O(sources * n_components * p) whatever the sweep count; the
-    member masks add one byte per source and component.  A component whose
-    members did not change keeps its shrunk covariance, and a sweep whose
-    labels did not move reuses the whole posterior, so only its Gumbel draw,
-    accumulation and argmax are new; the diagnostics count both
-    (`reused_fits`, `frozen_sweeps`).  Two or more components refitted in
-    one sweep with more members than p are fitted as one stack.  The result
-    is bit-identical to refitting every component on its own on every sweep.
-    How much the reuse saves depends on the data.
+    estimate (B* - E[B* P]) Q^1/2 un-whitens once.  The Gumbel variates of
+    each sweep come from _gumbel_draws.  The same bundle, arguments and seed
+    give bit-identical coefficients and diagnostics, and working memory is
+    O(sources * n_components * p) whatever the sweep count; _mixture_sweeps
+    states what a sweep reuses and the `reused_fits` and `frozen_sweeps`
+    counts that the diagnostics carry.
     """
     k = int(n_components)
     if k != n_components or k < 1:

@@ -205,10 +205,8 @@ class ShrinkageRule:
             self.regime = "over"
             if lam.ndim == 2:
                 raise RegimeError("a stack of spectra needs p < n")
-            keep = lam > tol
-            self.kernel = lam[keep]
-            if self.kernel.size == 0:
-                raise SingularityError("spectrum has no nonzero eigenvalue")
+            # never empty: the top eigenvalue is positive and tol = p eps lam[-1]
+            self.kernel = lam[lam > tol]
             self.divisor = self.n
             if self.p > self.n:
                 inv_delta0 = (self.aspect - 1.0) * np.sum(1.0 / self.kernel) / self.n
@@ -268,13 +266,14 @@ class ShrunkCovariance:
             raise SingularityError("shrunk eigenvalues must be positive and finite")
 
 
-def _shrink_spectrum(decomp, n, p, h):
+def _shrink_spectrum(decomp, n, h):
     """Shared kernel: build the rule and push the whole spectrum through it.
 
     A stack of spectra takes one n and h per spectrum.  Its rule is in the
     under regime, which accepts full-rank spectra only, so every eigenvalue
     is mapped.
     """
+    p = decomp.dim
     rule = ShrinkageRule(decomp.eigenvalues, n, p, h)
     lam = decomp.eigenvalues
     if lam.ndim == 2:
@@ -314,7 +313,7 @@ def shrink_covariance(s, n, h=None):
         )
     if h is None:
         h = default_bandwidth(n, p)
-    return _shrink_spectrum(decomp, n, p, h)
+    return _shrink_spectrum(decomp, n, h)
 
 
 def empirical_loss(true_inverse, decomposition, inverse_values):

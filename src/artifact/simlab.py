@@ -124,9 +124,6 @@ class ExperimentResult:
     def __init__(self, records):
         self.records = list(records)
 
-    def to_rows(self):
-        return [[r[c] for c in self.COLUMNS] for r in self.records]
-
     def values(self, method, metric):
         return np.array([r[metric] for r in self.records if r["method"] == method])
 

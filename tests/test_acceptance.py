@@ -15,13 +15,12 @@ from artifact import (
     local_shrink,
     precision_diagonals,
     prial_experiment,
-    risk_estimate,
     run_experiment,
     sample_covariance,
     shrink_covariance,
-    zeta_derivative_trace,
 )
 from artifact.regress import _log_posteriors, _posterior_weights
+from artifact.tuning import risk_estimate, zeta_derivative_trace
 
 from loss_scenarios import loss_convergence, true_covariance
 

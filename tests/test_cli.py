@@ -17,7 +17,7 @@ from artifact.simlab import simulate_sources
 
 
 def write_matrix(path, matrix, fmt="%.6g"):
-    Path(path).write_text(format_matrix(matrix, fmt))
+    np.savetxt(path, np.atleast_2d(matrix), fmt=fmt, delimiter=",")
 
 
 def read_manifest(path):
@@ -645,6 +645,72 @@ def test_fit_sampler_options_with_other_method_exit_3_before_reading_inputs(
     assert os.listdir(out) == []
 
 
+SIMULATE = ["simulate", "--design", "mix", "--n", "12", "--p", "3", "--seed", "0"]
+NO_SAMPLER = "--sweeps and --burn-in apply only when --methods lists a local-K"
+NO_GRID_SHAPE = "--grid-size and --grid-span apply to the default grid only, not with --grid"
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["fit", "--method", method, "--seed", "0"],
+                 "--seed applies to --method local-K only, not %s" % method,
+                 id="fit-%s-seed" % method)
+    for method in ("ols", "global", "global-sure")
+] + [
+    pytest.param(SIMULATE + ["--methods", "ols,global", "--sweeps", "3", "--burn-in", "7"],
+                 NO_SAMPLER, id="simulate-sweeps-burn-in"),
+    pytest.param(SIMULATE + ["--burn-in", "7"], NO_SAMPLER, id="simulate-burn-in"),
+    pytest.param(["crossval", "--seed", "0", "--methods", "ols,global-sure", "--sweeps", "3"],
+                 NO_SAMPLER, id="crossval-sweeps"),
+    pytest.param(["tune", "--grid", "0.1,0.2", "--grid-size", "5"], NO_GRID_SHAPE,
+                 id="tune-grid-size"),
+    pytest.param(["tune", "--grid", "0.1,0.2", "--grid-span", "4"], NO_GRID_SHAPE,
+                 id="tune-grid-span"),
+])
+def test_options_that_nothing_reads_exit_3_before_reading_inputs(tmp_path, capsys, args,
+                                                                message):
+    # accepted, each would change only the manifest's config_hash
+    absent = str(tmp_path / "absent.csv")
+    inputs = {"fit": ["--design", absent, "--response", absent],
+              "crossval": ["--design", absent, "--response", absent],
+              "tune": ["--data", absent], "simulate": []}[args[0]]
+    out = tmp_path / "out"
+    assert main(args + inputs + ["--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: precondition: %s\n" % message
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
+def test_sampler_options_are_read_when_a_method_is_local(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--design", "mix", "--n", "12", "--p", "3", "--reps", "1",
+                 "--samples", "20", "--methods", "ols,local-1", "--sweeps", "4",
+                 "--burn-in", "1", "--seed", "0", "--output-dir", out]) == 0
+    manifest = read_manifest(os.path.join(out, "simulate_manifest.txt"))
+    assert (manifest["opt_sweeps"], manifest["opt_burn_in"]) == ("4", "1")
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["prial", "--seed", "0", "--aspects", "0.3,x"],
+                 "expected a comma-separated list of numbers, got '0.3,x'", id="float-list"),
+    pytest.param(["fit", "--h", "foo"],
+                 "--h must be 'default', 'auto', or a positive number", id="bandwidth"),
+    pytest.param(["prial", "--seed", "0", "--reps", "x"], "expected an integer, got 'x'",
+                 id="int"),
+    pytest.param(SIMULATE + ["--rho", "x"], "expected a number, got 'x'", id="float"),
+])
+def test_malformed_option_values_exit_3(tmp_path, capsys, args, message):
+    absent = str(tmp_path / "absent.csv")
+    inputs = ["--design", absent, "--response", absent] if args[0] == "fit" else []
+    out = tmp_path / "out"
+    assert main(args + inputs + ["--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: precondition: %s\n" % message
+    assert captured.out == ""
+    # options resolve before the output directory is made
+    assert not out.exists()
+
+
 def test_config_file_supplies_and_flags_override(tmp_path):
     data = str(tmp_path / "z.csv")
     write_matrix(data, np.random.default_rng(5).standard_normal((40, 4)),
@@ -659,6 +725,23 @@ def test_config_file_supplies_and_flags_override(tmp_path):
     assert main(["tune", "--config", cfg, "--grid-size", "7",
                  "--output-dir", out2]) == 0
     assert read_matrix(os.path.join(out2, "tune_risk.csv")).shape == (7, 2)
+
+
+@pytest.mark.parametrize("key", ["output_dir", "output-dir"])
+def test_config_file_supplies_output_dir(tmp_path, monkeypatch, key):
+    design, response = toy_bundle(tmp_path)
+    cfg = str(tmp_path / "run.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("%s = %s\n" % (key, tmp_path / "fromconfig"))
+    # the config file wins over the environment, and a flag over both
+    monkeypatch.setenv("ARTIFACT_OUTPUT_DIR", str(tmp_path / "fromenv"))
+    assert main(["fit", "--config", cfg, "--design", design, "--response", response]) == 0
+    assert sorted(os.listdir(tmp_path / "fromconfig")) == ["fit_coefficients.csv",
+                                                           "fit_manifest.txt"]
+    assert main(["fit", "--config", cfg, "--design", design, "--response", response,
+                 "--output-dir", str(tmp_path / "fromflag")]) == 0
+    assert (tmp_path / "fromflag" / "fit_coefficients.csv").exists()
+    assert not (tmp_path / "fromenv").exists()
 
 
 def test_config_unknown_key_exits_3(tmp_path, capsys):

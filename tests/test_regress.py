@@ -126,7 +126,7 @@ def dense_mixture_sweeps_oracle(standardized, labels, gumbels, burn_in):
     sweeps, n, k = gumbels.shape
     p = standardized.shape[1]
     labels = np.asarray(labels, dtype=int).copy()
-    pooled = _component_shrunk(standardized, n, p)
+    pooled = _component_shrunk(standardized)
     accum = np.zeros_like(standardized)
     kept = pooled_resets = clamp_total = 0
     frozen, reused, previous = 0, 0, None
@@ -138,7 +138,7 @@ def dense_mixture_sweeps_oracle(standardized, labels, gumbels, burn_in):
             shrunk = pooled
             if members.shape[0] >= 2:
                 try:
-                    shrunk = _component_shrunk(members, members.shape[0], p)
+                    shrunk = _component_shrunk(members)
                 except SingularityError:
                     pass
             pooled_resets += shrunk is pooled
@@ -193,7 +193,7 @@ def refit_every_sweep_oracle(standardized, labels, gumbels, burn_in):
     # posteriors and posterior-mean term rebuilt, on every sweep
     n, p = standardized.shape
     labels = np.asarray(labels, dtype=int).copy()
-    pooled = _component_shrunk(standardized, n, p)
+    pooled = _component_shrunk(standardized)
     accum = np.zeros((n, p))
     k = gumbels.shape[2]
     buffer = np.empty((n, k * p))
@@ -207,7 +207,7 @@ def refit_every_sweep_oracle(standardized, labels, gumbels, burn_in):
             shrunk = pooled
             if members.shape[0] >= 2:
                 try:
-                    shrunk = _component_shrunk(members, members.shape[0], p)
+                    shrunk = _component_shrunk(members)
                 except SingularityError:
                     pass
             pooled_resets += shrunk is pooled
@@ -291,7 +291,7 @@ def test_bundle_exposes_counts_and_gram():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((9, 2))
     bundle = SourceBundle(x, rng.standard_normal((9, 4)))
-    assert (bundle.n_samples, bundle.n_predictors, bundle.n_sources) == (9, 2, 4)
+    assert (bundle.n_predictors, bundle.n_sources) == (2, 4)
     assert bundle.coefficients.shape == bundle.standardized.shape == (4, 2)
     q_half_inv = np.linalg.inv(bundle.q_half)
     assert bundle.q_half.shape == q_half_inv.shape == (2, 2)
@@ -865,17 +865,17 @@ def test_components_shrunk_matches_component_shrunk_bit_for_bit():
     # six rows spread over two decades: one shrunk eigenvalue clamps
     clamping = np.random.default_rng(53).standard_normal((6, p)) * np.geomspace(1, 100, p)
     blocks = [rows[labels == 3], clamping, rows[labels == 4]]
-    stacked = _components_shrunk(blocks, p)
+    stacked = _components_shrunk(blocks)
     assert stacked.clamp_count.tolist() == [0, 1, 0]
     for r, block in enumerate(blocks):
-        alone = _component_shrunk(block, block.shape[0], p)
+        alone = _component_shrunk(block)
         assert np.array_equal(stacked.decomposition.eigenvectors[r],
                               alone.decomposition.eigenvectors)
         assert np.array_equal(stacked.values[r], alone.values)
         assert stacked.clamp_count[r] == alone.clamp_count
     # one rejected spectrum rejects the stack, naming it
     with pytest.raises(SingularityError, match="spectrum 1 of the stack"):
-        _components_shrunk([blocks[0], rows[labels == 2], blocks[2]], p)
+        _components_shrunk([blocks[0], rows[labels == 2], blocks[2]])
 
 
 def test_mixture_sweeps_stacked_stage_matches_refitting_one_at_a_time(monkeypatch):
@@ -909,6 +909,35 @@ def test_mixture_sweeps_stacked_stage_matches_refitting_one_at_a_time(monkeypatc
     assert shapes == [one, (3, p, p), one, one, one, one, (2, p, p), one, one]
 
 
+def test_mixture_sweeps_pool_a_component_of_p_members_with_a_singular_gram():
+    # component 0 has exactly p members and a zero last column: at p == n the
+    # rule has no null-space constant, so _shrink_spectrum rejects the zero
+    # eigenvalue and the component takes the pooled fit on every sweep
+    p = 4
+    rows = np.random.default_rng(91).standard_normal((4 * p, p))
+    rows[:p, -1] = 0.0
+    labels = np.repeat([0, 1], [p, 3 * p])
+    with pytest.raises(SingularityError, match="zero sample eigenvalues need p > n"):
+        _component_shrunk(rows[:p])
+    moved = labels.copy()
+    moved[p] = 0  # from sweep 4 on, p + 1 members and a full-rank Gram
+    gumbels = forced_draws([labels, labels, labels, moved, moved], 2)
+    out, diag = _mixture_sweeps(rows, labels, gumbels, 1)
+    expected, expected_diag = refit_every_sweep_oracle(rows, labels, gumbels, 1)
+    assert np.array_equal(out, expected)
+    assert diag == expected_diag
+    assert (diag["pooled_resets"], diag["frozen_sweeps"]) == (3, 2)
+
+
+def test_mixture_sweeps_burn_in_of_every_draw_leaves_nothing_to_average():
+    bundle = two_scale_bundle(80, 30, 4, 45)
+    bstar = bundle.standardized
+    gumbels = np.random.default_rng(0).gumbel(size=(3, 45, 2))
+    for burn_in in (3, 4):
+        with pytest.raises(DomainError, match="burn-in leaves no sweeps to average"):
+            _mixture_sweeps(bstar, _initial_labels(bstar, 2), gumbels, burn_in)
+
+
 def test_mixture_sweeps_keep_each_stacked_components_clamp_count(monkeypatch):
     # sweep 1 fits components 0 and 1 as one stack, whose clamp counts differ
     # (1 and 0); sweep 2 moves a row from component 2 to 1, so it refits 1
@@ -937,7 +966,7 @@ def test_mixture_sweeps_keep_each_stacked_components_clamp_count(monkeypatch):
     assert diag == expected_diag
     one = (p, p)
     assert shapes == [one, (2, p, p), one, one, one]
-    assert _components_shrunk([clamping, ordinary], p).clamp_count.tolist() == [1, 0]
+    assert _components_shrunk([clamping, ordinary]).clamp_count.tolist() == [1, 0]
     assert (diag["clamp_count"], diag["reused_fits"]) == (2, 1)
 
 

@@ -187,6 +187,12 @@ def test_rule_construction_validation():
     # a numerically zero eigenvalue is not allowed when p < n
     with pytest.raises(SingularityError):
         ShrinkageRule([0.0, 1.0], 10, 2, 0.5)
+    for n in (10.5, 0, -3):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            ShrinkageRule([1.0, 2.0], n, 2, 0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError, match="eigenvalues must be finite"):
+            ShrinkageRule([1.0, bad], 10, 2, 0.5)
 
 
 def test_rule_checks_each_spectrum_of_a_stack():

@@ -29,6 +29,7 @@ from artifact import (
     shrink_covariance,
     simulate_sources,
 )
+from artifact.fileio import format_rows
 from artifact.shrinkage import empirical_loss
 from artifact.spectral import require_positive_definite, spectral_inverse
 
@@ -206,8 +207,9 @@ def test_run_experiment_record_grid():
         assert r["design"] == "all-small"
         assert np.isfinite(r["mse"]) and np.isfinite(r["pe"])
     assert sorted(r["replication"] for r in res.records if r["method"] == "ols") == [0, 1, 2, 3]
-    rows = res.to_rows()
-    assert rows[0][:5] == ["all-small", 12, 3, 0.2, "ols"]
+    lines = format_rows(res.records, ExperimentResult.COLUMNS).splitlines()
+    assert lines[0] == ",".join(ExperimentResult.COLUMNS)
+    assert lines[1].split(",")[:6] == ["all-small", "12", "3", "0.2", "ols", "0"]
 
 
 def test_run_experiment_common_random_numbers():

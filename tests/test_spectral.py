@@ -44,6 +44,10 @@ def test_symmetrize_rejects_non_square():
         symmetrize(np.ones((2, 3)))
     with pytest.raises(DimensionError):
         symmetrize(np.ones(4))
+    # square but empty, alone or in a stack
+    for empty in (np.empty((0, 0)), np.empty((3, 0, 0))):
+        with pytest.raises(DimensionError, match="dimension must be at least 1"):
+            symmetrize(empty)
 
 
 def test_symmetric_outputs_are_exactly_symmetric():

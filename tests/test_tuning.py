@@ -351,7 +351,7 @@ def test_select_keeps_each_grid_estimate():
     assert chosen.values.shape == (grid.size, p)
     for h, values, risk in zip(grid, chosen.values, chosen.risks):
         assert risk == risk_estimate(decomp, n, h).risks[0]
-        assert np.array_equal(values, _shrink_spectrum(decomp, n, p, h).values)
+        assert np.array_equal(values, _shrink_spectrum(decomp, n, h).values)
 
 
 def test_select_grid_order_invariance():
@@ -610,6 +610,10 @@ def test_select_validation():
         select_bandwidth(s, 30, [0.5, -1.0])
     with pytest.raises(InsufficientDataError):
         select_bandwidth(np.eye(4), 5, [0.5])
+    # precision diagonals are positive by construction; zero or less is refused
+    for bad in ([1.0, 0.0], [-1.0, 2.0]):
+        with pytest.raises(DomainError, match="precision diagonals must be positive"):
+            select_bandwidth(s, 30, [0.5], bad)
 
 
 # Scale equivariance.  Scaling the spectrum by c scales the quadratic,
