@@ -33,7 +33,7 @@ from .fileio import (
     read_matrix,
     write_files,
 )
-from .regress import SourceBundle, predictive_error
+from .regress import SourceBundle, _check_chain, predictive_error
 from .shrinkage import default_bandwidth, shrink_covariance
 from .simlab import (
     COEFFICIENT_DESIGNS,
@@ -270,10 +270,32 @@ def _refuse_unread(subcommand, opts, names, where):
                                         where))
 
 
+# the diagnostics line of fit: the keys it prints for each method family, in
+# order, leaving out a key the fit does not carry (the grid's under a fixed
+# or default h, or after a fallback)
+FIT_DIAGNOSTICS = {
+    "ols": (),
+    "global": ("clamp_count", "h_grid_index", "h_grid_edge"),
+    "local": ("final_component_sizes", "pooled_resets", "clamp_count", "frozen_sweeps",
+              "reused_fits"),
+}
+
+
+def _diagnostics_line(method, diagnostics):
+    shown = []
+    for key in FIT_DIAGNOSTICS[method.split("-")[0]]:
+        if key in diagnostics:
+            value = diagnostics[key]
+            text = ",".join(map(str, value)) if isinstance(value, list) else format_cell(value)
+            shown.append("%s=%s" % (key, text))
+    return ["diagnostics " + " ".join(shown)] if shown else []
+
+
 def cmd_fit(opts, outdir):
     method = parse_method(opts["method"])
     if method.startswith("local-"):
         _require_seed_option(opts, "the mixture sampler")
+        _check_chain(opts["sweeps"], opts["burn_in"])
     if method != "global":
         _refuse_unread("fit", opts, ("h",), "to --method global only, not %s" % method)
     if not method.startswith("local-"):
@@ -296,6 +318,7 @@ def cmd_fit(opts, outdir):
         note = " (fallback to default)" if extra["result_h_fallback"] else ""
         lines.append("bandwidth h=%s policy=%s%s" % (format_cell(extra["result_h"]),
                                                      extra["result_h_policy"], note))
+    lines += _diagnostics_line(method, est.diagnostics)
     return write_outputs("fit", opts, outdir, "_coefficients.csv",
                          format_matrix(est.coefficients), extra, lines)
 
@@ -355,7 +378,9 @@ def cmd_shrink_curve(opts, outdir):
 
 def cmd_simulate(opts, outdir):
     kind = _resolve_design(opts["design"])
-    if not any(m.startswith("local-") for m in opts["methods"]):
+    if any(m.startswith("local-") for m in opts["methods"]):
+        _check_chain(opts["sweeps"], opts["burn_in"])
+    else:
         _refuse_unread("simulate", opts, ("sweeps", "burn_in"),
                        "only when --methods lists a local-K")
     result = run_experiment(
@@ -386,7 +411,9 @@ def cmd_crossval(opts, outdir):
     methods = [parse_method(m) for m in opts["methods"]]
     if not methods:
         raise DomainError("need at least one method")
-    if not any(m.startswith("local-") for m in methods):
+    if any(m.startswith("local-") for m in methods):
+        _check_chain(opts["sweeps"], opts["burn_in"])
+    else:
         _refuse_unread("crossval", opts, ("sweeps", "burn_in"),
                        "only when --methods lists a local-K")
     x = read_matrix(opts["design"])

@@ -107,29 +107,35 @@ def fit_ols(bundle):
 
 
 def _resolve_bandwidth(decomp, n, h):
-    """Translate an h policy into (h, policy, fell_back, shrunk).
+    """Translate an h policy into (h, shrunk, notes).
 
     Under "auto", shrunk is the spectrum the risk grid already evaluated at
-    the chosen h; otherwise it is None and the caller shrinks at h.
+    the chosen h; otherwise it is None and the caller shrinks at h.  notes
+    holds the diagnostics of the choice: `h_policy` and `h_fallback`, and,
+    when the risk grid chose h, its `h_grid_index` and whether that index is
+    the grid's first or last (`h_grid_edge`).
     """
     p = decomp.dim
     if isinstance(h, str):
         policy = h.lower()
+        notes = {"h_policy": policy, "h_fallback": False}
         if policy == "default":
-            return default_bandwidth(n, p), policy, False, None
+            return default_bandwidth(n, p), None, notes
         if policy == "auto":
             if n > p + 1:
                 chosen = select_bandwidth(decomp, n, default_bandwidth_grid(n, p))
                 i = chosen.index
                 shrunk = ShrunkCovariance(decomp, chosen.values[i], None,
                                           chosen.clamp_counts[i])
-                return chosen.h, policy, False, shrunk
-            return default_bandwidth(n, p), policy, True, None
+                notes.update(h_grid_index=int(i), h_grid_edge=i in (0, chosen.grid.size - 1))
+                return chosen.h, shrunk, notes
+            notes["h_fallback"] = True
+            return default_bandwidth(n, p), None, notes
         raise DomainError("unknown bandwidth policy %r" % h)
     hv = float(h)
     if not (hv > 0) or not np.isfinite(hv):
         raise DomainError("bandwidth must be positive and finite")
-    return hv, "fixed", False, None
+    return hv, None, {"h_policy": "fixed", "h_fallback": False}
 
 
 def global_shrink(bundle, h="default"):
@@ -149,49 +155,45 @@ def global_shrink(bundle, h="default"):
             "source count equals predictor count (%d); the pooled rule is undefined" % p
         )
     decomp = eigh(bstar.T @ bstar / n)
-    hv, policy, fell_back, shrunk = _resolve_bandwidth(decomp, n, h)
+    hv, shrunk, notes = _resolve_bandwidth(decomp, n, h)
     if shrunk is None:
         shrunk = shrink_covariance(decomp, n, hv)
     e = shrunk.decomposition.eigenvectors
     coef = bstar @ ((e * (1.0 - 1.0 / shrunk.values)) @ e.T @ bundle.q_half)
     if not np.all(np.isfinite(coef)):
         raise NumericalError("shrunk coefficients are non-finite")
-    diagnostics = {
-        "sigma2": bundle.sigma2,
-        "h": hv,
-        "h_policy": policy,
-        "h_fallback": fell_back,
-        "clamp_count": shrunk.clamp_count,
-    }
+    diagnostics = {"sigma2": bundle.sigma2, "h": hv, **notes,
+                   "clamp_count": shrunk.clamp_count}
     return CoefficientEstimate(coef, "global", diagnostics)
 
 
-def _log_posteriors(standardized, vectors, values, counts, out=None):
-    """Unnormalized log posteriors of each row under each mixture component.
+def _component_terms(columns, vectors, values, product, quad):
+    """One mixture component's posterior terms on the whitened rows.
 
-    Component c is N(0, U_c diag(v_c) U_c') with U_c = vectors[:, c] of a
-    (p, k, p) stack and v_c = values[c]; its prior weight is its member
-    count, floored at 1/2 so an emptied component stays reachable.  The
-    posterior works in precision form: the k precisions
-    P_c = U_c diag(1/v_c) U_c' form one (p, k, p) stack, one product
-    b* [P_1 ... P_K] gives every t_c = b* P_c (written into out, an (n, k p)
-    buffer, when given), and the quadratic form is b* . t_c.  Returns the
-    (k, n) log posteriors, component-major so that reductions over the
-    components run along axis 0, and the (n, k, p) view of the t_c, from
-    which the posterior mean is built.
+    columns is B*' as a contiguous (p, n) array, and the component is
+    N(0, U diag(v) U') with U = vectors and v = values.  With its precision
+    P = U diag(1/v) U', writes the (p, n) product P B*' into product and the
+    quadratic forms b* P b*' of the n rows into quad, and returns the log
+    determinant sum(log v).  A component's terms depend on its own fit and
+    B* alone, so a component that keeps its fit keeps them bit for bit.
     """
-    n, p = standardized.shape
-    k = values.shape[0]
+    np.matmul((vectors / values) @ vectors.T, columns, out=product)
+    np.einsum("pn,pn->n", product, columns, out=quad)
+    return np.sum(np.log(values))
+
+
+def _log_posteriors(quads, logdets, counts, p):
+    """Unnormalized (k, n) log posteriors of n rows of dimension p under k components.
+
+    quads is the (k, n) array of quadratic forms and logdets the (k, 1) log
+    determinants that _component_terms gives each component.  A component's
+    prior weight is its member count, floored at 1/2 so an emptied component
+    stays reachable.  The components run along axis 0, so that reductions
+    over them are row reductions.
+    """
     floored = np.maximum(counts, 0.5)
-    precisions = np.einsum("ikj,lkj->ikl", vectors / values, vectors)
-    products = np.matmul(standardized, precisions.reshape(p, k * p), out=out)
-    products = products.reshape(n, k, p)
-    # summed row-major, the faster order, then copied component-major
-    quad = np.einsum("nkp,np->nk", products, standardized).T.copy()
-    logdet = np.sum(np.log(values), axis=1)[:, None]
-    log_norm = p * np.log(2.0 * np.pi)
     prior = np.log(floored / floored.sum())[:, None]
-    return prior - 0.5 * (log_norm + logdet + quad), products
+    return prior - 0.5 * (p * np.log(2.0 * np.pi) + logdets + quads)
 
 
 def _posterior_weights(logs):
@@ -200,6 +202,30 @@ def _posterior_weights(logs):
     np.exp(weights, out=weights)
     weights /= np.sum(weights, axis=0)
     return weights
+
+
+def _sampled_labels(logs, draw):
+    """Each row's component: the first index of the maximum of logs[:, i] + draw[i].
+
+    logs is (k, n) and draw (n, k).  k - 1 strict > comparisons, with
+    np.maximum carrying the best score so far, give the labels of
+    np.argmax(logs + draw.T, axis=0) bit for bit at a fraction of its cost:
+    ties, the +inf draws at u = 0 among them, keep the first index, and a
+    row of -inf scores takes component 0.  The two differ only on NaN, and
+    none reaches the comparison.  Every shrunk value is positive and finite
+    (ShrunkCovariance checks), so a log posterior is finite, or -inf where
+    its quadratic form overflows, and a draw -log(-log(1 - u)) with
+    1 - u >= 2**-53 lies in [-3.61, +inf].  A NaN score, -inf + inf, would
+    need a quadratic form past 1e308 (a row some 1e154 times the scale of
+    the component's members) and a u = 0 draw in the same cell.
+    """
+    scores = logs + draw.T
+    best = scores[0]
+    labels = np.zeros(scores.shape[1], dtype=int)
+    for comp in range(1, scores.shape[0]):
+        np.putmask(labels, scores[comp] > best, comp)
+        np.maximum(best, scores[comp], out=best)
+    return labels
 
 
 def _component_shrunk(rows):
@@ -239,41 +265,45 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
     gumbels is an iterable of per-sweep (rows, components) draws, consumed
     one at a time (a 3-d array iterates as one); each draw is used up before
     the next is requested, so the iterable may yield one reused buffer.
-    Sweep s resamples labels by argmax_k of (log posterior numerator +
-    draw_s[:, k]), so permuting the component axis together with the initial
-    labels permutes the whole trajectory.  Returns E[B* P], the post-burn-in
-    average of the posterior-mean term sum_k w_k b* P_k (P_k the component
-    precisions, b* P_k the products from _log_posteriors), and a diagnostics
-    dict.
+    Sweep s resamples labels by the first argmax_k of (log posterior
+    numerator + draw_s[:, k]), taken by _sampled_labels, so permuting the
+    component axis together with the initial labels permutes the whole
+    trajectory.  Returns E[B* P], the post-burn-in average of the
+    posterior-mean term sum_k w_k b* P_k (P_k the component precisions, the
+    products P_k B*' from _component_terms), built up as a (p, n) array and
+    returned as its (n, p) transpose, and a diagnostics dict.
 
     Guarantee: the result and the diagnostics are bit-identical to refitting
     every component on its own on every sweep.  Only what the new labels
     change is recomputed.  A component whose member mask is unchanged keeps
-    its fit (spectrum, shrunk values, pooled fallback or not, clamp count);
-    `reused_fits` counts these, and a kept fit still adds its pooled reset
-    and clamps on every sweep.  Two or more refitted components with more
-    than p members are fitted as one stack by _components_shrunk; when any
-    spectrum of the stack is rejected they go one at a time, so only the
-    rejected one takes the pooled fit, as does any component below two
-    members.  A sweep in which no component changed reuses the last log
+    its fit (spectrum, shrunk values, pooled fallback or not, clamp count)
+    and its product, quadratic forms and log determinant.  These come from
+    a product of the component's own, since a block of one product shared
+    by all components need not match the product alone bit for bit.
+    `reused_fits` counts the kept components, and a kept fit still adds its
+    pooled reset and clamps on every sweep.  Two or more refitted components
+    with more than p members are fitted as one stack by _components_shrunk;
+    when any spectrum of the stack is rejected they go one at a time, so
+    only the rejected one takes the pooled fit, as does any component below
+    two members.  A sweep in which no component changed reuses the last log
     posteriors and posterior-mean term and does only the draw, the
-    accumulation and the argmax; `frozen_sweeps` counts these.  Working
-    memory is one (rows, components * p) product buffer, reused by every
-    sweep, plus one byte per row and component for the masks, whatever the
-    sweep count.
+    accumulation and the labels; `frozen_sweeps` counts these.  Working
+    memory is one (p, n) copy of B*', the (k, p, n) products, a (p, n)
+    average, and one byte per row and component for the masks, whatever
+    the sweep count.
     """
     n, p = standardized.shape
+    columns = np.ascontiguousarray(standardized.T)
     labels = np.asarray(labels, dtype=int).copy()
     pooled = _component_shrunk(standardized)
-    accum = np.zeros((n, p))
+    accum = np.zeros((p, n))
     k = None
     kept = pooled_resets = clamp_total = frozen_sweeps = reused_fits = 0
     for sweeps, draw in enumerate(gumbels, start=1):
         draw = np.asarray(draw, dtype=float)
         if k is None and draw.ndim == 2:
             k = draw.shape[1]
-            buffer = np.empty((n, k * p))
-            vectors, values = np.empty((p, k, p)), np.empty((k, p))
+            products, quads, logdets = np.empty((k, p, n)), np.empty((k, n)), np.empty((k, 1))
             keys, resets, clamps = [None] * k, [False] * k, [0] * k
         if draw.shape != (n, k) or k < 1:
             raise DimensionError("each Gumbel draw must be (rows, components)")
@@ -295,8 +325,9 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
                 pass
             else:
                 for i, comp in enumerate(stack):
-                    vectors[:, comp] = shrunk.decomposition.eigenvectors[i]
-                    values[comp] = shrunk.values[i]
+                    logdets[comp] = _component_terms(
+                        columns, shrunk.decomposition.eigenvectors[i], shrunk.values[i],
+                        products[comp], quads[comp])
                     resets[comp], clamps[comp] = False, int(shrunk.clamp_count[i])
                     del refits[comp]
         for comp, rows in refits.items():
@@ -306,23 +337,22 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
                     shrunk = _component_shrunk(rows)
                 except SingularityError:
                     pass
-            vectors[:, comp] = shrunk.decomposition.eigenvectors
-            values[comp] = shrunk.values
+            logdets[comp] = _component_terms(columns, shrunk.decomposition.eigenvectors,
+                                             shrunk.values, products[comp], quads[comp])
             resets[comp], clamps[comp] = shrunk is pooled, shrunk.clamp_count
         pooled_resets += sum(resets)
         clamp_total += sum(clamps)
         if changed:
             term = None
-            counts = np.bincount(labels, minlength=k)
-            logs, products = _log_posteriors(standardized, vectors, values, counts, buffer)
+            logs = _log_posteriors(quads, logdets, np.bincount(labels, minlength=k), p)
         else:
             frozen_sweeps += 1
         if sweeps > burn_in:
             if term is None:
-                term = np.einsum("kn,nkp->np", _posterior_weights(logs), products)
+                term = np.einsum("kn,kpn->pn", _posterior_weights(logs), products)
             accum += term
             kept += 1
-        labels = np.argmax(logs + draw.T, axis=0)
+        labels = _sampled_labels(logs, draw)
 
     if kept < 1:
         raise DomainError("burn-in leaves no sweeps to average")
@@ -336,7 +366,7 @@ def _mixture_sweeps(standardized, labels, gumbels, burn_in):
         "reused_fits": reused_fits,
     }
     accum /= kept
-    return accum, diagnostics
+    return accum.T, diagnostics
 
 
 def _gumbel_draws(rng, sweeps, rows, components):
@@ -371,31 +401,44 @@ def _require_seed(seed):
         raise DomainError("seed must be a non-negative integer, got %d" % seed)
 
 
+def _check_chain(sweeps, burn_in):
+    """The sampler chain's (sweeps, burn_in) as ints, if 0 <= burn_in < sweeps.
+
+    Raises DomainError for non-integers and for a burn-in that would leave
+    no sweep to average.
+    """
+    if int(sweeps) != sweeps or int(burn_in) != burn_in:
+        raise DomainError("sweeps and burn_in must be integers")
+    sweeps, burn_in = int(sweeps), int(burn_in)
+    if burn_in < 0 or burn_in >= sweeps:
+        raise DomainError("need 0 <= burn_in < sweeps")
+    return sweeps, burn_in
+
+
 def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     """Shrink coefficient rows under a fitted finite scale mixture.
 
     Rows are assigned latent component labels; each component carries its own
     shrunk covariance of the member rows (per-component bandwidth from the
     member count).  Labels are resampled from the row-wise posterior each
-    sweep with a seeded generator, and the returned coefficients average the
-    per-sweep posterior means after burn_in.  Components that empty out or
-    lose their spectrum borrow the pooled all-rows covariance for that sweep.
-    As in global_shrink, the sampler sees only the whitened rows B*, and the
+    sweep with a seeded generator, each row taking the first maximum of its
+    scores, and the returned coefficients average the per-sweep posterior
+    means after burn_in.  Components that empty out or lose their spectrum
+    borrow the pooled all-rows covariance for that sweep.  As in
+    global_shrink, the sampler sees only the whitened rows B*, and the
     estimate (B* - E[B* P]) Q^1/2 un-whitens once.  The Gumbel variates of
     each sweep come from _gumbel_draws.  The same bundle, arguments and seed
-    give bit-identical coefficients and diagnostics, and working memory is
-    O(sources * n_components * p) whatever the sweep count; _mixture_sweeps
-    states what a sweep reuses and the `reused_fits` and `frozen_sweeps`
-    counts that the diagnostics carry.
+    give bit-identical coefficients and diagnostics.  Working memory is the
+    (n_components, p, sources) products and one (p, sources) copy of B*',
+    whatever the sweep count; _mixture_sweeps states what a sweep reuses
+    (a kept component's fit, product, quadratic forms and log determinant)
+    and the `reused_fits` and `frozen_sweeps` counts that the diagnostics
+    carry.
     """
     k = int(n_components)
     if k != n_components or k < 1:
         raise DomainError("component count must be a positive integer")
-    if int(sweeps) != sweeps or int(burn_in) != burn_in:
-        raise DomainError("sweeps and burn_in must be integers")
-    sweeps, burn_in = int(sweeps), int(burn_in)
-    if sweeps < 1 or burn_in < 0 or burn_in >= sweeps:
-        raise DomainError("need 0 <= burn_in < sweeps")
+    sweeps, burn_in = _check_chain(sweeps, burn_in)
     _require_seed(seed)
     n = bundle.n_sources
     if n < 2 * k:

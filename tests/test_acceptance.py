@@ -19,7 +19,7 @@ from artifact import (
     sample_covariance,
     shrink_covariance,
 )
-from artifact.regress import _log_posteriors, _posterior_weights
+from artifact.regress import _component_terms, _log_posteriors, _posterior_weights
 from artifact.tuning import risk_estimate, zeta_derivative_trace
 
 from loss_scenarios import loss_convergence, true_covariance
@@ -279,11 +279,15 @@ def test_criterion_09_single_component_reduction_and_determinism(criterion_repor
     ok_single = gap <= 1e-8
 
     # the sampler's weights for covariances I, 4I and diag(1, 2, 3), given as
-    # eigen stacks, with proportions 0.2/0.3/0.5 from counts (2, 3, 5)
+    # eigenvectors and values, with proportions 0.2/0.3/0.5 from counts (2, 3, 5)
     rows = rng.standard_normal((30, 3)) * 2.0
-    vectors = np.repeat(np.eye(3)[:, None, :], 3, axis=1)
     values = np.array([[1.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 2.0, 3.0]])
-    logs, _ = _log_posteriors(rows, vectors, values, np.array([2, 3, 5]))
+    columns = np.ascontiguousarray(rows.T)
+    products, quads, logdets = np.empty((3, 3, 30)), np.empty((3, 30)), np.empty((3, 1))
+    for comp in range(3):
+        logdets[comp] = _component_terms(columns, np.eye(3), values[comp], products[comp],
+                                         quads[comp])
+    logs = _log_posteriors(quads, logdets, np.array([2, 3, 5]), 3)
     sums = _posterior_weights(logs).sum(axis=0)
     weight_dev = float(np.max(np.abs(sums - 1.0)))
     ok_weights = weight_dev <= 1e-12

@@ -12,8 +12,8 @@ import pytest
 
 from artifact import SourceBundle, cli, errors, global_shrink
 from artifact.cli import main
-from artifact.fileio import format_matrix, read_matrix
-from artifact.simlab import simulate_sources
+from artifact.fileio import format_cell, format_matrix, read_matrix
+from artifact.simlab import estimate_with_method, simulate_sources
 
 
 def write_matrix(path, matrix, fmt="%.6g"):
@@ -119,6 +119,47 @@ def test_fit_global_auto_uses_risk_minimizer(tmp_path, capsys):
     assert manifest["result_h_policy"] == "auto"
     assert manifest["result_h_fallback"] == "false"
     assert float(manifest["result_h"]) > 0
+
+
+# the printed diagnostics that no manifest key carries
+FIT_DIAGNOSTICS_KEYS = {"clamp_count", "h_grid_index", "h_grid_edge", "final_component_sizes",
+                        "frozen_sweeps", "reused_fits"}
+
+
+@pytest.mark.parametrize("args", [
+    ["ols"], ["global"], ["global", "--h", "0.4"], ["global", "--h", "auto"], ["global-sure"],
+    ["local-2", "--seed", "9", "--sweeps", "30", "--burn-in", "5"],
+    ["local-3", "--seed", "9", "--sweeps", "30", "--burn-in", "5"],
+], ids=lambda args: " ".join(args))
+def test_fit_prints_one_diagnostics_line(tmp_path, capsys, args):
+    # the whole stdout: the fit line, the bandwidth line of a global fit, the
+    # diagnostics that the manifest leaves out, and the written path
+    design, response = gaussian_files(tmp_path, 40, 3, 24, seed=6)
+    out = str(tmp_path / "out")
+    assert main(["fit", "--design", design, "--response", response, "--method", *args,
+                 "--output-dir", out]) == 0
+    bundle = SourceBundle(read_matrix(design), read_matrix(response))
+    seed = int(args[args.index("--seed") + 1]) if "--seed" in args else 0
+    est = estimate_with_method(bundle, args[0], seed, 30, 5,
+                               h=cli._cast_bandwidth(args[2]) if "--h" in args else "default")
+    d = est.diagnostics
+    lines = ["fit method=%s sources=24 predictors=3 sigma2=%s"
+             % (est.method, format_cell(bundle.sigma2))]
+    if args[0].startswith("global"):
+        lines.append("bandwidth h=%s policy=%s" % (format_cell(d["h"]), d["h_policy"]))
+        grid = (" h_grid_index=%d h_grid_edge=%s"
+                % (d["h_grid_index"], format_cell(d["h_grid_edge"]))
+                if d["h_policy"] == "auto" else "")
+        lines.append("diagnostics clamp_count=%d%s" % (d["clamp_count"], grid))
+    elif args[0].startswith("local"):
+        lines.append("diagnostics final_component_sizes=%s pooled_resets=%d clamp_count=%d "
+                     "frozen_sweeps=%d reused_fits=%d"
+                     % (",".join(map(str, d["final_component_sizes"])), d["pooled_resets"],
+                        d["clamp_count"], d["frozen_sweeps"], d["reused_fits"]))
+    lines.append("wrote %s" % os.path.join(out, "fit_coefficients.csv"))
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+    manifest = read_manifest(os.path.join(out, "fit_manifest.txt"))
+    assert not any(key[len("result_"):] in FIT_DIAGNOSTICS_KEYS for key in manifest)
 
 
 def test_fit_local_runs_with_seed(tmp_path):
@@ -677,6 +718,31 @@ def test_options_that_nothing_reads_exit_3_before_reading_inputs(tmp_path, capsy
     assert main(args + inputs + ["--output-dir", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: precondition: %s\n" % message
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--method", "local-2", "--seed", "0"],
+    SIMULATE + ["--methods", "ols,local-2"],
+    ["crossval", "--seed", "0", "--methods", "ols,local-1"],
+], ids=lambda args: args[0])
+@pytest.mark.parametrize("chain", [["--sweeps", "3", "--burn-in", "7"],
+                                   ["--sweeps", "5", "--burn-in", "5"],
+                                   ["--burn-in", "-1"]], ids=" ".join)
+def test_sampler_chain_is_checked_before_reading_inputs(tmp_path, capsys, monkeypatch,
+                                                        args, chain):
+    # absent inputs would exit 2 if read, and simulate would simulate first
+    def refuse(*unused, **also_unused):
+        raise AssertionError("the run simulated before checking the chain")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    absent = str(tmp_path / "absent.csv")
+    inputs = [] if args[0] == "simulate" else ["--design", absent, "--response", absent]
+    out = tmp_path / "out"
+    assert main(args + chain + inputs + ["--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: precondition: need 0 <= burn_in < sweeps\n"
     assert captured.out == ""
     assert os.listdir(out) == []
 

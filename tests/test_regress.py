@@ -7,6 +7,7 @@ that assembles every component's p-by-p shrinkage operator each sweep, and
 the sampler's sweep loop with every component refitted on every sweep.
 """
 
+import itertools
 import threading
 import tracemalloc
 
@@ -33,14 +34,17 @@ from artifact import (
 from artifact import regress
 from artifact.regress import (
     _component_shrunk,
+    _component_terms,
     _components_shrunk,
     _gumbel_draws,
     _initial_labels,
     _log_posteriors,
     _mixture_sweeps,
     _posterior_weights,
+    _sampled_labels,
 )
 from artifact.spectral import eigh
+from artifact.tuning import default_bandwidth_grid, select_bandwidth
 
 from loss_scenarios import dense_inverse
 
@@ -106,16 +110,31 @@ def log_density_rows_oracle(standardized, decomp, values):
     return -0.5 * (p * np.log(2.0 * np.pi) + logdet + quad)
 
 
+def component_log_posteriors(rows, vectors, values, counts):
+    """The sampler's (k, n) log posteriors and (k, p, n) products of rows.
+
+    vectors[c] and values[c] are component c's eigenvectors and shrunk
+    values, each component's terms coming from _component_terms.
+    """
+    n, p = rows.shape
+    k = len(values)
+    columns = np.ascontiguousarray(rows.T)
+    products, quads, logdets = np.empty((k, p, n)), np.empty((k, n)), np.empty((k, 1))
+    for comp in range(k):
+        logdets[comp] = _component_terms(columns, vectors[comp], values[comp],
+                                         products[comp], quads[comp])
+    return _log_posteriors(quads, logdets, np.asarray(counts), p), products
+
+
 def posterior_weights(rows, variances, counts):
     """Sampler weights for rows under N(0, diag(variances[c])) components.
 
     Returns the (components, rows) log posteriors and weights.
     """
     values = np.asarray(variances, dtype=float)
-    k, p = values.shape
-    vectors = np.repeat(np.eye(p)[:, None, :], k, axis=1)
-    logs, _ = _log_posteriors(np.asarray(rows, dtype=float), vectors, values,
-                              np.asarray(counts))
+    identities = [np.eye(values.shape[1])] * values.shape[0]
+    logs, _ = component_log_posteriors(np.asarray(rows, dtype=float), identities, values,
+                                       counts)
     return logs, _posterior_weights(logs)
 
 
@@ -189,19 +208,19 @@ def count_unchanged(frozen, reused, previous, labels, k):
 
 def refit_every_sweep_oracle(standardized, labels, gumbels, burn_in):
     # the sweep loop with no reuse, the reference that reuse must match bit for
-    # bit: every component is gathered, factored and shrunk, and the log
-    # posteriors and posterior-mean term rebuilt, on every sweep
+    # bit: every component is gathered, factored and shrunk, its product,
+    # quadratic forms and log determinant rebuilt, and the labels taken by
+    # argmax, on every sweep
     n, p = standardized.shape
     labels = np.asarray(labels, dtype=int).copy()
     pooled = _component_shrunk(standardized)
-    accum = np.zeros((n, p))
+    accum = np.zeros((p, n))
     k = gumbels.shape[2]
-    buffer = np.empty((n, k * p))
     kept = pooled_resets = clamp_total = 0
     frozen, reused, previous = 0, 0, None
     for sweeps, draw in enumerate(gumbels, start=1):
         frozen, reused, previous = count_unchanged(frozen, reused, previous, labels, k)
-        vectors, values = np.empty((p, k, p)), np.empty((k, p))
+        vectors, values = [], []
         for comp in range(k):
             members = standardized[labels == comp]
             shrunk = pooled
@@ -212,12 +231,12 @@ def refit_every_sweep_oracle(standardized, labels, gumbels, burn_in):
                     pass
             pooled_resets += shrunk is pooled
             clamp_total += shrunk.clamp_count
-            vectors[:, comp] = shrunk.decomposition.eigenvectors
-            values[comp] = shrunk.values
+            vectors.append(shrunk.decomposition.eigenvectors)
+            values.append(shrunk.values)
         counts = np.bincount(labels, minlength=k)
-        logs, products = _log_posteriors(standardized, vectors, values, counts, buffer)
+        logs, products = component_log_posteriors(standardized, vectors, values, counts)
         if sweeps > burn_in:
-            accum += np.einsum("kn,nkp->np", _posterior_weights(logs), products)
+            accum += np.einsum("kn,kpn->pn", _posterior_weights(logs), products)
             kept += 1
         labels = np.argmax(logs + draw.T, axis=0)
     diagnostics = {
@@ -229,7 +248,7 @@ def refit_every_sweep_oracle(standardized, labels, gumbels, burn_in):
         "frozen_sweeps": frozen,
         "reused_fits": reused,
     }
-    return accum / kept, diagnostics
+    return accum.T / kept, diagnostics
 
 
 def two_scale_bundle(seed, n_samples, p, n_sources, top=1.0):
@@ -502,6 +521,25 @@ def test_global_shrink_bandwidth_policies():
     assert auto.diagnostics["h_policy"] == "auto"
     assert auto.diagnostics["h_fallback"] is False
     assert auto.diagnostics["h"] > 0
+
+
+@pytest.mark.parametrize("seed, edge", [(128, True), (32, False)])
+def test_global_shrink_auto_reports_the_chosen_grid_index(seed, edge):
+    # seed 128 picks the last bandwidth of the default grid, and seed 32 one
+    # inside it; the fixed and default policies have no grid to report
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((30, 4))
+    y = x @ rng.standard_normal((4, 25)) + rng.standard_normal((30, 25))
+    bundle = SourceBundle(x, y)
+    bstar = bundle.standardized
+    grid = default_bandwidth_grid(25, 4)
+    chosen = select_bandwidth(eigh(bstar.T @ bstar / 25), 25, grid)
+    diag = global_shrink(bundle, "auto").diagnostics
+    assert (diag["h_grid_index"], diag["h_grid_edge"]) == (chosen.index, edge)
+    assert diag["h"] == grid[chosen.index]
+    assert edge == (chosen.index in (0, grid.size - 1))
+    for h in ("default", 0.3):
+        assert "h_grid_index" not in global_shrink(bundle, h).diagnostics
 
 
 def test_global_shrink_auto_falls_back_when_sources_scarce():
@@ -844,6 +882,65 @@ def test_mixture_sweeps_reuse_matches_refitting_every_sweep(case):
         frozen, reused, resets)
 
 
+def test_mixture_sweeps_compute_a_kept_components_terms_once(monkeypatch):
+    # on the one-component-fixed path component 0 keeps its members in every
+    # sweep, so its product, quadratic forms and log determinant come from
+    # sweep 1 alone, while components 1 and 2 get new ones on every sweep
+    bundle = two_scale_bundle(80, 30, 4, 45)
+    bstar = bundle.standardized
+    path, k, burn_in, _, reused, _ = forced_paths(bstar)["one-component-fixed"]
+    gumbels = forced_draws(path, k)
+    slots = []
+
+    def recording_terms(columns, vectors, values, product, quad):
+        slots.append(product.ctypes.data)
+        return _component_terms(columns, vectors, values, product, quad)
+
+    monkeypatch.setattr(regress, "_component_terms", recording_terms)
+    out, diag = _mixture_sweeps(bstar, path[0], gumbels, burn_in)
+    monkeypatch.undo()
+    # the products of components 0, 1 and 2 lie in that order in one array
+    components = np.searchsorted(sorted(set(slots)), slots).tolist()
+    sweeps = len(gumbels)
+    assert len(slots) == k * sweeps - reused == 17
+    assert components == [0, 1, 2] + [1, 2] * (sweeps - 1)
+    expected, expected_diag = refit_every_sweep_oracle(bstar, path[0], gumbels, burn_in)
+    assert np.array_equal(out, expected)
+    assert diag == expected_diag
+
+
+def labels_cells():
+    """Every (log posterior, draw) pair from a few values, but -inf with +inf.
+
+    The values make exact ties of the sums (-1 + 1 == 0 + 0), +inf draws (u
+    = 0) and -inf log posteriors; -inf + inf is NaN, which never reaches the
+    labels.
+    """
+    return [(log, draw) for log in (-np.inf, -1.0, 0.0) for draw in (0.0, 1.0, np.inf)
+            if not (log == -np.inf and draw == np.inf)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sampled_labels_match_argmax_bit_for_bit(k):
+    cells = np.array(list(itertools.product(labels_cells(), repeat=k)))  # (rows, k, 2)
+    logs, draw = cells[:, :, 0].T.copy(), cells[:, :, 1].copy()
+    scores = logs + draw.T
+    # the cases the comparisons must keep: exact ties, finite or +inf, keep
+    # the first index, and a row of all -inf scores takes component 0
+    if k > 1:
+        tied = scores[0] == scores[1]
+        assert np.any(tied & (scores[0] == np.inf)) and np.any(tied & np.isfinite(scores[0]))
+    all_lost = np.all(scores == -np.inf, axis=0)
+    assert np.any(all_lost) and not np.any(np.isnan(scores))
+    rng = np.random.default_rng(k)
+    cases = [(logs, draw), (rng.standard_normal((k, 500)), rng.gumbel(size=(500, k)))]
+    for case_logs, case_draw in cases:
+        want = np.argmax(case_logs + case_draw.T, axis=0)
+        got = _sampled_labels(case_logs, case_draw)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.all(_sampled_labels(logs, draw)[all_lost] == 0)
+
+
 def four_case_rows(p=4):
     """Whitened rows in five components that meet every case of a component fit.
 
@@ -1010,7 +1107,7 @@ def test_gumbel_draws_at_u_zero_are_plus_infinity():
 
     with np.errstate(all="raise"):
         (draw,) = _gumbel_draws(StubGenerator(), 1, 3, 3)
-        labels = np.argmax(np.zeros((3, 3)) + draw.T, axis=0)
+        labels = _sampled_labels(np.zeros((3, 3)), draw)
     half = -np.log(-np.log(1.0 - np.full(1, 0.5)))[0]
     assert np.array_equal(draw[1], [half, np.inf, np.inf])
     assert np.all(draw[[0, 2]] == half)
@@ -1190,10 +1287,10 @@ def test_local_shrink_memory_does_not_grow_with_sweeps():
             tracemalloc.stop()
     # drawing every Gumbel variate up front would add 360 * 3000 * 3 * 8 B
     assert peaks[1] - peaks[0] <= 1 << 20
-    # one (n, k p) product buffer reused by every sweep plus a few (n, p)
-    # arrays (2.5 n k p doubles, the whitened rows being the bundle's); a
-    # fresh product per sweep reads 4.5
-    assert max(peaks) <= 3.5 * n * k * p * 8
+    # the (k, p, n) products reused by every sweep, plus a few (p, n) and
+    # (n, p) arrays, the copy of B*' among them (2.6 n k p doubles, the
+    # whitened rows being the bundle's); fresh products per sweep read 3.4
+    assert max(peaks) <= 3.0 * n * k * p * 8
 
 
 def test_initial_labels_split_by_row_norm():
