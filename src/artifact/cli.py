@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 I/O or parse failure, 3 precondition violation,
 """
 
 import argparse
+import collections
 import os
 import sys
 
@@ -34,7 +35,7 @@ from .fileio import (
     write_files,
 )
 from .regress import SourceBundle, _check_chain, predictive_error
-from .shrinkage import default_bandwidth, shrink_covariance
+from .shrinkage import shrink_covariance
 from .simlab import (
     COEFFICIENT_DESIGNS,
     ExperimentResult,
@@ -46,6 +47,7 @@ from .simlab import (
 from .spectral import sample_covariance
 from .tuning import (
     check_bandwidth_grid,
+    default_bandwidth_grid,
     precision_diagonals,
     relative_bandwidth_grid,
     select_bandwidth,
@@ -69,15 +71,46 @@ _PRECONDITION_ERRORS = (
 )
 
 
-def _cast_float_list(text):
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError:
-        raise DomainError("expected a comma-separated list of numbers, got %r" % text)
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _cast_parsed(parse, expected):
+    """A cast by parse(text stripped), or DomainError naming what was expected."""
+    def cast(text):
+        try:
+            return parse(str(text).strip())
+        except ValueError:
+            raise DomainError("expected %s, got %r" % (expected, text))
+    return cast
+
+
+def _checked(cast, test, message):
+    """cast, then DomainError(message.format(value)) unless test(value)."""
+    def checked(text):
+        value = cast(text)
+        if not test(value):
+            raise DomainError(message.format(value))
+        return value
+    return checked
 
 
 def _cast_str_list(text):
     return [tok.strip() for tok in str(text).split(",") if tok.strip() != ""]
+
+
+_cast_int = _cast_parsed(int, "an integer")
+_cast_float = _cast_parsed(float, "a number")
+_cast_float_list = _cast_parsed(lambda text: [float(tok) for tok in _cast_str_list(text)],
+                                "a comma-separated list of numbers")
+_cast_seed = _checked(_cast_int, lambda seed: seed >= 0,
+                      "--seed must be a non-negative integer, got {}")
+_cast_methods = _checked(lambda text: [parse_method(m) for m in _cast_str_list(text)], bool,
+                         "need at least one method")
+# the manifest keeps a design's alias as given
+_cast_design = _checked(str, lambda name: DESIGN_ALIASES.get(name, name) in COEFFICIENT_DESIGNS,
+                        "unknown design {!r} (use one of %s or aliases %s)"
+                        % ("/".join(COEFFICIENT_DESIGNS), "/".join(DESIGN_ALIASES)))
 
 
 def _cast_bandwidth(text):
@@ -85,91 +118,98 @@ def _cast_bandwidth(text):
     if value in ("default", "auto"):
         return value
     try:
-        return float(value)
+        h = float(value)
     except ValueError:
+        h = float("nan")
+    if not 0 < h < float("inf"):
         raise DomainError("--h must be 'default', 'auto', or a positive number")
+    return h
 
 
-def _cast_int(text):
-    try:
-        return int(str(text).strip())
-    except ValueError:
-        raise DomainError("expected an integer, got %r" % text)
+def _cast_grid(text):
+    grid = _cast_float_list(text)
+    check_bandwidth_grid(grid)
+    return grid
 
 
-def _cast_seed(text):
-    seed = _cast_int(text)
-    if seed < 0:
-        raise DomainError("--seed must be a non-negative integer, got %d" % seed)
-    return seed
+# a read condition: test(resolved options), the end of the refusal of a value
+# that the run would not read (formatted with the options), and a check of
+# the options, if any, that runs where the test holds
+_Reads = collections.namedtuple("_Reads", "test where check")
+_GLOBAL = _Reads(lambda opts: opts["method"] == "global",
+                 "to --method global only, not {method}", None)
+_LOCAL = _Reads(lambda opts: opts["method"].startswith("local-"),
+                "to --method local-K only, not {method}",
+                lambda opts: _check_chain(opts["sweeps"], opts["burn_in"]))
+_ANY_LOCAL = _Reads(lambda opts: any(m.startswith("local-") for m in opts["methods"]),
+                    "only when --methods lists a local-K", _LOCAL.check)
+_DEFAULT_GRID = _Reads(lambda opts: opts["grid"] is None,
+                       "to the default grid only, not with --grid",
+                       lambda opts: relative_bandwidth_grid(opts["grid_size"],
+                                                            opts["grid_span"]))
 
-
-def _cast_float(text):
-    try:
-        return float(str(text).strip())
-    except ValueError:
-        raise DomainError("expected a number, got %r" % text)
-
-
-# option table per subcommand: name -> (cast, default); required when default
-# is the REQUIRED sentinel.
+# option table per subcommand: name -> (cast, default, read condition).  A run
+# reads an option whose condition is None or holds; a REQUIRED default means
+# the run needs the option wherever it reads it.
 REQUIRED = object()
 
 OPTIONS = {
     "fit": {
-        "design": (str, REQUIRED),
-        "response": (str, REQUIRED),
-        "method": (str, "ols"),
-        "h": (_cast_bandwidth, "default"),
-        "sweeps": (_cast_int, 200),
-        "burn_in": (_cast_int, 50),
-        "seed": (_cast_seed, None),
-        "prefix": (str, "fit"),
+        "design": (str, REQUIRED, None),
+        "response": (str, REQUIRED, None),
+        "method": (parse_method, "ols", None),
+        "h": (_cast_bandwidth, "default", _GLOBAL),
+        "sweeps": (_cast_int, 200, _LOCAL),
+        "burn_in": (_cast_int, 50, _LOCAL),
+        "seed": (_cast_seed, REQUIRED, _LOCAL),
+        "prefix": (str, "fit", None),
     },
     "tune": {
-        "data": (str, REQUIRED),
-        "grid": (_cast_float_list, None),
-        "grid_size": (_cast_int, 15),
-        "grid_span": (_cast_float, 10.0),
-        "prefix": (str, "tune"),
+        "data": (str, REQUIRED, None),
+        "grid": (_cast_grid, None, None),
+        "grid_size": (_cast_int, 15, _DEFAULT_GRID),
+        "grid_span": (_cast_float, 10.0, _DEFAULT_GRID),
+        "prefix": (str, "tune", None),
     },
     "shrink-curve": {
-        "data": (str, REQUIRED),
-        "h": (_cast_bandwidth, "default"),
-        "points": (_cast_int, 200),
-        "prefix": (str, "curve"),
+        "data": (str, REQUIRED, None),
+        "h": (_checked(_cast_bandwidth, lambda h: h != "auto",
+                       "shrink-curve takes --h default or a number"), "default", None),
+        "points": (_checked(_cast_int, lambda points: points >= 2,
+                            "--points must be at least 2"), 200, None),
+        "prefix": (str, "curve", None),
     },
     "simulate": {
-        "design": (str, REQUIRED),
-        "n": (_cast_int, REQUIRED),
-        "p": (_cast_int, REQUIRED),
-        "rho": (_cast_float, 0.5),
-        "samples": (_cast_int, 200),
-        "test_samples": (_cast_int, 20),
-        "reps": (_cast_int, 20),
-        "methods": (_cast_str_list, ["ols", "global"]),
-        "sweeps": (_cast_int, 200),
-        "burn_in": (_cast_int, 50),
-        "seed": (_cast_seed, REQUIRED),
-        "prefix": (str, "simulate"),
+        "design": (_cast_design, REQUIRED, None),
+        "n": (_cast_int, REQUIRED, None),
+        "p": (_cast_int, REQUIRED, None),
+        "rho": (_cast_float, 0.5, None),
+        "samples": (_cast_int, 200, None),
+        "test_samples": (_cast_int, 20, None),
+        "reps": (_cast_int, 20, None),
+        "methods": (_cast_methods, ["ols", "global"], None),
+        "sweeps": (_cast_int, 200, _ANY_LOCAL),
+        "burn_in": (_cast_int, 50, _ANY_LOCAL),
+        "seed": (_cast_seed, REQUIRED, None),
+        "prefix": (str, "simulate", None),
     },
     "crossval": {
-        "design": (str, REQUIRED),
-        "response": (str, REQUIRED),
-        "folds": (_cast_int, 10),
-        "methods": (_cast_str_list, ["ols", "global"]),
-        "sweeps": (_cast_int, 200),
-        "burn_in": (_cast_int, 50),
-        "seed": (_cast_seed, REQUIRED),
-        "prefix": (str, "crossval"),
+        "design": (str, REQUIRED, None),
+        "response": (str, REQUIRED, None),
+        "folds": (_checked(_cast_int, lambda k: k >= 2, "need at least 2 folds"), 10, None),
+        "methods": (_cast_methods, ["ols", "global"], None),
+        "sweeps": (_cast_int, 200, _ANY_LOCAL),
+        "burn_in": (_cast_int, 50, _ANY_LOCAL),
+        "seed": (_cast_seed, REQUIRED, None),
+        "prefix": (str, "crossval", None),
     },
     "prial": {
-        "np_product": (_cast_int, 2000),
-        "aspects": (_cast_float_list, [0.3, 0.5, 0.7]),
-        "reps": (_cast_int, 100),
-        "policies": (_cast_str_list, ["default", "sure", "oracle"]),
-        "seed": (_cast_seed, REQUIRED),
-        "prefix": (str, "prial"),
+        "np_product": (_cast_int, 2000, None),
+        "aspects": (_cast_float_list, [0.3, 0.5, 0.7], None),
+        "reps": (_cast_int, 100, None),
+        "policies": (_cast_str_list, ["default", "sure", "oracle"], None),
+        "seed": (_cast_seed, REQUIRED, None),
+        "prefix": (str, "prial", None),
     },
 }
 
@@ -186,38 +226,56 @@ def build_parser():
         p.add_argument("--config", default=None)
         p.add_argument("--output-dir", dest="output_dir", default=None)
         for opt in options:
-            p.add_argument("--" + opt.replace("_", "-"), dest=opt, default=None)
+            p.add_argument(_flag(opt), dest=opt, default=None)
     return parser
 
 
+def _absent(default):
+    return None if default is REQUIRED else default
+
+
 def resolve_options(args, config):
-    """Merge defaults, config file, and flags (flags win)."""
+    """Merge defaults, config file, and flags (flags win); an absent REQUIRED is None."""
     spec = OPTIONS[args.subcommand]
-    known = set(spec) | {"output_dir"}
     for key in config:
-        normalized = key.replace("-", "_")
-        if normalized not in known:
+        if key.replace("-", "_") not in set(spec) | {"output_dir"}:
             raise DomainError("unknown config key %r" % key)
     resolved = {}
-    for opt, (cast, default) in spec.items():
+    for opt, (cast, default, _) in spec.items():
         raw = getattr(args, opt, None)
         if raw is None:
             raw = config.get(opt, config.get(opt.replace("_", "-")))
-        if raw is None:
-            if default is REQUIRED:
-                raise DomainError("missing required option --%s" % opt.replace("_", "-"))
-            resolved[opt] = default
-        else:
-            resolved[opt] = cast(raw)
+        resolved[opt] = cast(raw) if raw is not None else _absent(default)
     return resolved
 
 
+def check_options(subcommand, opts):
+    """Refuse what the run will not read and require what it will, before any read.
+
+    An option that the run does not read must keep its default (a REQUIRED
+    one must be absent); options alike in condition and in being REQUIRED
+    are refused together.
+    """
+    spec = OPTIONS[subcommand]
+    for name, (_, default, when) in spec.items():
+        if when is None or when.test(opts):
+            if default is REQUIRED and opts[name] is None:
+                raise DomainError("missing required option %s" % _flag(name))
+        elif opts[name] != _absent(default):
+            names = [other for other, entry in spec.items()
+                     if entry[2] is when and (entry[1] is REQUIRED) == (default is REQUIRED)]
+            raise DomainError("%s %s %s" % (" and ".join(map(_flag, names)),
+                                            "applies" if len(names) == 1 else "apply",
+                                            when.where.format(**opts)))
+    for when in dict.fromkeys(when for _, _, when in spec.values()):
+        if when is not None and when.check is not None and when.test(opts):
+            when.check(opts)
+
+
 def resolve_output_dir(args, config):
-    if args.output_dir is not None:
-        return args.output_dir
-    for key in ("output_dir", "output-dir"):
-        if key in config:
-            return config[key]
+    for value in (args.output_dir, config.get("output_dir"), config.get("output-dir")):
+        if value is not None:
+            return value
     return os.environ.get(OUTPUT_DIR_ENV, ".")
 
 
@@ -247,29 +305,6 @@ def write_outputs(subcommand, opts, outdir, suffix, text, results, lines):
     return 0
 
 
-def _resolve_design(token):
-    kind = DESIGN_ALIASES.get(token, token)
-    if kind not in COEFFICIENT_DESIGNS:
-        raise DomainError(
-            "unknown design %r (use one of %s or aliases %s)"
-            % (token, "/".join(COEFFICIENT_DESIGNS), "/".join(DESIGN_ALIASES))
-        )
-    return kind
-
-
-def _require_seed_option(opts, why):
-    if opts["seed"] is None:
-        raise DomainError("--seed is mandatory for %s (no wall-clock seeding)" % why)
-
-
-def _refuse_unread(subcommand, opts, names, where):
-    """DomainError naming `names`, which nothing reads, if any is not its default."""
-    if any(opts[name] != OPTIONS[subcommand][name][1] for name in names):
-        flags = " and ".join("--" + name.replace("_", "-") for name in names)
-        raise DomainError("%s %s %s" % (flags, "applies" if len(names) == 1 else "apply",
-                                        where))
-
-
 # the diagnostics line of fit: the keys it prints for each method family, in
 # order, leaving out a key the fit does not carry (the grid's under a fixed
 # or default h, or after a fallback)
@@ -292,18 +327,8 @@ def _diagnostics_line(method, diagnostics):
 
 
 def cmd_fit(opts, outdir):
-    method = parse_method(opts["method"])
-    if method.startswith("local-"):
-        _require_seed_option(opts, "the mixture sampler")
-        _check_chain(opts["sweeps"], opts["burn_in"])
-    if method != "global":
-        _refuse_unread("fit", opts, ("h",), "to --method global only, not %s" % method)
-    if not method.startswith("local-"):
-        where = "to --method local-K only, not %s" % method
-        _refuse_unread("fit", opts, ("sweeps", "burn_in"), where)
-        _refuse_unread("fit", opts, ("seed",), where)
     bundle = SourceBundle(read_matrix(opts["design"]), read_matrix(opts["response"]))
-    est = estimate_with_method(bundle, method, opts["seed"], opts["sweeps"],
+    est = estimate_with_method(bundle, opts["method"], opts["seed"], opts["sweeps"],
                                opts["burn_in"], h=opts["h"])
     extra = {"result_" + key: est.diagnostics[key]
              for key in ("h", "h_policy", "h_fallback", "pooled_resets")
@@ -318,26 +343,17 @@ def cmd_fit(opts, outdir):
         note = " (fallback to default)" if extra["result_h_fallback"] else ""
         lines.append("bandwidth h=%s policy=%s%s" % (format_cell(extra["result_h"]),
                                                      extra["result_h_policy"], note))
-    lines += _diagnostics_line(method, est.diagnostics)
+    lines += _diagnostics_line(opts["method"], est.diagnostics)
     return write_outputs("fit", opts, outdir, "_coefficients.csv",
                          format_matrix(est.coefficients), extra, lines)
 
 
 def cmd_tune(opts, outdir):
-    # the grid is checked before the read; the default one scales with h0(n, p)
-    relative = opts["grid"] is None
-    if not relative:
-        _refuse_unread("tune", opts, ("grid_size", "grid_span"),
-                       "to the default grid only, not with --grid")
-    grid = (relative_bandwidth_grid(opts["grid_size"], opts["grid_span"]) if relative
-            else check_bandwidth_grid(opts["grid"]))
     z = read_matrix(opts["data"])
     n, p = z.shape
-    s = sample_covariance(z)
-    if relative:
-        grid = default_bandwidth(n, p) * grid
-    diagonals = precision_diagonals(z)
-    sel = select_bandwidth(s, n, grid, diagonals)
+    grid = (default_bandwidth_grid(n, p, opts["grid_size"], opts["grid_span"])
+            if opts["grid"] is None else opts["grid"])
+    sel = select_bandwidth(sample_covariance(z), n, grid, precision_diagonals(z))
 
     table = np.column_stack([sel.grid, sel.risks])
     results = {"result_h": sel.h, "result_risk": sel.risks[sel.index],
@@ -350,11 +366,6 @@ def cmd_tune(opts, outdir):
 
 def cmd_shrink_curve(opts, outdir):
     h = None if opts["h"] == "default" else opts["h"]
-    if h == "auto":
-        raise DomainError("shrink-curve takes --h default or a number")
-    points = opts["points"]
-    if points < 2:
-        raise DomainError("--points must be at least 2")
     z = read_matrix(opts["data"])
     n, p = z.shape
     s = sample_covariance(z)
@@ -362,14 +373,14 @@ def cmd_shrink_curve(opts, outdir):
     rule = shrunk.rule
     lam = shrunk.decomposition.eigenvalues
     nonzero = lam[lam > shrunk.decomposition.zero_tolerance]
-    grid = np.linspace(0.9 * nonzero[0], 1.1 * lam[-1], points)
+    grid = np.linspace(0.9 * nonzero[0], 1.1 * lam[-1], opts["points"])
     values, _ = rule.evaluate(grid)
 
     results = {"result_h": rule.h, "result_regime": rule.regime,
                "result_n": n, "result_p": p}
     lines = ["curve regime=%s h=%s range=[%s, %s] points=%d"
              % (rule.regime, format_cell(rule.h), format_cell(grid[0]),
-                format_cell(grid[-1]), points)]
+                format_cell(grid[-1]), opts["points"])]
     return write_outputs("shrink-curve", opts, outdir, "_curve.csv",
                          format_matrix(np.column_stack([grid, values]),
                                        header=["x", "delta"]),
@@ -377,14 +388,9 @@ def cmd_shrink_curve(opts, outdir):
 
 
 def cmd_simulate(opts, outdir):
-    kind = _resolve_design(opts["design"])
-    if any(m.startswith("local-") for m in opts["methods"]):
-        _check_chain(opts["sweeps"], opts["burn_in"])
-    else:
-        _refuse_unread("simulate", opts, ("sweeps", "burn_in"),
-                       "only when --methods lists a local-K")
     result = run_experiment(
-        kind, opts["n"], opts["p"], rho=opts["rho"], n_samples=opts["samples"],
+        DESIGN_ALIASES.get(opts["design"], opts["design"]), opts["n"], opts["p"],
+        rho=opts["rho"], n_samples=opts["samples"],
         n_test=opts["test_samples"], methods=opts["methods"], reps=opts["reps"],
         seed=opts["seed"], sweeps=opts["sweeps"], burn_in=opts["burn_in"],
     )
@@ -406,16 +412,7 @@ def cmd_simulate(opts, outdir):
 
 def cmd_crossval(opts, outdir):
     k = opts["folds"]
-    if k < 2:
-        raise DomainError("need at least 2 folds")
-    methods = [parse_method(m) for m in opts["methods"]]
-    if not methods:
-        raise DomainError("need at least one method")
-    if any(m.startswith("local-") for m in methods):
-        _check_chain(opts["sweeps"], opts["burn_in"])
-    else:
-        _refuse_unread("crossval", opts, ("sweeps", "burn_in"),
-                       "only when --methods lists a local-K")
+    methods = opts["methods"]
     x = read_matrix(opts["design"])
     y = read_matrix(opts["response"])
     if x.shape[0] != y.shape[0]:
@@ -497,6 +494,7 @@ def main(argv=None):
     try:
         config = parse_config(args.config) if args.config else {}
         opts = resolve_options(args, config)
+        check_options(args.subcommand, opts)
         outdir = resolve_output_dir(args, config)
         os.makedirs(outdir, exist_ok=True)
         return COMMANDS[args.subcommand](opts, outdir)

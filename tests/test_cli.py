@@ -249,23 +249,25 @@ def test_fit_bad_local_token_reports_parse_error_before_seed(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: precondition: bad component count in method 'local-x'\n"
     )
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("methods, message", [
     ("ols,ridge", "unknown method 'ridge'"),
     ("global,local-0", "component count must be positive in 'local-0'"),
+    # an unknown token is not taken for a list without a local-K
+    ("ols,ridge --sweeps 3", "unknown method 'ridge'"),
 ])
 def test_simulate_bad_method_exits_3_without_output(tmp_path, capsys, methods, message):
-    # run_experiment parses the method list before it draws any data
+    # the cast of --methods parses every token before any data is drawn
     out = tmp_path / "out"
     code = main(["simulate", "--design", "mix", "--n", "12", "--p", "3", "--reps", "2",
-                 "--seed", "0", "--methods", methods, "--output-dir", str(out)])
+                 "--seed", "0", "--methods", *methods.split(), "--output-dir", str(out)])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: precondition: ") and message in captured.err
     assert captured.out == ""
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_tune_emits_risk_curve_and_manifest(tmp_path):
@@ -443,6 +445,7 @@ def test_simulate_round_trip_with_alias(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["fit", "--design", "x.csv", "--response", "y.csv", "--method", "local-2"],
     ["simulate", "--design", "mix", "--n", "12", "--p", "3"],
     ["crossval", "--design", "x.csv", "--response", "y.csv"],
     ["prial"],
@@ -602,7 +605,12 @@ def test_options_leaving_nothing_to_compute_exit_3(tmp_path, capsys, args):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: precondition: ")
     assert captured.out == ""
-    assert os.listdir(out) == []
+    if "--methods" in args:
+        # the cast of --methods refuses an empty list before the directory is made
+        assert not out.exists()
+    else:
+        # the library refuses the rest before it draws any data
+        assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("args", [
@@ -637,6 +645,12 @@ def test_negative_seed_exits_3(tmp_path, capsys, args):
     ["tune", "--grid-size", "1"],
     ["tune", "--grid-span", "1"],
     ["tune", "--grid", "0,1"],
+    ["fit", "--method", "global", "--h", "-1"],
+    ["fit", "--method", "global", "--h", "0"],
+    ["fit", "--method", "global", "--h", "nan"],
+    ["fit", "--method", "global", "--h", "inf"],
+    ["shrink-curve", "--h", "-1"],
+    ["shrink-curve", "--h", "inf"],
 ], ids=lambda args: "%s%s=%s" % (args[0], args[-2], args[-1]))
 def test_bad_option_exits_3_before_reading_inputs(tmp_path, capsys, args):
     # the inputs do not exist: reading them first would exit 2
@@ -648,7 +662,7 @@ def test_bad_option_exits_3_before_reading_inputs(tmp_path, capsys, args):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: precondition: ")
     assert captured.out == ""
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["ols", "global-sure", "local-2"])
@@ -664,7 +678,7 @@ def test_fit_bandwidth_with_other_method_exits_3_before_reading_inputs(
         "error: precondition: --h applies to --method global only, not %s\n" % method
     )
     assert captured.out == ""
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["ols", "global", "global-sure"])
@@ -683,7 +697,7 @@ def test_fit_sampler_options_with_other_method_exit_3_before_reading_inputs(
         "not %s\n" % method
     )
     assert captured.out == ""
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 SIMULATE = ["simulate", "--design", "mix", "--n", "12", "--p", "3", "--seed", "0"]
@@ -719,7 +733,7 @@ def test_options_that_nothing_reads_exit_3_before_reading_inputs(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err == "error: precondition: %s\n" % message
     assert captured.out == ""
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -744,7 +758,7 @@ def test_sampler_chain_is_checked_before_reading_inputs(tmp_path, capsys, monkey
     captured = capsys.readouterr()
     assert captured.err == "error: precondition: need 0 <= burn_in < sweeps\n"
     assert captured.out == ""
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_sampler_options_are_read_when_a_method_is_local(tmp_path):
@@ -756,11 +770,97 @@ def test_sampler_options_are_read_when_a_method_is_local(tmp_path):
     assert (manifest["opt_sweeps"], manifest["opt_burn_in"]) == ("4", "1")
 
 
+# The walk over cli.OPTIONS below.  Per subcommand, the options that every run
+# needs, with input paths that do not exist ("ABSENT" stands for one); a
+# subcommand added to the table without an entry here fails collection.
+WALK_BASE = {
+    "fit": ["--design", "ABSENT", "--response", "ABSENT"],
+    "tune": ["--data", "ABSENT"],
+    "shrink-curve": ["--data", "ABSENT"],
+    "simulate": ["--design", "mix", "--n", "12", "--p", "3", "--seed", "0"],
+    "crossval": ["--design", "ABSENT", "--response", "ABSENT", "--seed", "0"],
+    "prial": ["--seed", "0"],
+}
+# a value other than the default for each option that has a read condition;
+# one added to the table without a value here fails collection
+WALK_VALUES = {"h": "0.3", "sweeps": "300", "burn_in": "10", "seed": "0",
+               "grid_size": "5", "grid_span": "4"}
+# the options whose value decides what a run reads, and the values to try
+WALK_CONTEXTS = {"method": ["ols", "global", "global-sure", "local-2"],
+                 "methods": ["ols", "global", "global-sure", "local-2"],
+                 "grid": ["0.1,0.2"]}
+
+
+def walk_cases():
+    for subcommand, spec in cli.OPTIONS.items():
+        contexts = [[]] + [[cli._flag(name), value] for name in WALK_CONTEXTS if name in spec
+                           for value in WALK_CONTEXTS[name]]
+        for context in contexts:
+            for name, (_, _, when) in spec.items():
+                if when is not None:
+                    yield pytest.param(subcommand, WALK_BASE[subcommand] + context, name,
+                                       WALK_VALUES[name], id="%s-%s-%s" % (
+                                           subcommand, "-".join(context[1:]) or "default",
+                                           name))
+
+
+@pytest.mark.parametrize("subcommand, args, name, value", walk_cases())
+def test_option_table_refuses_every_unread_value_before_reading(
+        tmp_path, capsys, monkeypatch, subcommand, args, name, value):
+    # a non-default value of an option that the run will not read exits 3,
+    # prints nothing and makes no output directory; where the run reads it,
+    # the same value reaches the command
+    spec = cli.OPTIONS[subcommand]
+    absent = str(tmp_path / "absent.csv")
+    args = [subcommand] + [absent if arg == "ABSENT" else arg for arg in args]
+    opts = cli.resolve_options(cli.build_parser().parse_args(args), {})
+    for other, (_, default, when) in spec.items():
+        # what the run needs where it reads it: the seed of a local-K fit
+        if other != name and default is cli.REQUIRED and when is not None and when.test(opts):
+            args += [cli._flag(other), WALK_VALUES[other]]
+    cast, default, when = spec[name]
+    assert cast(value) != (None if default is cli.REQUIRED else default)
+    flag = cli._flag(name)
+    out = tmp_path / "out"
+    if when.test(opts):
+        seen = {}
+        monkeypatch.setitem(cli.COMMANDS, subcommand,
+                            lambda opts, outdir: seen.update(opts) or 0)
+        assert main(args + [flag, value, "--output-dir", str(out)]) == 0
+        assert seen[name] == cast(value)
+        return
+    assert main(args + [flag, value, "--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "error: precondition: "
+    assert captured.err.startswith(prefix)
+    named = captured.err[len(prefix):].split(" appl")[0].split(" and ")
+    assert flag in named
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", list(cli.OPTIONS))
+def test_option_table_accepts_every_default(tmp_path, monkeypatch, subcommand):
+    # the walk's base arguments alone pass the check, and every other option
+    # reaches the command at its default
+    seen = {}
+    monkeypatch.setitem(cli.COMMANDS, subcommand, lambda opts, outdir: seen.update(opts) or 0)
+    args = [str(tmp_path / "absent.csv") if arg == "ABSENT" else arg
+            for arg in WALK_BASE[subcommand]]
+    assert main([subcommand] + args + ["--output-dir", str(tmp_path / "out")]) == 0
+    given = {name.lstrip("-").replace("-", "_") for name in args[::2]}
+    assert {name: value for name, value in seen.items() if name not in given} == {
+        name: (None if default is cli.REQUIRED else default)
+        for name, (_, default, _) in cli.OPTIONS[subcommand].items() if name not in given}
+
+
 @pytest.mark.parametrize("args, message", [
     pytest.param(["prial", "--seed", "0", "--aspects", "0.3,x"],
                  "expected a comma-separated list of numbers, got '0.3,x'", id="float-list"),
     pytest.param(["fit", "--h", "foo"],
                  "--h must be 'default', 'auto', or a positive number", id="bandwidth"),
+    pytest.param(["fit", "--method", "global", "--h", "-1"],
+                 "--h must be 'default', 'auto', or a positive number", id="bandwidth-negative"),
     pytest.param(["prial", "--seed", "0", "--reps", "x"], "expected an integer, got 'x'",
                  id="int"),
     pytest.param(SIMULATE + ["--rho", "x"], "expected a number, got 'x'", id="float"),
