@@ -39,8 +39,10 @@ from .shrinkage import shrink_covariance
 from .simlab import (
     COEFFICIENT_DESIGNS,
     ExperimentResult,
+    check_experiment,
     estimate_with_method,
     parse_method,
+    prial_cells,
     prial_experiment,
     run_experiment,
 )
@@ -214,6 +216,17 @@ OPTIONS = {
 }
 
 
+# the library's checks of a run's arguments that need no data, run with the
+# table's so that they too refuse before the output directory is made
+ARGUMENT_CHECKS = {
+    "simulate": lambda opts: check_experiment(
+        opts["n"], opts["p"], opts["rho"], opts["samples"], opts["test_samples"],
+        opts["methods"], opts["reps"], opts["seed"]),
+    "prial": lambda opts: prial_cells(opts["np_product"], opts["aspects"], opts["reps"],
+                                      opts["policies"], opts["seed"]),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="artifact",
@@ -254,7 +267,8 @@ def check_options(subcommand, opts):
 
     An option that the run does not read must keep its default (a REQUIRED
     one must be absent); options alike in condition and in being REQUIRED
-    are refused together.
+    are refused together.  Then the conditions' checks and the subcommand's
+    ARGUMENT_CHECKS run.
     """
     spec = OPTIONS[subcommand]
     for name, (_, default, when) in spec.items():
@@ -270,6 +284,8 @@ def check_options(subcommand, opts):
     for when in dict.fromkeys(when for _, _, when in spec.values()):
         if when is not None and when.check is not None and when.test(opts):
             when.check(opts)
+    if subcommand in ARGUMENT_CHECKS:
+        ARGUMENT_CHECKS[subcommand](opts)
 
 
 def resolve_output_dir(args, config):

@@ -92,11 +92,13 @@ def _stein_sums(inv, iu, u2, h, divisor, derivative=False, out=None):
     g = terms.sum(axis=-1) / divisor
     if not derivative:
         return g
-    np.subtract(u2[..., None, :, :], b2[..., :, None, :], out=terms)
-    terms *= inv[..., None, :]
-    den *= den
-    terms /= den
-    return g, terms.sum(axis=-1) / divisor
+    # with q = 1 / den the terms inv (u^2 - b^2) q^2 of g' are inv q - 2 h^2 inv^3 q^2,
+    # so g' is two matrix-vector products against vectors that do not depend on h
+    q = np.reciprocal(den, out=den)
+    np.multiply(q, q, out=terms)
+    column = inv[..., :, None]
+    dg = q @ column - 2.0 * (h * h)[:, None, None] * (terms @ column ** 3)
+    return g, dg[..., 0] / divisor
 
 
 def _shaped(out, x, h):

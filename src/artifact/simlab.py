@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError
 from .regress import SourceBundle, _require_seed, fit_ols, global_shrink, local_shrink
 from .shrinkage import empirical_loss
-from .spectral import require_positive_definite, sample_covariance, spectral_inverse
+from .spectral import require_positive_definite, sample_covariance, symmetrize
 from .tuning import BLOCK_TERMS, default_bandwidth_grid, select_bandwidth
 
 COEFFICIENT_DESIGNS = ("low-rank", "all-small", "heavy-tail", "scale-mixture")
@@ -22,10 +22,14 @@ SMALL_SCALE = 0.2
 MIXTURE_SCALES = (0.1, 10.0)
 
 
-def equicorrelated_design(n_samples, n_predictors, rho, rng):
-    """Design rows drawn N(0, (1 - rho) I + rho J)."""
+def _require_rho(rho):
     if not (0.0 <= rho < 1.0):
         raise DomainError("rho must lie in [0, 1)")
+
+
+def equicorrelated_design(n_samples, n_predictors, rho, rng):
+    """Design rows drawn N(0, (1 - rho) I + rho J)."""
+    _require_rho(rho)
     cov = (1.0 - rho) * np.eye(n_predictors) + rho * np.ones(
         (n_predictors, n_predictors)
     )
@@ -143,6 +147,20 @@ def _replication_seed(seed, *key):
     return np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
 
 
+def check_experiment(n_sources, n_predictors, rho, n_samples, n_test, methods, reps, seed):
+    """The checks of run_experiment's arguments that need no data: DomainError
+    unless every method parses and there is at least one method, replication,
+    test sample, source, predictor and sample, rho lies in [0, 1) and the
+    seed is a non-negative integer."""
+    methods = [parse_method(m) for m in methods]
+    if not methods or reps < 1 or n_test < 1:
+        raise DomainError("need at least one method, replication and test sample")
+    if min(n_sources, n_predictors, n_samples) < 1:
+        raise DomainError("need at least one source, predictor and sample")
+    _require_rho(rho)
+    _require_seed(seed)
+
+
 def run_experiment(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
                    n_test=20, methods=("ols", "global"), reps=20, seed=0,
                    sweeps=200, burn_in=50):
@@ -152,12 +170,8 @@ def run_experiment(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
     method m (by position) samples from spawn key (r, m + 1), so adding or
     reordering methods never changes the data nor the other methods' results.
     """
-    methods = [parse_method(m) for m in methods]
-    if not methods or reps < 1 or n_test < 1:
-        raise DomainError("need at least one method, replication and test sample")
-    if min(n_sources, n_predictors, n_samples) < 1:
-        raise DomainError("need at least one source, predictor and sample")
-    _require_seed(seed)
+    methods = list(methods)
+    check_experiment(n_sources, n_predictors, rho, n_samples, n_test, methods, reps, seed)
     records = []
     for rep in range(int(reps)):
         data_rng = np.random.default_rng(_replication_seed(seed, rep, 0))
@@ -183,38 +197,32 @@ def run_experiment(kind, n_sources, n_predictors, rho=0.5, n_samples=200,
     return ExperimentResult(records)
 
 
-def factor_covariance(p, rng=None):
+def factor_model(p, rng=None):
     """Population covariance Xi Xi' + I with N_FACTORS standard normal factor
-    loadings."""
-    rng = np.random.default_rng(rng)
-    loadings = rng.standard_normal((p, N_FACTORS))
-    return loadings @ loadings.T + np.eye(p)
+    loadings Xi, and its inverse.
+
+    The inverse comes from the loadings by Woodbury, I - Xi (I + Xi'Xi)^-1
+    Xi', symmetrized: one N_FACTORS x N_FACTORS solve in place of a p x p
+    factorization.
+    """
+    loadings = np.random.default_rng(rng).standard_normal((p, N_FACTORS))
+    core = np.eye(N_FACTORS) + loadings.T @ loadings
+    inverse = symmetrize(np.eye(p) - loadings @ np.linalg.solve(core, loadings.T))
+    return loadings @ loadings.T + np.eye(p), inverse
 
 
-def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
-                     seed=0, policies=("default", "sure", "oracle"), grid_size=15):
-    """Percentage improvement over the raw inverse, per aspect ratio and policy.
+def factor_covariance(p, rng=None):
+    """The covariance of factor_model(p, rng)."""
+    return factor_model(p, rng)[0]
 
-    For each aspect ratio c, the cell uses p = round(sqrt(c * np_product)) and
-    n = round(p / c), a factor-model covariance drawn once, and common random
-    numbers across bandwidth policies.  The oracle minimizes the Monte Carlo
-    mean loss over the shared grid (which contains the default bandwidth at
-    its center), so its improvement is 100 by construction and the default
-    policy can never exceed it.  The sure policy picks a bandwidth per
-    replication from the risk estimate, which is unbiased but noisy: the
-    policy is asymptotically optimal, but at small n - p - 1 it can trail the
-    default.  A nonpositive denominator flags the cell undefined.
 
-    Replications are scored in chunks of up to BLOCK_TERMS // p^2 (at least
-    one), so the stacked p x p arrays of a chunk stay within the risk grid's
-    term budget.  Each replication draws from its own seed stream and forms
-    its own S; then one stacked eigh factors the chunk's matrices, one
-    select_bandwidth call tunes them all, and one empirical_loss call scores
-    them: the risk grid already evaluates the rule at every grid bandwidth,
-    and the raw inverse and every grid estimate keep S's eigenvectors, so
-    each S needs a single rotation of the true inverse.  Every number equals
-    what one replication at a time would give.  A singular sample
-    covariance raises SingularityError, as the raw inverse is undefined.
+def prial_cells(np_product, aspect_ratios, reps, policies, seed):
+    """The (p, n) of each aspect ratio's prial cell, after the checks of
+    prial_experiment's arguments that need no data.
+
+    DomainError unless there is at least one aspect ratio, known policy and
+    replication, np_product and every aspect ratio are positive and finite,
+    every cell has n > p + 1, and the seed is a non-negative integer.
     """
     policies = list(policies)
     for pol in policies:
@@ -225,9 +233,8 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
     if not (np_product > 0 and all(np.isfinite(c) and c > 0 for c in aspect_ratios)):
         raise DomainError("np_product and aspect ratios must be positive and finite")
     _require_seed(seed)
-    reps = int(reps)
-    records = []
-    for ci, c in enumerate(aspect_ratios):
+    cells = []
+    for c in aspect_ratios:
         p = int(round(np.sqrt(c * np_product)))
         n = int(round(p / c))
         if n <= p + 1:
@@ -235,9 +242,44 @@ def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
                 "aspect ratio %g leaves no room for risk estimation (n=%d, p=%d)"
                 % (c, n, p)
             )
+        cells.append((p, n))
+    return cells
+
+
+def prial_experiment(np_product=2000, aspect_ratios=(0.3, 0.5, 0.7), reps=100,
+                     seed=0, policies=("default", "sure", "oracle"), grid_size=15):
+    """Percentage improvement over the raw inverse, per aspect ratio and policy.
+
+    For each aspect ratio c, the cell uses p = round(sqrt(c * np_product)) and
+    n = round(p / c) (prial_cells), a factor-model covariance drawn once with
+    its inverse from the loadings (factor_model), and common random numbers
+    across bandwidth policies.  The oracle minimizes the Monte Carlo
+    mean loss over the shared grid (which contains the default bandwidth at
+    its center), so its improvement is 100 by construction and the default
+    policy can never exceed it.  The sure policy picks a bandwidth per
+    replication from the risk estimate, which is unbiased but noisy: the
+    policy is asymptotically optimal, but at small n - p - 1 it can trail the
+    default.  A nonpositive denominator flags the cell undefined.
+
+    Replications are scored in chunks of up to BLOCK_TERMS // p^2 (at least
+    one), so the stacked p x p arrays of a chunk stay within the risk grid's
+    term budget.  Each replication draws from its own seed stream and forms
+    its own S; then one stacked eigh factors the chunk's matrices (the only
+    eigh of the cell, one per replication), one
+    select_bandwidth call tunes them all, and one empirical_loss call scores
+    them: the risk grid already evaluates the rule at every grid bandwidth,
+    and the raw inverse and every grid estimate keep S's eigenvectors, so
+    each S needs a single rotation of the true inverse.  Every number equals
+    what one replication at a time would give.  A singular sample
+    covariance raises SingularityError, as the raw inverse is undefined.
+    """
+    policies = list(policies)
+    cells = prial_cells(np_product, aspect_ratios, reps, policies, seed)
+    reps = int(reps)
+    records = []
+    for ci, (c, (p, n)) in enumerate(zip(aspect_ratios, cells)):
         cell_rng = np.random.default_rng(_replication_seed(seed, ci, 0))
-        cov = factor_covariance(p, cell_rng)
-        truth_inv = spectral_inverse(cov)
+        cov, truth_inv = factor_model(p, cell_rng)
         chol = np.linalg.cholesky(cov)
         grid = default_bandwidth_grid(n, p, grid_size)
         mid = int(grid_size) // 2

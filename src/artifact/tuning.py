@@ -25,6 +25,10 @@ from .spectral import SpectralDecomposition, as_matrix, eigh
 # the divided-difference part of the derivative trace.
 COALESCENCE_RTOL = 1e-8
 
+# Spacing, relative to the smaller eigenvalue, below which a pair's divided
+# difference is taken on its own, not from the row sums of the derivative trace.
+NEAR_RTOL = 1e-4
+
 # Risks within this share of the minimum's term magnitude are tied.  Where
 # the risk curve is flat in h (p = 1 is flat exactly), round-off in the last
 # digits would otherwise pick the bandwidth.
@@ -34,13 +38,17 @@ RISK_TIE_RTOL = 1e-12
 # holds up to Rc spectra at B bandwidths each, with B = BLOCK_TERMS // p^2
 # bandwidths (at least one, at most the grid) and then as many spectra as
 # still fit, at least one.  Larger blocks spread the Python overhead over
-# more bandwidths until the buffers outgrow the cache.  Timed on single
-# spectra at block sizes 1-15 and p = 24-160 (15-point grids, one BLAS
-# thread), the fastest block held the whole grid up to p = 37, 8 bandwidths
-# at p = 64, 3 at p = 100 and 2 at p = 128 and 160.  This value gives those
-# sizes up to p = 128; from p = 129 on a block holds one bandwidth of one
-# spectrum.  prial_experiment stacks up to BLOCK_TERMS // p^2 replicates per
-# call, so the h-free (R, p, p) arrays of a stack stay within the same budget.
+# more bandwidths until the buffers outgrow the cache.  This value gives the
+# whole grid up to p = 37, 8 bandwidths at p = 64, 3 at p = 100 and 2 at
+# p = 128; from p = 129 on a block holds one bandwidth of one spectrum.
+# Timed with the row-sum derivative trace (15-point grids, one BLAS thread,
+# 2 vCPUs, OpenBLAS 0.3.31) on single spectra at p = 10-160 and on prial
+# stacks at p = 24-37: half this value was up to 1.6 times slower from
+# p = 37 up, and twice it 10-20% faster per spectrum from p = 64 up and on
+# the stacks, but four alternating pairs of the sim-study benchmark showed no
+# difference in wall time (medians 0.352 and 0.355 s), so the value stays.
+# prial_experiment stacks up to BLOCK_TERMS // p^2 replicates per call, so
+# the h-free (R, p, p) arrays of a stack stay within the same budget.
 BLOCK_TERMS = 2 ** 15
 
 
@@ -81,16 +89,54 @@ def zeta_derivative_trace(decomp, n, h):
     return float(risk_estimate(decomp, n, h).derivative_trace[0])
 
 
+def _pair_terms(lam, lamstar):
+    """The h-free pair terms of the derivative trace of an (R, p) stack of
+    ascending spectra lam, with lamstar = n lam.
+
+    A pair spaced within round-off (coalescent) takes the limit of its
+    divided difference; a near pair, spaced within NEAR_RTOL of its smaller
+    eigenvalue, takes its divided difference on its own, because in the row
+    sums it would cancel about 1/spacing of their digits.  Both are rare and
+    come back as (spectrum, j, k) triples with j < k, sorted by spectrum.
+    Every other pair goes into the row sums r_j = sum_k 1 / (lamstar_j -
+    lamstar_k), one (R, p) array, built in a single p x p difference array
+    per spectrum so that the grid's memory stays a few p x p arrays.
+    Returns (coalescent, near, rowsums).
+    """
+    diff = lam[:, :, None] - lam[:, None, :]
+    top = COALESCENCE_RTOL * lam[:, -1, None, None]
+    coalescent = diff <= top
+    coalescent &= diff >= -top
+    # lam ascends, so the smaller of lam_j and lam_k is lam_k where diff >= 0
+    # and lam_j where diff <= 0; the diagonal counts as near
+    skip = diff <= NEAR_RTOL * lam[:, None, :]
+    skip &= diff >= -NEAR_RTOL * lam[:, :, None]
+    skip |= coalescent
+    r, j, k = np.nonzero(skip)
+    upper = j < k
+    r, j, k = r[upper], j[upper], k[upper]
+    limit = coalescent[r, j, k]
+    del coalescent
+    np.subtract(lamstar[:, :, None], lamstar[:, None, :], out=diff)
+    np.copyto(diff, np.inf, where=skip)
+    rowsums = np.reciprocal(diff, out=diff).sum(axis=-1)
+    return (r[limit], j[limit], k[limit]), (r[~limit], j[~limit], k[~limit]), rowsums
+
+
 class _RiskGrid:
     """The risk estimates of a stack of spectra, a block of them at a time.
 
     decomp holds one spectrum or an (R, p) stack of them; one spectrum is a
     stack of one.  What does not depend on h is built once: the rule's
-    checks, the kernel terms of _kernel_differences, and the coalescent
-    eigenvalue pairs of each spectrum's derivative trace.  block(rows, hs)
-    forms everything that does depend on h for the spectra `rows` (a slice)
-    at the bandwidths hs, in two preallocated buffers of `shape` = (Rc, B)
-    blocks of p x p terms, and table() runs the stack and the grid through it.
+    checks, the kernel terms of _kernel_differences, and the pair terms of
+    each spectrum's derivative trace (_pair_terms: the row sums r_j and the
+    coalescent and near pairs).  block(rows, hs) forms everything that does
+    depend on h for the spectra `rows` (a slice) at the bandwidths hs, in two
+    preallocated buffers of `shape` = (Rc, B) blocks of p x p terms, and
+    table() runs the stack and the grid through it.  The p x p passes of a
+    block are those of the Stein sum g and its derivative g' (two
+    matrix-vector products); the off-diagonal part of the derivative trace
+    costs O(p) per bandwidth, sum_j zeta_j r_j plus the rare pairs.
     The rule's checks hold or fail for the whole grid, so block() raises
     nothing of its own: a term that overflows comes out non-finite, and
     numpy floating-point errors (under np.seterr(all="raise")) propagate
@@ -117,15 +163,7 @@ class _RiskGrid:
         self.diagonal_sum = diagonals
         self.lamstar = self.rule.n * lam
         if p > 1:
-            # pairs spaced within round-off of each other take the limit of
-            # the divided difference, the diagonal derivative at the
-            # (numerically) shared eigenvalue; off the diagonal they are
-            # rare, kept as (spectrum, j, k) triples sorted by spectrum
-            coalescent = (np.abs(lam[:, :, None] - lam[:, None, :])
-                          <= COALESCENCE_RTOL * lam[:, -1, None, None])
-            self.diagonal = np.arange(p)
-            coalescent[:, self.diagonal, self.diagonal] = False
-            self.off = np.nonzero(coalescent)
+            self.coalescent, self.near, self.rowsums = _pair_terms(lam, self.lamstar)
         self.inv = 1.0 / lam
         self.iu, self.u2 = _kernel_differences(self.inv, self.inv)
         bandwidths = min(grid.size, max(1, BLOCK_TERMS // (p * p)))
@@ -163,27 +201,23 @@ class _RiskGrid:
         trace = np.sum(diag, axis=-1)
         if p > 1:
             # cross-kernel terms cancel; the off-diagonal part is the half-sum
-            # of the divided differences of zeta = lamstar / delta
+            # of the divided differences of zeta = lamstar / delta, which is
+            # sum_j zeta_j r_j over the pairs spaced apart, plus each
+            # coalescent and near pair on its own
             zeta = lamstar / delta
-            # den is free once g and g' are formed: its first bandwidth takes
-            # the lamstar differences, so no third p x p array is allocated
-            dl = den[:, 0]
-            np.subtract(spectra[:, :, None], lamstar, out=dl)
-            d = self.diagonal
-            r, i, j = self._off_pairs(rows)
-            dl[:, d, d] = 1.0
-            dl[r, i, j] = 1.0
-            np.subtract(zeta[..., :, None], zeta[..., None, :], out=terms)
-            terms /= dl[:, None]
-            terms[..., d, d] = 0.0
-            terms[r, :, i, j] = 0.5 * (diag[r, :, i] + diag[r, :, j])
-            trace += 0.5 * terms.sum(axis=(-2, -1))
+            trace += np.sum(zeta * self.rowsums[rows, None, :], axis=-1)
+            r, j, k = self._pairs(self.coalescent, rows)
+            np.add.at(trace, r, 0.5 * (diag[r, :, j] + diag[r, :, k]))
+            r, j, k = self._pairs(self.near, rows)
+            np.add.at(trace, r, (zeta[r, :, j] - zeta[r, :, k])
+                      / (spectra[r, j] - spectra[r, k])[:, None])
         return delta, quadratic, inverse_sum, trace, np.sum(clamped, axis=-1)
 
-    def _off_pairs(self, rows):
-        """The off-diagonal coalescent (spectrum, j, k) triples of the spectra
-        `rows`, spectrum counted from rows.start."""
-        r, j, k = self.off
+    @staticmethod
+    def _pairs(triples, rows):
+        """The (spectrum, j, k) triples of the spectra `rows`, spectrum
+        counted from rows.start."""
+        r, j, k = triples
         lo, hi = np.searchsorted(r, (rows.start, rows.stop))
         return r[lo:hi] - rows.start, j[lo:hi], k[lo:hi]
 
@@ -317,8 +351,10 @@ def select_bandwidth(s, n, grid=None, diagonals=None):
     each equal to the table of that spectrum alone (diagonals then holds one
     row of p per spectrum).  The stack and the grid are evaluated in blocks
     of spectra and bandwidths (BLOCK_TERMS sets the block shape from p): the
-    h-free parts of the risk are built once per call, and each block forms
-    the rest for all of its spectra and bandwidths at once.  A spectrum the
+    h-free parts of the risk are built once per call, among them the row
+    sums and rare pairs that make up the off-diagonal derivative trace, and
+    each block forms the rest for all of its spectra and bandwidths at once,
+    with p x p passes only for the Stein sum and its derivative.  A spectrum the
     rule rejects (SingularityError) leaves no bandwidth with an estimate,
     and TuningError is raised.  Per spectrum, risks within round-off of the
     minimum (RISK_TIE_RTOL times its magnitude) are ties, and ties prefer

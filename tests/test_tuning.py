@@ -21,9 +21,11 @@ from artifact.shrinkage import (
     default_bandwidth,
     shrink_covariance,
 )
+from artifact.simlab import factor_covariance
 from artifact.spectral import SpectralDecomposition, eigh, sample_covariance
 from artifact.tuning import (
     COALESCENCE_RTOL,
+    NEAR_RTOL,
     default_bandwidth_grid,
     precision_diagonals,
     risk_estimate,
@@ -414,38 +416,55 @@ def test_select_singular_spectrum_has_no_finite_risk():
         risk_estimate(np.diag([0.0, 1.0, 2.0]), 30, 0.5)
 
 
-def risk_oracle(decomp, n, h, diagonals=None):
-    """The risk estimate at one bandwidth, computed directly: one rule
-    evaluation at the kernel and one p x p divided-difference table per h."""
-    lam = np.sort(decomp.eigenvalues)
+def rule_oracle(lam, n, h, pairwise=False):
+    """The rule at its own kernel for one ascending spectrum and one h: the
+    shrunk values, clamp mask, zeta and the diagonal of the derivative trace.
+    g' comes from q = 1/den by two matrix-vector products, as in the grid,
+    or with pairwise, term by term as (u^2 - b^2) / den^2."""
     p = lam.size
     inv = 1.0 / lam
     u = inv[None, :] - inv[:, None]
     b2 = (h * inv[None, :]) ** 2
-    g = np.sum(inv * u / (u * u + b2), axis=1) / p
-    dg = np.sum(inv * (u * u - b2) / (u * u + b2) ** 2, axis=1) / p
+    den = u * u + b2
+    g = np.sum(inv * u / den, axis=1) / p
+    if pairwise:
+        dg = np.sum(inv * (u * u - b2) / den ** 2, axis=1) / p
+    else:
+        q = 1.0 / den
+        dg = (q @ inv - 2.0 * (h * h) * ((q * q) @ inv ** 3)) / p
     aspect = p / n
     bracket = (1.0 - aspect) * inv + 2.0 * aspect * inv * g
     floor = CLAMP_FLOOR * inv
     clamped = bracket < floor
     delta = 1.0 / np.where(clamped, floor, bracket)
-    lamstar = n * lam
-    zeta = lamstar / delta
-
     c2 = 2.0 * p / n
     diag = -c2 * inv * (inv * dg + 1.0 / (p * h * h))
     diag = np.where(clamped, 0.0, diag)
+    return delta, clamped, n * lam / delta, diag
+
+
+def risk_oracle(decomp, n, h, diagonals=None):
+    """The risk estimate at one bandwidth, computed directly in the grid's
+    arithmetic, one spectrum and one h at a time: the off-diagonal trace
+    comes from the row sums r_j over the pairs spaced apart, then each
+    coalescent and each near pair on its own."""
+    lam = np.sort(decomp.eigenvalues)
+    p = lam.size
+    delta, clamped, zeta, diag = rule_oracle(lam, n, h)
+    lamstar = n * lam
     trace = float(np.sum(diag))
     if p > 1:
-        coalescent = np.abs(lam[:, None] - lam[None, :]) <= COALESCENCE_RTOL * lam[-1]
-        np.fill_diagonal(coalescent, True)
-        dl = lamstar[:, None] - lamstar[None, :]
-        ratio = (zeta[:, None] - zeta[None, :]) / np.where(coalescent, 1.0, dl)
-        limit = 0.5 * (diag[:, None] + diag[None, :])
-        off = coalescent.copy()
-        np.fill_diagonal(off, False)
-        terms = np.where(off, limit, np.where(coalescent, 0.0, ratio))
-        trace += 0.5 * float(np.sum(terms))
+        gap = np.abs(lam[:, None] - lam[None, :])
+        coalescent = gap <= COALESCENCE_RTOL * lam[-1]
+        near = gap <= NEAR_RTOL * np.minimum(lam[:, None], lam[None, :])
+        apart = ~(coalescent | near)
+        dl = np.where(apart, lamstar[:, None] - lamstar[None, :], 1.0)
+        rowsums = np.sum(np.where(apart, 1.0 / dl, 0.0), axis=1)
+        trace += float(np.sum(zeta * rowsums))
+        for j, k in zip(*np.nonzero(np.triu(coalescent, 1))):
+            trace += 0.5 * (diag[j] + diag[k])
+        for j, k in zip(*np.nonzero(np.triu(near & ~coalescent, 1))):
+            trace += (zeta[j] - zeta[k]) / (lamstar[j] - lamstar[k])
     quadratic = float(np.sum(lamstar / delta ** 2))
     inverse_sum = float(np.sum(1.0 / delta))
     diagonal_sum = None if diagonals is None else float(np.sum(diagonals))
@@ -460,6 +479,26 @@ def risk_oracle(decomp, n, h, diagonals=None):
         inverse_sum=inverse_sum, derivative_trace=trace,
         clamp_count=int(np.sum(clamped)), diagonal_sum=diagonal_sum,
     )
+
+
+def pairwise_trace_oracle(lam, n, h):
+    """The derivative trace at one bandwidth from the whole p x p table of
+    divided differences of zeta, coalescent pairs at their limit, with g'
+    summed term by term: the form that the grid's row sums replace."""
+    _, _, zeta, diag = rule_oracle(lam, n, h, pairwise=True)
+    trace = float(np.sum(diag))
+    if lam.size > 1:
+        coalescent = np.abs(lam[:, None] - lam[None, :]) <= COALESCENCE_RTOL * lam[-1]
+        np.fill_diagonal(coalescent, True)
+        lamstar = n * lam
+        dl = lamstar[:, None] - lamstar[None, :]
+        ratio = (zeta[:, None] - zeta[None, :]) / np.where(coalescent, 1.0, dl)
+        limit = 0.5 * (diag[:, None] + diag[None, :])
+        off = coalescent.copy()
+        np.fill_diagonal(off, False)
+        terms = np.where(off, limit, np.where(coalescent, 0.0, ratio))
+        trace += 0.5 * float(np.sum(terms))
+    return trace
 
 
 def assert_grid_matches_oracle(s, n, grid=None, diagonals=None):
@@ -499,6 +538,8 @@ def test_grid_matches_oracle_over_blocks_with_a_short_last_block():
 def test_grid_matches_oracle_on_coalescent_spectra():
     assert_grid_matches_oracle(np.diag([1.0, 1.0, 2.0]), 15)
     assert_grid_matches_oracle(np.diag([1.0, 1.0 + 1e-12, 2.0]), 15)
+    # near pairs, taken pairwise, next to coalescent ones
+    assert_grid_matches_oracle(np.diag([1.0, 1.0, 1.0 + 1e-6, 2.0, 2.0 + 3e-5]), 15)
 
 
 def test_grid_matches_oracle_on_a_clamped_spectrum():
@@ -514,6 +555,57 @@ def test_grid_matches_oracle_on_a_user_grid_with_diagonals():
     z = np.random.default_rng(16).standard_normal((n, p))
     assert_grid_matches_oracle(sample_covariance(z), n, np.geomspace(0.01, 10.0, 40),
                                precision_diagonals(z))
+
+
+def pairwise_case(kind, seed, *args):
+    """An ascending spectrum and its sample count n for the pairwise test."""
+    rng = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(seed,)))
+    if kind == "factor":
+        p, = args
+        n = 2 * p
+        chol = np.linalg.cholesky(factor_covariance(p, rng))
+        z = rng.standard_normal((n, p)) @ chol.T
+    else:
+        n, p = (60, 20) if kind == "planted" else args
+        z = rng.standard_normal((n, p))
+    lam = eigh(sample_covariance(z)).eigenvalues
+    if kind == "planted":
+        # eigenvalue `at` moves to within `gap` (relative) above the one below it
+        gap, at = args
+        lam[at] = lam[at - 1] * (1.0 + gap)
+        lam.sort()
+    return lam, n
+
+
+@pytest.mark.parametrize("case", [
+    *[("wishart", seed, n, p) for seed in range(4) for n, p in ((40, 6), (60, 20), (128, 64))],
+    *[("planted", seed, gap, at) for seed in range(2) for gap in (1e-3, 1e-5, 1e-7, 2e-8)
+      for at in (1, 10, 19)],
+    *[("factor", seed, p) for seed in range(2) for p in (24, 37)],
+    ("factor", 0, 447),
+], ids=str)
+def test_grid_trace_matches_the_pairwise_table(case):
+    # The grid sums the pairs spaced apart through the row sums r_j and takes
+    # g' from two matrix-vector products; the pairwise table is the direct
+    # form.  Worst gaps measured on these cases (numpy 2.4.6, OpenBLAS):
+    # 4.2e-14 of the largest |trace| along the grid (the trace can cross
+    # zero there) and 3.6e-15 of the magnitude on the risks, with no index
+    # moved; the bounds are about ten times those.  Near pairs (the planted
+    # gaps 1e-5 to 2e-8) are taken pairwise: left in the row sums they gave
+    # gaps of 2.7e-11 on the trace and 1.0e-11 on the risks.
+    lam, n = pairwise_case(*case)
+    p = lam.size
+    chosen = select_bandwidth(SpectralDecomposition(lam, np.eye(p)), n)
+    trace = np.array([pairwise_trace_oracle(lam, n, h) for h in chosen.grid])
+    assert np.all(np.abs(chosen.derivative_trace - trace) <= 5e-13 * np.max(np.abs(trace)))
+    risks = chosen.quadratic / n - 2.0 * (n - p - 1) * chosen.inverse_sum / n - 4.0 * trace / n
+    magnitudes = (np.abs(chosen.quadratic) + 2.0 * (n - p - 1) * np.abs(chosen.inverse_sum)
+                  + 4.0 * np.abs(trace)) / n
+    assert np.all(np.abs(chosen.risks - risks) <= 4e-14 * magnitudes)
+    lowest = int(np.argmin(risks))
+    tied = risks <= risks[lowest] + tuning.RISK_TIE_RTOL * magnitudes[lowest]
+    # the last tied grid point is the largest h
+    assert chosen.index == chosen.grid.size - 1 - int(np.argmax(tied[::-1]))
 
 
 def test_grid_memory_stays_a_few_p_by_p_arrays():
@@ -584,12 +676,17 @@ def test_select_on_a_stack_over_several_blocks(n, p, count):
     rng = np.random.default_rng(19)
     z = rng.standard_normal((count, n, p))
     # one spectrum past the first block has eigenvalues repeated up to
-    # round-off, so its coalescent pairs sit at an offset within a block
+    # round-off, and one of them moved by 2e-6 relative, so its coalescent
+    # and near pairs sit at an offset within a block
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    z[-2] = np.sqrt(n) * q[:, :p] * np.repeat([1.0, 2.0], [p // 2, p - p // 2])
+    scales = np.repeat([1.0, 2.0], [p // 2, p - p // 2])
+    scales[0] *= 1.0 + 1e-6
+    z[-2] = np.sqrt(n) * q[:, :p] * scales
     stack = np.stack([sample_covariance(x) for x in z])
     grid = default_bandwidth_grid(n, p)
-    assert np.any(tuning._RiskGrid(eigh(stack), n, grid, None).off[0] == count - 2)
+    risk_grid = tuning._RiskGrid(eigh(stack), n, grid, None)
+    assert np.any(risk_grid.coalescent[0] == count - 2)
+    assert np.any(risk_grid.near[0] == count - 2)
     diagonals = np.stack([precision_diagonals(x) for x in z])
     assert_stack_matches_each_spectrum(stack, n, grid, diagonals)
 
