@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its one integer check.
 
 The CLI maps these onto exit codes: parse/read problems exit 2,
 precondition violations exit 3, numerical failures exit 4.
@@ -43,3 +43,16 @@ class TuningError(ArtifactError):
 
 class NumericalError(ArtifactError):
     """A computation produced non-finite results."""
+
+
+def require_integer(value, message, minimum=None):
+    """value as an int, or DomainError(message) unless it is a whole number
+    of at least minimum.  NaN, +-inf and what int() refuses are not whole
+    numbers, so they raise the DomainError too."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(message) from None
+    if whole != value or (minimum is not None and whole < minimum):
+        raise DomainError(message)
+    return whole

@@ -1,7 +1,7 @@
 """Multi-source linear regression with covariance-shrinkage coefficient pooling.
 
-A bundle holds one shared design X (N samples by p predictors) and one
-response per source (N by n).  Per-source least squares gives a coefficient
+A bundle fits one response per source (N by n) on one shared design X (N
+samples by p predictors).  Per-source least squares gives a coefficient
 matrix whose rows are then shrunk toward zero along directions learned from
 the cross-source spread, either with a single pooled covariance (global) or
 with a finite scale mixture fitted by a seeded Gibbs-style sampler (local).
@@ -16,6 +16,7 @@ from .errors import (
     NumericalError,
     RegimeError,
     SingularityError,
+    require_integer,
 )
 from .shrinkage import (ShrunkCovariance, _shrink_spectrum, default_bandwidth,
                         shrink_covariance)
@@ -24,27 +25,32 @@ from .tuning import default_bandwidth_grid, select_bandwidth
 
 MAX_DESIGN_CONDITION = 1e12
 NOISE_FLOOR = 1e-12
+# Sources per block of the residual sums of squares in SourceBundle
+BLOCK_SOURCES = 512
 
 
 class SourceBundle:
-    """Shared design plus per-source responses, validated and fitted once.
+    """The fit of per-source responses on one shared design, made once.
 
     One thin SVD X = U diag(s) V' (singular values descending) gives the
     collinearity check and everything the estimators share.  The design is
     rejected as collinear when cond(X'X) = (s_max / s_min)^2 reaches
-    MAX_DESIGN_CONDITION.  Every array attribute is read-only:
+    MAX_DESIGN_CONDITION.  Neither X nor Y is kept, so a caller that drops
+    its responses frees them once the bundle is built.  Every array
+    attribute is read-only:
       * `coefficients` (sources by predictors): per-source least squares
         B = (V diag(1/s) U'Y)', so the error grows with cond(X) and not
         with cond(X)^2 as through the normal equations;
       * `sigma2`: the noise variance pooled across sources (mean of
         per-source residual variances with denominator N - p), floored at
-        NOISE_FLOOR;
+        NOISE_FLOOR.  The residual sums of squares are formed
+        BLOCK_SOURCES sources at a time, so the largest temporary is
+        N by BLOCK_SOURCES, not N by the source count;
       * `q_half`: Q^1/2 of the coefficient noise covariance
         Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V', the columns of V
         scaled by sqrt(sigma2) / s, symmetrized so that the row form
         b* Q^1/2 is exactly Q^1/2 b*.  Neither Q nor Q^-1/2 is formed;
-      * `standardized`: the whitened rows B Q^-1/2 = (U'Y)' V' / sqrt(sigma2);
-      * `design` and `responses`.
+      * `standardized`: the whitened rows B Q^-1/2 = (U'Y)' V' / sqrt(sigma2).
     """
 
     def __init__(self, design, responses):
@@ -70,15 +76,17 @@ class SourceBundle:
             raise SingularityError("design is numerically collinear")
         uty = u.T @ y  # p by n
         coef = (vt.T / s) @ uty
-        # residuals squared in place: one N by n temporary, not three
-        squares = x @ coef
-        np.subtract(y, squares, out=squares)
-        squares *= squares
-        sigma2 = float(np.mean(np.sum(squares, axis=0) / (samples - predictors)))
+        rss = np.empty(sources)
+        for first in range(0, sources, BLOCK_SOURCES):
+            block = slice(first, first + BLOCK_SOURCES)
+            # one block's residuals, squared in place
+            squares = x @ coef[:, block]
+            np.subtract(y[:, block], squares, out=squares)
+            squares *= squares
+            np.sum(squares, axis=0, out=rss[block])
+        sigma2 = float(np.mean(rss / (samples - predictors)))
         self.sigma2 = max(sigma2, NOISE_FLOOR)
         sigma = np.sqrt(self.sigma2)
-        self.design = _read_only(x)
-        self.responses = _read_only(y)
         self.n_predictors = predictors
         self.n_sources = sources
         self.coefficients = _read_only(coef.T)
@@ -407,9 +415,8 @@ def _check_chain(sweeps, burn_in):
     Raises DomainError for non-integers and for a burn-in that would leave
     no sweep to average.
     """
-    if int(sweeps) != sweeps or int(burn_in) != burn_in:
-        raise DomainError("sweeps and burn_in must be integers")
-    sweeps, burn_in = int(sweeps), int(burn_in)
+    sweeps = require_integer(sweeps, "sweeps and burn_in must be integers")
+    burn_in = require_integer(burn_in, "sweeps and burn_in must be integers")
     if burn_in < 0 or burn_in >= sweeps:
         raise DomainError("need 0 <= burn_in < sweeps")
     return sweeps, burn_in
@@ -435,9 +442,7 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     and the `reused_fits` and `frozen_sweeps` counts that the diagnostics
     carry.
     """
-    k = int(n_components)
-    if k != n_components or k < 1:
-        raise DomainError("component count must be a positive integer")
+    k = require_integer(n_components, "component count must be a positive integer", minimum=1)
     sweeps, burn_in = _check_chain(sweeps, burn_in)
     _require_seed(seed)
     n = bundle.n_sources

@@ -16,6 +16,7 @@ from .errors import (
     InputError,
     RegimeError,
     SingularityError,
+    require_integer,
 )
 from .spectral import SpectralDecomposition, eigh, symmetrize, zero_tolerance
 
@@ -26,9 +27,8 @@ CLAMP_FLOOR = 1e-8
 
 def default_bandwidth(n, p):
     """Closed-form kernel bandwidth (p/n)^0.7 * p^(-0.35)."""
-    if int(n) != n or int(p) != p:
-        raise DomainError("n and p must be integers")
-    n, p = int(n), int(p)
+    n = require_integer(n, "n and p must be integers")
+    p = require_integer(p, "n and p must be integers")
     if n < 1 or p < 1:
         raise DomainError("n and p must be positive")
     return (p / n) ** 0.7 * p ** (-0.35)
@@ -170,15 +170,13 @@ class ShrinkageRule:
                 raise DimensionError("one n and one h per spectrum need a stack of as many")
             if n.dtype.kind not in "iu" or n.min() < 1:
                 raise DomainError("n must be positive integers")
-        elif int(n) != n or n < 1:
-            raise DomainError("n must be a positive integer")
+        else:
+            n = require_integer(n, "n must be a positive integer", minimum=1)
         if not np.all(np.isfinite(lam)):
             raise InputError("eigenvalues must be finite")
         hv = _bandwidths(h)
         if per_spectrum:
             n, hv = n[:, None], hv[:, None]
-        else:
-            n = int(n)
         tol = np.asarray(zero_tolerance(lam))[..., None]
         if lam.size and (lam[..., -1] <= 0).any():
             raise SingularityError("spectrum has no positive eigenvalue")
@@ -306,9 +304,7 @@ def shrink_covariance(s, n, h=None):
     """
     decomp = s if isinstance(s, SpectralDecomposition) else eigh(s)
     p = decomp.dim
-    if int(n) != n or n < 1:
-        raise DomainError("n must be a positive integer")
-    n = int(n)
+    n = require_integer(n, "n must be a positive integer", minimum=1)
     if p == n:
         raise RegimeError(
             "aspect ratio p == n (%d) is unsupported; add or drop a sample" % p

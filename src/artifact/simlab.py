@@ -9,7 +9,7 @@ fresh design.
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .regress import SourceBundle, _require_seed, fit_ols, global_shrink, local_shrink
 from .shrinkage import empirical_loss
 from .spectral import require_positive_definite, sample_covariance, symmetrize
@@ -149,14 +149,18 @@ def _replication_seed(seed, *key):
 
 def check_experiment(n_sources, n_predictors, rho, n_samples, n_test, methods, reps, seed):
     """The checks of run_experiment's arguments that need no data: DomainError
-    unless every method parses and there is at least one method, replication,
-    test sample, source, predictor and sample, rho lies in [0, 1) and the
-    seed is a non-negative integer."""
+    unless every method parses, there is at least one method, the counts of
+    replications, test samples, sources, predictors and samples are whole
+    numbers of at least one (NaN is not), rho lies in [0, 1) and the seed is
+    a non-negative integer."""
     methods = [parse_method(m) for m in methods]
-    if not methods or reps < 1 or n_test < 1:
-        raise DomainError("need at least one method, replication and test sample")
-    if min(n_sources, n_predictors, n_samples) < 1:
-        raise DomainError("need at least one source, predictor and sample")
+    counts = "need at least one method, replication and test sample"
+    if not methods:
+        raise DomainError(counts)
+    for count in (reps, n_test):
+        require_integer(count, counts, minimum=1)
+    for size in (n_sources, n_predictors, n_samples):
+        require_integer(size, "need at least one source, predictor and sample", minimum=1)
     _require_rho(rho)
     _require_seed(seed)
 
@@ -220,16 +224,19 @@ def prial_cells(np_product, aspect_ratios, reps, policies, seed):
     """The (p, n) of each aspect ratio's prial cell, after the checks of
     prial_experiment's arguments that need no data.
 
-    DomainError unless there is at least one aspect ratio, known policy and
-    replication, np_product and every aspect ratio are positive and finite,
-    every cell has n > p + 1, and the seed is a non-negative integer.
+    DomainError unless there is at least one aspect ratio and known policy,
+    the replication count is a whole number of at least one, np_product and
+    every aspect ratio are positive and finite, every cell has n > p + 1,
+    and the seed is a non-negative integer.
     """
     policies = list(policies)
     for pol in policies:
         if pol not in ("default", "sure", "oracle"):
             raise DomainError("unknown bandwidth policy %r" % (pol,))
-    if not (len(aspect_ratios) and policies and reps >= 1):
-        raise DomainError("need at least one aspect ratio, policy and replication")
+    counts = "need at least one aspect ratio, policy and replication"
+    if not (len(aspect_ratios) and policies):
+        raise DomainError(counts)
+    require_integer(reps, counts, minimum=1)
     if not (np_product > 0 and all(np.isfinite(c) and c > 0 for c in aspect_ratios)):
         raise DomainError("np_product and aspect ratios must be positive and finite")
     _require_seed(seed)

@@ -12,6 +12,7 @@ from .errors import (
     InsufficientDataError,
     SingularityError,
     TuningError,
+    require_integer,
 )
 from .shrinkage import (
     ShrinkageRule,
@@ -267,13 +268,12 @@ def relative_bandwidth_grid(size=15, span=10.0):
 
     It needs no data, so a caller can check size and span before reading any.
     """
-    if size < 2:
-        raise DomainError("grid needs at least two points")
+    size = require_integer(size, "grid needs at least two points", minimum=2)
     if not (span > 1):
         raise DomainError("span must exceed 1")
-    grid = np.logspace(-np.log10(span), np.log10(span), int(size))
+    grid = np.logspace(-np.log10(span), np.log10(span), size)
     if size % 2 == 1:
-        grid[int(size) // 2] = 1.0  # center is the default exactly, not up to rounding
+        grid[size // 2] = 1.0  # center is the default exactly, not up to rounding
     return grid
 
 

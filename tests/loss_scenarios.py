@@ -7,7 +7,7 @@ Only tests call them, so they are not part of the package API.
 import numpy as np
 
 from artifact.errors import DomainError
-from artifact.shrinkage import empirical_loss, shrink_covariance
+from artifact.shrinkage import ShrinkageRule, default_bandwidth, empirical_loss, shrink_covariance
 from artifact.simlab import _replication_seed
 from artifact.spectral import sample_covariance, spectral_inverse
 
@@ -30,11 +30,34 @@ def true_covariance(model, p, rho=0.5, spike=0.5):
     raise DomainError("unknown covariance model %r" % (model,))
 
 
+def dense_loss(truth_inv, s, n):
+    """The degree-1 loss of the default-bandwidth shrunk inverse of s, a
+    sample covariance of n samples, against the true inverse."""
+    est = shrink_covariance(s, n)
+    return empirical_loss(truth_inv, est.decomposition, 1.0 / est.values)
+
+
+def identity_loss(s, n):
+    """dense_loss against the identity, from the spectrum of s alone.
+
+    With A = I the loss is sum_i (1 - 1/delta_i)^2 lambda_i / p over the
+    eigenvalues lambda_i of s and their shrunk values delta_i: no
+    eigenvectors and no rotation of the truth.  s must have p < n and full
+    rank, as in every loss-convergence cell.
+    """
+    lam = np.linalg.eigvalsh(s)
+    p = lam.size
+    delta, _ = ShrinkageRule(lam, n, p, default_bandwidth(n, p)).evaluate(lam)
+    return float(np.sum((1.0 - 1.0 / delta) ** 2 * lam) / p)
+
+
 def loss_convergence(model, sample_sizes, aspect_ratios, reps=10, seed=0):
     """Monte Carlo mean of the degree-1 loss across (n, c) cells.
 
     Returns records {model, n, c, p, replication, loss} using the default
-    bandwidth at every cell.  p is round(c n) kept strictly below n.
+    bandwidth at every cell.  p is round(c n) kept strictly below n.  The
+    independence model scores its draws Z as they are (Z I' is Z bit for
+    bit) with the spectrum form identity_loss; the others take dense_loss.
     """
     records = []
     for ni, n in enumerate(sample_sizes):
@@ -47,9 +70,11 @@ def loss_convergence(model, sample_sizes, aspect_ratios, reps=10, seed=0):
                 rng = np.random.default_rng(
                     _replication_seed(seed, ni, ci, rep)
                 )
-                z = rng.standard_normal((int(n), p)) @ chol.T
-                est = shrink_covariance(sample_covariance(z), int(n))
-                loss = empirical_loss(truth_inv, est.decomposition, 1.0 / est.values)
+                z = rng.standard_normal((int(n), p))
+                if model == "independence":
+                    loss = identity_loss(sample_covariance(z), int(n))
+                else:
+                    loss = dense_loss(truth_inv, sample_covariance(z @ chol.T), int(n))
                 records.append({
                     "model": model,
                     "n": int(n),

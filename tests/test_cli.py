@@ -13,7 +13,7 @@ import pytest
 from artifact import SourceBundle, cli, errors, global_shrink
 from artifact.cli import main
 from artifact.fileio import format_cell, format_matrix, read_matrix
-from artifact.simlab import estimate_with_method, simulate_sources
+from artifact.simlab import coefficient_matrix, equicorrelated_design, estimate_with_method
 
 
 def write_matrix(path, matrix, fmt="%.6g"):
@@ -512,17 +512,24 @@ def test_crossval_same_seed_reproduces_folds(tmp_path):
     assert a == b
 
 
+def simulated_sources(kind, n_sources, p, rho, n_samples, seed):
+    """The design and responses of simulate_sources(kind, ..., rng=seed)."""
+    rng = np.random.default_rng(seed)
+    x = equicorrelated_design(n_samples, p, rho, rng)
+    truth = coefficient_matrix(kind, n_sources, p, rng)
+    return x, x @ truth.T + rng.standard_normal((n_samples, n_sources))
+
+
 def test_crossval_pooled_shrinkage_helps_on_mixture_data(tmp_path):
     # ten replicates of a two-scale bundle: pooled shrinkage should not lose
     # to plain least squares on average holdout error
     ols_means, global_means = [], []
     for i in range(10):
-        bundle, _, _ = simulate_sources("scale-mixture", 50, 20, rho=0.5,
-                                        n_samples=200, rng=100 + i)
+        x, y = simulated_sources("scale-mixture", 50, 20, 0.5, 200, 100 + i)
         design = str(tmp_path / ("x%d.csv" % i))
         response = str(tmp_path / ("y%d.csv" % i))
-        write_matrix(design, bundle.design)
-        write_matrix(response, bundle.responses)
+        write_matrix(design, x)
+        write_matrix(response, y)
         out = str(tmp_path / ("out%d" % i))
         assert main(["crossval", "--design", design, "--response", response,
                      "--methods", "ols,global", "--folds", "10",

@@ -10,6 +10,7 @@ the sampler's sweep loop with every component refitted on every sweep.
 import itertools
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -251,27 +252,36 @@ def refit_every_sweep_oracle(standardized, labels, gumbels, burn_in):
     return accum.T / kept, diagnostics
 
 
-def two_scale_bundle(seed, n_samples, p, n_sources, top=1.0):
+def two_scale_data(seed, n_samples, p, n_sources, top=1.0):
     # half the sources carry tight coefficients and half wide ones, so a
     # mixture sampler has components to find; top > 1 scales the coefficient
     # columns geometrically from 1 to top, so the component covariances have
-    # condition numbers near top^2
+    # condition numbers near top^2.  Returns the design and the responses.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_samples, p))
     scale = np.where(rng.random(n_sources) < 0.5, 0.1, 3.0)
     beta = rng.standard_normal((n_sources, p)) * scale[:, None] * np.geomspace(1.0, top, p)
     y = x @ beta.T + rng.standard_normal((n_samples, n_sources))
-    return SourceBundle(x, y)
+    return x, y
 
 
-def whitened_bundle(rng, n_samples, p, n_sources, signal_scale):
+def two_scale_bundle(seed, n_samples, p, n_sources, top=1.0):
+    return SourceBundle(*two_scale_data(seed, n_samples, p, n_sources, top))
+
+
+def whitened_data(rng, n_samples, p, n_sources, signal_scale):
     # coefficient rows drawn with covariance signal_scale^2 * (X'X)^-1 so the
-    # standardized rows have a known spherical law
+    # standardized rows have a known spherical law; returns x, y and beta
     x = rng.standard_normal((n_samples, p))
     q = np.linalg.inv(x.T @ x)
     q_half = np.linalg.cholesky(q)
     beta = rng.standard_normal((n_sources, p)) @ q_half.T * signal_scale
     y = x @ beta.T + rng.standard_normal((n_samples, n_sources))
+    return x, y, beta
+
+
+def whitened_bundle(rng, n_samples, p, n_sources, signal_scale):
+    x, y, beta = whitened_data(rng, n_samples, p, n_sources, signal_scale)
     return SourceBundle(x, y), beta
 
 
@@ -376,11 +386,67 @@ def test_ols_fit_is_kept_on_the_bundle_read_only():
     second = fit_ols(bundle)
     assert second.coefficients is first.coefficients is bundle.coefficients
     assert second is not first and second.diagnostics is not first.diagnostics
-    shared = (bundle.coefficients, bundle.q_half, bundle.standardized,
-              bundle.design, bundle.responses)
-    for array in shared:
+    for array in (bundle.coefficients, bundle.q_half, bundle.standardized):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
+
+
+def unblocked_sigma2(x, y, bundle):
+    """The pooled residual variance from one N by n residual array, on the
+    bundle's own coefficients."""
+    resid = y - x @ bundle.coefficients.T
+    samples, predictors = x.shape
+    return max(float(np.mean(np.sum(resid * resid, axis=0) / (samples - predictors))),
+               regress.NOISE_FLOOR)
+
+
+@pytest.mark.parametrize("shape", [
+    (40, 3, 7),
+    (40, 3, regress.BLOCK_SOURCES),
+    (40, 3, 2 * regress.BLOCK_SOURCES + 1),
+    (200, 20, 6000),
+], ids=["one-partial-block", "one-whole-block", "two-blocks-and-one-source", "wide"])
+def test_blocked_residual_sums_match_the_unblocked_formula(shape):
+    # the residual sums of squares are formed BLOCK_SOURCES sources at a
+    # time; each source's sum adds its N squares in the same order as over
+    # the whole N by n array, so sigma2 is the same bit for bit
+    samples, p, sources = shape
+    rng = np.random.default_rng(sources)
+    x = rng.standard_normal((samples, p))
+    y = x @ rng.standard_normal((p, sources)) + rng.standard_normal((samples, sources))
+    bundle = SourceBundle(x, y)
+    assert bundle.sigma2 == unblocked_sigma2(x, y, bundle)
+
+
+def test_bundle_keeps_no_reference_to_its_inputs():
+    # a caller that drops its responses after building the bundle frees them
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((30, 3))
+    y = rng.standard_normal((30, 2 * regress.BLOCK_SOURCES + 1))
+    refs = weakref.ref(x), weakref.ref(y)
+    bundle = SourceBundle(x, y)
+    del x, y
+    assert [ref() for ref in refs] == [None, None]
+    assert bundle.n_sources == 2 * regress.BLOCK_SOURCES + 1
+
+
+def test_bundle_working_memory_is_a_fraction_of_the_responses():
+    # beyond its inputs, building the bundle allocates U'Y, the coefficients,
+    # the whitened rows (each p by n), a byte per entry of Y for the
+    # finiteness check and one N by BLOCK_SOURCES block of residuals: a peak
+    # of 0.38 N n doubles here (numpy 2.4.6, OpenBLAS), where one N by n
+    # residual array made it 1.30
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((200, 20))
+    y = x @ rng.standard_normal((20, 6000)) + rng.standard_normal((200, 6000))
+    SourceBundle(x, y)  # first-call caches
+    tracemalloc.start()
+    try:
+        SourceBundle(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * y.nbytes
 
 
 def test_noise_model_square_root_factors():
@@ -423,12 +489,12 @@ def test_standardize_round_trip():
 
 def test_global_shrink_matches_manual_recomposition():
     rng = np.random.default_rng(12)
-    bundle, _ = whitened_bundle(rng, 40, 3, 25, 2.0)
+    x, y, _ = whitened_data(rng, 40, 3, 25, 2.0)
+    bundle = SourceBundle(x, y)
     fit = global_shrink(bundle)
 
     s = sample_covariance(bundle.standardized)
     shrunk = shrink_covariance(s, 25, default_bandwidth(25, 3))
-    x = bundle.design
     q_half, q_half_inv = noise_from_q(bundle.sigma2 * np.linalg.inv(x.T @ x))
     rotate = q_half @ dense_inverse(shrunk) @ q_half_inv
     expected = bundle.coefficients @ (np.eye(3) - rotate).T
@@ -437,34 +503,35 @@ def test_global_shrink_matches_manual_recomposition():
     assert fit.diagnostics["h"] == pytest.approx(default_bandwidth(25, 3))
 
 
-def design_scaled_bundle(seed):
+def design_scaled_data(seed):
     # design columns scaled geometrically from 1e-2 to 1e3 (cond(X) up to
     # about 2e5) and pure-noise responses, so the pooled rule shrinks most of
-    # each row away and the estimate is small next to the coefficients
+    # each row away and the estimate is small next to the coefficients.
+    # Returns the design and the responses.
     rng = np.random.default_rng(seed)
     p = int(rng.integers(1, 15))
     sources = int(rng.integers(2, 40))
     sources += sources == p
     rows = p + int(rng.integers(3, 30))
     x = rng.standard_normal((rows, p)) * np.geomspace(1e-2, 1e3, p)
-    return SourceBundle(x, rng.standard_normal((rows, sources)))
+    return x, rng.standard_normal((rows, sources))
 
 
-def global_shrink_longdouble(bundle):
+def global_shrink_longdouble(x, y, bundle):
     """The default-bandwidth estimate B* E diag(1 - 1/delta) E' Q^1/2 in np.longdouble.
 
-    Evaluated from the float64 SVD factors of the design and the float64 E
-    and delta of the bundle's whitened rows.
+    Evaluated from the float64 SVD factors of the design x and the float64 E
+    and delta of the whitened rows of bundle, the bundle of x and y.
     """
     n, p = bundle.n_sources, bundle.n_predictors
     bstar = bundle.standardized
     shrunk = shrink_covariance(eigh(bstar.T @ bstar / n), n, default_bandwidth(n, p))
     ld = np.longdouble
-    u, s, vt = (f.astype(ld) for f in np.linalg.svd(bundle.design, full_matrices=False))
+    u, s, vt = (f.astype(ld) for f in np.linalg.svd(x, full_matrices=False))
     sigma = np.sqrt(ld(bundle.sigma2))
     e = shrunk.decomposition.eigenvectors.astype(ld)
     keep = 1 - 1 / shrunk.values.astype(ld)
-    whitened = (u.T @ bundle.responses.astype(ld)).T @ vt / sigma
+    whitened = (u.T @ y.astype(ld)).T @ vt / sigma
     return whitened @ ((e * keep) @ e.T) @ ((vt.T * (sigma / s)) @ vt)
 
 
@@ -475,8 +542,9 @@ def test_global_shrink_assembly_matches_extended_precision():
     # subtraction leaves round-off at the scale of B; the bound is about
     # ten times the former
     for seed in range(200):
-        bundle = design_scaled_bundle(seed)
-        want = global_shrink_longdouble(bundle)
+        x, y = design_scaled_data(seed)
+        bundle = SourceBundle(x, y)
+        want = global_shrink_longdouble(x, y, bundle)
         got = global_shrink(bundle).coefficients
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), seed
 
@@ -579,12 +647,13 @@ equivariance_cases = st.tuples(
 )
 
 
-def equivariance_bundle(seed, p, sources):
+def equivariance_data(seed, p, sources):
+    """The generator after the draws, the design and the responses."""
     rng = np.random.default_rng(seed)
     if sources == p:  # the pooled rule is undefined there
         sources += 1
-    bundle, _ = whitened_bundle(rng, 3 * p + 8, p, sources, 1.5)
-    return rng, bundle
+    x, y, _ = whitened_data(rng, 3 * p + 8, p, sources, 1.5)
+    return rng, x, y
 
 
 def assert_close(got, want, tol=1e-8):
@@ -606,10 +675,10 @@ def column_scales(rng, p):
 @given(equivariance_cases)
 def test_global_shrink_rotating_design_rotates_coefficients(case):
     seed, p, sources, h = case
-    rng, bundle = equivariance_bundle(seed, p, sources)
+    rng, x, y = equivariance_data(seed, p, sources)
     r, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    base = global_shrink(bundle, h)
-    turned = global_shrink(SourceBundle(bundle.design @ r, bundle.responses), h)
+    base = global_shrink(SourceBundle(x, y), h)
+    turned = global_shrink(SourceBundle(x @ r, y), h)
     assert_close(turned.coefficients, base.coefficients @ r)
 
 
@@ -622,10 +691,10 @@ def test_global_shrink_rotating_design_rotates_coefficients(case):
 @example((577163664, 1, 3, "auto"))
 def test_global_shrink_permuting_sources_permutes_rows(case):
     seed, p, sources, h = case
-    rng, bundle = equivariance_bundle(seed, p, sources)
-    perm = rng.permutation(bundle.n_sources)
-    base = global_shrink(bundle, h)
-    shuffled = global_shrink(SourceBundle(bundle.design, bundle.responses[:, perm]), h)
+    rng, x, y = equivariance_data(seed, p, sources)
+    perm = rng.permutation(y.shape[1])
+    base = global_shrink(SourceBundle(x, y), h)
+    shuffled = global_shrink(SourceBundle(x, y[:, perm]), h)
     assert_close(shuffled.coefficients, base.coefficients[perm])
     assert shuffled.diagnostics["h"] == base.diagnostics["h"]
 
@@ -638,10 +707,10 @@ def test_global_shrink_scaling_design_columns_unscales_coefficients(case):
     # 8.8e-11 in 1500 draws of these cases, and the tolerance is about ten
     # times that
     seed, p, sources, h = case
-    rng, bundle = equivariance_bundle(seed, p, sources)
+    rng, x, y = equivariance_data(seed, p, sources)
     d = column_scales(rng, p)
-    base = global_shrink(bundle, h)
-    scaled = global_shrink(SourceBundle(bundle.design * d, bundle.responses), h)
+    base = global_shrink(SourceBundle(x, y), h)
+    scaled = global_shrink(SourceBundle(x * d, y), h)
     assert_columns_close(scaled.coefficients, base.coefficients / d, 1e-9)
 
 
@@ -650,9 +719,9 @@ def test_global_shrink_scaling_design_columns_unscales_coefficients(case):
 def test_global_shrink_scaling_responses_scales_coefficients(case, c, flip):
     seed, p, sources, h = case
     c = -c if flip else c
-    _, bundle = equivariance_bundle(seed, p, sources)
-    base = global_shrink(bundle, h)
-    scaled = global_shrink(SourceBundle(bundle.design, c * bundle.responses), h)
+    _, x, y = equivariance_data(seed, p, sources)
+    base = global_shrink(SourceBundle(x, y), h)
+    scaled = global_shrink(SourceBundle(x, c * y), h)
     assert_close(scaled.coefficients, c * base.coefficients)
 
 
@@ -730,6 +799,13 @@ def test_local_shrink_diagnostics_and_preconditions():
         local_shrink(bundle, 2, sweeps=5, burn_in=5)
     with pytest.raises(DomainError):
         local_shrink(bundle, 2, sweeps=5.5, burn_in=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="component count must be a positive integer"):
+            local_shrink(bundle, bad)
+        with pytest.raises(DomainError, match="sweeps and burn_in must be integers"):
+            local_shrink(bundle, 2, sweeps=bad, burn_in=1)
+        with pytest.raises(DomainError, match="sweeps and burn_in must be integers"):
+            local_shrink(bundle, 2, sweeps=5, burn_in=bad)
 
 
 def test_mixture_sweeps_component_relabeling_invariance():
@@ -1169,15 +1245,16 @@ def test_local_shrink_assembly_matches_extended_precision():
     # and the bound is about ten times the former
     ld = np.longdouble
     for seed in range(200):
-        bundle = design_scaled_bundle(seed)
+        x, y = design_scaled_data(seed)
+        bundle = SourceBundle(x, y)
         n = bundle.n_sources
         k = 2 if n >= 4 else 1
         bstar = bundle.standardized
         gumbels = up_front_gumbels(seed, (20, n, k))
         term, _ = _mixture_sweeps(bstar, _initial_labels(bstar, k), gumbels, 5)
-        u, s, vt = (f.astype(ld) for f in np.linalg.svd(bundle.design, full_matrices=False))
+        u, s, vt = (f.astype(ld) for f in np.linalg.svd(x, full_matrices=False))
         sigma = np.sqrt(ld(bundle.sigma2))
-        whitened = (u.T @ bundle.responses.astype(ld)).T @ vt / sigma
+        whitened = (u.T @ y.astype(ld)).T @ vt / sigma
         want = (whitened - term) @ ((vt.T * (sigma / s)) @ vt)
         got = local_shrink(bundle, k, sweeps=20, burn_in=5, seed=seed).coefficients
         assert np.max(np.abs(got - want)) <= 4e-14 * np.max(np.abs(want)), seed
@@ -1211,9 +1288,9 @@ def mixture_fit(bundle, k, seed):
 def test_local_shrink_scaling_responses_scales_coefficients(case, c, flip):
     seed, p, sources, k = case
     c = -c if flip else c
-    bundle = two_scale_bundle(seed, 3 * p + 20, p, sources)
-    base = mixture_fit(bundle, k, seed)
-    scaled = mixture_fit(SourceBundle(bundle.design, c * bundle.responses), k, seed)
+    x, y = two_scale_data(seed, 3 * p + 20, p, sources)
+    base = mixture_fit(SourceBundle(x, y), k, seed)
+    scaled = mixture_fit(SourceBundle(x, c * y), k, seed)
     assert_close(scaled.coefficients, c * base.coefficients, tol=1e-14)
 
 
@@ -1221,10 +1298,10 @@ def test_local_shrink_scaling_responses_scales_coefficients(case, c, flip):
 @given(mixture_cases)
 def test_local_shrink_rotating_design_rotates_coefficients(case):
     seed, p, sources, k = case
-    bundle = two_scale_bundle(seed, 3 * p + 20, p, sources)
+    x, y = two_scale_data(seed, 3 * p + 20, p, sources)
     r, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
-    base = mixture_fit(bundle, k, seed)
-    turned = mixture_fit(SourceBundle(bundle.design @ r, bundle.responses), k, seed)
+    base = mixture_fit(SourceBundle(x, y), k, seed)
+    turned = mixture_fit(SourceBundle(x @ r, y), k, seed)
     assert_close(turned.coefficients, base.coefficients @ r, tol=1e-13)
 
 
@@ -1235,10 +1312,10 @@ def test_local_shrink_scaling_design_columns_unscales_coefficients(case):
     # draws of these cases (no label path changed), and the tolerance is
     # about ten times that
     seed, p, sources, k = case
-    bundle = two_scale_bundle(seed, 3 * p + 20, p, sources)
+    x, y = two_scale_data(seed, 3 * p + 20, p, sources)
     d = column_scales(np.random.default_rng(seed), p)
-    base = mixture_fit(bundle, k, seed)
-    scaled = mixture_fit(SourceBundle(bundle.design * d, bundle.responses), k, seed)
+    base = mixture_fit(SourceBundle(x, y), k, seed)
+    scaled = mixture_fit(SourceBundle(x * d, y), k, seed)
     assert (scaled.diagnostics["final_component_sizes"]
             == base.diagnostics["final_component_sizes"])
     assert_columns_close(scaled.coefficients, base.coefficients / d, 1e-10)

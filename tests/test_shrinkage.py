@@ -152,6 +152,13 @@ def test_default_bandwidth_validation():
         default_bandwidth(0, 1)
     with pytest.raises(DomainError):
         default_bandwidth(10.5, 2)
+    # NaN and +-inf are no integers either; int() alone raises ValueError
+    # and OverflowError on them
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="n and p must be integers"):
+            default_bandwidth(bad, 2)
+        with pytest.raises(DomainError, match="n and p must be integers"):
+            default_bandwidth(10, bad)
 
 
 # rule construction
@@ -187,7 +194,7 @@ def test_rule_construction_validation():
     # a numerically zero eigenvalue is not allowed when p < n
     with pytest.raises(SingularityError):
         ShrinkageRule([0.0, 1.0], 10, 2, 0.5)
-    for n in (10.5, 0, -3):
+    for n in (10.5, 0, -3, np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match="n must be a positive integer"):
             ShrinkageRule([1.0, 2.0], n, 2, 0.5)
     for bad in (np.nan, np.inf):
@@ -375,8 +382,9 @@ def test_shrink_rejects_square_aspect_and_bad_n():
     s = np.eye(3)
     with pytest.raises(RegimeError):
         shrink_covariance(s, 3)
-    with pytest.raises(DomainError):
-        shrink_covariance(s, 2.5)
+    for n in (2.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            shrink_covariance(s, n)
 
 
 def test_shrink_bulk_agreement_improves_with_sample_size():

@@ -12,6 +12,7 @@ import pytest
 from artifact import (
     DomainError,
     ExperimentResult,
+    SourceBundle,
     coefficient_matrix,
     default_bandwidth_grid,
     design_error,
@@ -31,10 +32,11 @@ from artifact import (
 )
 from artifact.fileio import format_rows
 from artifact.shrinkage import empirical_loss
-from artifact.simlab import factor_model
+from artifact.simlab import _replication_seed, check_experiment, factor_model
 from artifact.spectral import require_positive_definite, spectral_inverse
 
-from loss_scenarios import dense_inverse, loss_convergence, true_covariance
+from loss_scenarios import (dense_inverse, dense_loss, identity_loss, loss_convergence,
+                            true_covariance)
 
 
 def matrix_error_oracle(coefficients, truth):
@@ -133,13 +135,21 @@ def test_coefficient_matrix_rejects_unknown_kind():
 def test_simulate_sources_shapes_and_reproducibility():
     bundle, truth, x_test = simulate_sources("all-small", 12, 4, rho=0.3,
                                              n_samples=30, n_test=9, rng=5)
-    assert bundle.design.shape == (30, 4)
-    assert bundle.responses.shape == (30, 12)
+    assert (bundle.n_sources, bundle.n_predictors) == (12, 4)
     assert truth.shape == (12, 4)
     assert x_test.shape == (9, 4)
+    # the draw stream line by line: design, truth, noise, then the test design
+    rng = np.random.default_rng(5)
+    x = equicorrelated_design(30, 4, 0.3, rng)
+    assert np.array_equal(truth, coefficient_matrix("all-small", 12, 4, rng))
+    y = x @ truth.T + rng.standard_normal((30, 12))
+    assert np.array_equal(x_test, equicorrelated_design(9, 4, 0.3, rng))
+    oracle = SourceBundle(x, y)
+    assert np.array_equal(bundle.coefficients, oracle.coefficients)
+    assert bundle.sigma2 == oracle.sigma2
     again, truth2, x_test2 = simulate_sources("all-small", 12, 4, rho=0.3,
                                               n_samples=30, n_test=9, rng=5)
-    assert np.array_equal(bundle.responses, again.responses)
+    assert np.array_equal(bundle.standardized, again.standardized)
     assert np.array_equal(truth, truth2)
     assert np.array_equal(x_test, x_test2)
 
@@ -238,6 +248,21 @@ def test_run_experiment_rejects_zero_reps():
         run_experiment("all-small", 12, 3, reps=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.5])
+@pytest.mark.parametrize("name, message", [
+    ("reps", "replication"), ("n_test", "test sample"), ("n_sources", "source"),
+    ("n_predictors", "predictor"), ("n_samples", "predictor and sample"),
+])
+def test_experiment_counts_must_be_whole_numbers(name, message, bad):
+    # NaN fails every comparison, so a check by "< 1" alone let it through
+    args = dict(n_sources=12, n_predictors=3, rho=0.5, n_samples=50, n_test=5,
+                methods=["ols"], reps=2, seed=0)
+    check_experiment(**args)
+    args[name] = bad
+    with pytest.raises(DomainError, match="need at least one .*" + message):
+        check_experiment(**args)
+
+
 def test_mixture_shrinkage_beats_pooled_on_two_scale_sources():
     res = run_experiment("scale-mixture", 50, 20, rho=0.5, n_samples=200,
                          methods=("global", "local-2"), reps=10, seed=0,
@@ -268,6 +293,20 @@ def test_loss_convergence_record_fields():
     # the predictor count stays below n even for c near one
     tight = loss_convergence("independence", (10,), (0.99,), reps=1, seed=3)
     assert tight[0]["p"] == 9
+
+
+@pytest.mark.parametrize("n, cs", [(10, (0.2, 0.9)), (40, (0.1, 0.5, 0.7)), (120, (0.3, 0.95))])
+def test_identity_loss_matches_the_dense_loss(n, cs):
+    # the independence model scores each replication from the spectrum of
+    # S alone; the dense loss rotates the identity into S's eigenbasis
+    recs = loss_convergence("independence", (n,), cs, reps=3, seed=7)
+    for r in recs:
+        ci = cs.index(r["c"])
+        rng = np.random.default_rng(_replication_seed(7, 0, ci, r["replication"]))
+        s = sample_covariance(rng.standard_normal((n, r["p"])) @ np.eye(r["p"]))
+        want = dense_loss(np.eye(r["p"]), s, n)
+        assert r["loss"] == pytest.approx(want, rel=1e-12, abs=0)
+        assert identity_loss(s, n) == r["loss"]
 
 
 def test_loss_shrinks_with_sample_size():
@@ -467,3 +506,8 @@ def test_prial_experiment_validation():
         prial_experiment(np_product=500, policies=("default", "ridge"))
     with pytest.raises(DomainError):
         prial_experiment(np_product=500, aspect_ratios=(0.95,))
+    # a replication count that is no whole number is refused, not truncated
+    # (2.5) or left to int() (inf)
+    for bad in (np.nan, np.inf, 2.5):
+        with pytest.raises(DomainError, match="need at least one .*replication"):
+            prial_experiment(np_product=500, reps=bad)

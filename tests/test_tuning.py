@@ -321,6 +321,10 @@ def test_grid_validation():
         default_bandwidth_grid(50, 5, size=1)
     with pytest.raises(DomainError):
         default_bandwidth_grid(50, 5, span=1.0)
+    # int() alone raises ValueError on NaN and OverflowError on inf
+    for bad in (np.nan, np.inf, 7.5):
+        with pytest.raises(DomainError, match="grid needs at least two points"):
+            default_bandwidth_grid(50, 5, size=bad)
 
 
 # selection
