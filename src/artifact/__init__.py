@@ -18,7 +18,6 @@ from .spectral import (
     SpectralDecomposition,
     eigh,
     sample_covariance,
-    spectral_inverse,
 )
 from .shrinkage import (
     ShrinkageRule,
@@ -48,7 +47,6 @@ from .simlab import (
     design_error,
     equicorrelated_design,
     estimate_with_method,
-    factor_covariance,
     matrix_error,
     parse_method,
     prial_experiment,

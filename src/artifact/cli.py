@@ -42,6 +42,7 @@ from .simlab import (
     check_experiment,
     estimate_with_method,
     parse_method,
+    parse_methods,
     prial_cells,
     prial_experiment,
     run_experiment,
@@ -101,14 +102,16 @@ def _cast_str_list(text):
     return [tok.strip() for tok in str(text).split(",") if tok.strip() != ""]
 
 
+def _cast_methods(text):
+    return parse_methods(_cast_str_list(text))
+
+
 _cast_int = _cast_parsed(int, "an integer")
 _cast_float = _cast_parsed(float, "a number")
 _cast_float_list = _cast_parsed(lambda text: [float(tok) for tok in _cast_str_list(text)],
                                 "a comma-separated list of numbers")
 _cast_seed = _checked(_cast_int, lambda seed: seed >= 0,
                       "--seed must be a non-negative integer, got {}")
-_cast_methods = _checked(lambda text: [parse_method(m) for m in _cast_str_list(text)], bool,
-                         "need at least one method")
 # the manifest keeps a design's alias as given
 _cast_design = _checked(str, lambda name: DESIGN_ALIASES.get(name, name) in COEFFICIENT_DESIGNS,
                         "unknown design {!r} (use one of %s or aliases %s)"
@@ -347,9 +350,8 @@ def cmd_fit(opts, outdir):
     est = estimate_with_method(bundle, opts["method"], opts["seed"], opts["sweeps"],
                                opts["burn_in"], h=opts["h"])
     extra = {"result_" + key: est.diagnostics[key]
-             for key in ("h", "h_policy", "h_fallback", "pooled_resets")
+             for key in ("h", "h_policy", "h_fallback", "pooled_resets", "sigma2")
              if key in est.diagnostics}
-    extra["result_sigma2"] = est.diagnostics.get("sigma2", float("nan"))
     extra["result_method"] = est.method
 
     lines = ["fit method=%s sources=%d predictors=%d sigma2=%s"

@@ -1,10 +1,10 @@
 """Multi-source linear regression with covariance-shrinkage coefficient pooling.
 
 A bundle fits one response per source (N by n) on one shared design X (N
-samples by p predictors).  Per-source least squares gives a coefficient
-matrix whose rows are then shrunk toward zero along directions learned from
-the cross-source spread, either with a single pooled covariance (global) or
-with a finite scale mixture fitted by a seeded Gibbs-style sampler (local).
+samples by p predictors) once, as the whitened least-squares rows B* and the
+factor Q^1/2 that un-whitens them.  Each estimator shrinks B* and un-whitens
+once: by the identity rule (OLS), by one pooled covariance of the spread
+(global), or by a finite scale mixture fitted by a seeded sampler (local).
 """
 
 import numpy as np
@@ -36,21 +36,21 @@ class SourceBundle:
     collinearity check and everything the estimators share.  The design is
     rejected as collinear when cond(X'X) = (s_max / s_min)^2 reaches
     MAX_DESIGN_CONDITION.  Neither X nor Y is kept, so a caller that drops
-    its responses frees them once the bundle is built.  Every array
-    attribute is read-only:
-      * `coefficients` (sources by predictors): per-source least squares
-        B = (V diag(1/s) U'Y)', so the error grows with cond(X) and not
-        with cond(X)^2 as through the normal equations;
-      * `sigma2`: the noise variance pooled across sources (mean of
-        per-source residual variances with denominator N - p), floored at
-        NOISE_FLOOR.  The residual sums of squares are formed
-        BLOCK_SOURCES sources at a time, so the largest temporary is
-        N by BLOCK_SOURCES, not N by the source count;
+    its responses frees them once the bundle is built.  The fit is kept
+    once, in two read-only arrays, sigma2, n_predictors (p) and n_sources (n):
+      * `standardized` (sources by predictors): the whitened least-squares
+        rows B* = (U'Y)' V' / sqrt(sigma2).  B* Q^1/2 is the per-source
+        least-squares fit B = (V diag(1/s) U'Y)', whose error grows with
+        cond(X) and not with cond(X)^2 as through the normal equations;
       * `q_half`: Q^1/2 of the coefficient noise covariance
         Q = sigma2 (X'X)^-1 = V diag(sigma2 / s^2) V', the columns of V
         scaled by sqrt(sigma2) / s, symmetrized so that the row form
         b* Q^1/2 is exactly Q^1/2 b*.  Neither Q nor Q^-1/2 is formed;
-      * `standardized`: the whitened rows B Q^-1/2 = (U'Y)' V' / sqrt(sigma2).
+      * `sigma2`: the noise variance pooled across sources (mean of
+        per-source residual variances with denominator N - p), floored at
+        NOISE_FLOOR.  The residuals Y - U U'Y are formed BLOCK_SOURCES
+        sources at a time, so the largest temporary is N by BLOCK_SOURCES,
+        not N by the source count.
     """
 
     def __init__(self, design, responses):
@@ -75,12 +75,11 @@ class SourceBundle:
         if s[-1] * np.sqrt(MAX_DESIGN_CONDITION) <= s[0]:
             raise SingularityError("design is numerically collinear")
         uty = u.T @ y  # p by n
-        coef = (vt.T / s) @ uty
         rss = np.empty(sources)
         for first in range(0, sources, BLOCK_SOURCES):
             block = slice(first, first + BLOCK_SOURCES)
-            # one block's residuals, squared in place
-            squares = x @ coef[:, block]
+            # one block's residuals Y - U U'Y, squared in place
+            squares = u @ uty[:, block]
             np.subtract(y[:, block], squares, out=squares)
             squares *= squares
             np.sum(squares, axis=0, out=rss[block])
@@ -89,15 +88,10 @@ class SourceBundle:
         sigma = np.sqrt(self.sigma2)
         self.n_predictors = predictors
         self.n_sources = sources
-        self.coefficients = _read_only(coef.T)
-        self.q_half = _read_only(symmetrize((vt.T * (sigma / s)) @ vt))
-        self.standardized = _read_only(uty.T @ (vt / sigma))
-
-
-def _read_only(a):
-    view = a.view()
-    view.flags.writeable = False
-    return view
+        self.q_half = symmetrize((vt.T * (sigma / s)) @ vt)
+        self.standardized = uty.T @ (vt / sigma)
+        for array in (self.q_half, self.standardized):
+            array.flags.writeable = False
 
 
 class CoefficientEstimate:
@@ -109,9 +103,17 @@ class CoefficientEstimate:
         self.diagnostics = dict(diagnostics or {})
 
 
+def _estimate(bundle, coef, method, diagnostics):
+    """The estimators' one exit: coef as an estimate of method with the bundle's
+    sigma2 in its diagnostics, or NumericalError naming the method if non-finite."""
+    if not np.all(np.isfinite(coef)):
+        raise NumericalError("%s coefficients are non-finite" % method)
+    return CoefficientEstimate(coef, method, {"sigma2": bundle.sigma2, **diagnostics})
+
+
 def fit_ols(bundle):
-    """Per-source least squares: the bundle's fit as a fresh estimate."""
-    return CoefficientEstimate(bundle.coefficients, "ols", {"sigma2": bundle.sigma2})
+    """Per-source least squares, B* Q^1/2: the identity rule, in a fresh array."""
+    return _estimate(bundle, bundle.standardized @ bundle.q_half, "ols", {})
 
 
 def _resolve_bandwidth(decomp, n, h):
@@ -168,11 +170,8 @@ def global_shrink(bundle, h="default"):
         shrunk = shrink_covariance(decomp, n, hv)
     e = shrunk.decomposition.eigenvectors
     coef = bstar @ ((e * (1.0 - 1.0 / shrunk.values)) @ e.T @ bundle.q_half)
-    if not np.all(np.isfinite(coef)):
-        raise NumericalError("shrunk coefficients are non-finite")
-    diagnostics = {"sigma2": bundle.sigma2, "h": hv, **notes,
-                   "clamp_count": shrunk.clamp_count}
-    return CoefficientEstimate(coef, "global", diagnostics)
+    return _estimate(bundle, coef, "global",
+                     {"h": hv, **notes, "clamp_count": shrunk.clamp_count})
 
 
 def _component_terms(columns, vectors, values, product, quad):
@@ -454,11 +453,8 @@ def local_shrink(bundle, n_components, sweeps=200, burn_in=50, seed=0):
     labels = _initial_labels(bstar, k)
     draws = _gumbel_draws(np.random.default_rng(seed), sweeps, n, k)
     term, diagnostics = _mixture_sweeps(bstar, labels, draws, burn_in)
-    coef = (bstar - term) @ bundle.q_half
-    if not np.all(np.isfinite(coef)):
-        raise NumericalError("mixture-shrunk coefficients are non-finite")
-    diagnostics.update({"sigma2": bundle.sigma2, "n_components": k, "seed": seed})
-    return CoefficientEstimate(coef, "local(%d)" % k, diagnostics)
+    diagnostics.update(n_components=k, seed=seed)
+    return _estimate(bundle, (bstar - term) @ bundle.q_half, "local(%d)" % k, diagnostics)
 
 
 def predictive_error(coefficients, design, responses):

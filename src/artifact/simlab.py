@@ -85,21 +85,40 @@ def design_error(coefficients, truth, design):
     return float(np.mean(gap * gap))
 
 
+def _component_count(name):
+    """K of a method token local-K, K a positive count in ASCII decimal
+    digits, or None for ols, global and global-sure; DomainError otherwise."""
+    if name in ("ols", "global", "global-sure"):
+        return None
+    if not name.startswith("local-"):
+        raise DomainError(
+            "unknown method %r (expected ols, global, global-sure, or local-K)" % name)
+    digits = name[len("local-"):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise DomainError("bad component count in method %r" % name)
+    if int(digits) < 1:
+        raise DomainError("component count must be positive in %r" % name)
+    return int(digits)
+
+
 def parse_method(name):
     """Validate a method token: ols, global, global-sure, or local-K."""
-    if name in ("ols", "global", "global-sure"):
-        return name
-    if name.startswith("local-"):
-        try:
-            k = int(name[len("local-"):])
-        except ValueError:
-            raise DomainError("bad component count in method %r" % name) from None
-        if k < 1:
-            raise DomainError("component count must be positive in %r" % name)
-        return name
-    raise DomainError(
-        "unknown method %r (expected ols, global, global-sure, or local-K)" % name
-    )
+    _component_count(name)
+    return name
+
+
+def parse_methods(names):
+    """Validate a method list: at least one token, each parses, and none names
+    an estimator named before it (local-2 and local-02 are one)."""
+    names, seen = list(names), {}
+    if not names:
+        raise DomainError("need at least one method")
+    for name in names:
+        key = _component_count(name) or name  # K for local-K, else the name
+        if key in seen:
+            raise DomainError("method %r repeats %r" % (name, seen[key]))
+        seen[key] = name
+    return names
 
 
 def estimate_with_method(bundle, method, seed=0, sweeps=200, burn_in=50, h="default"):
@@ -108,15 +127,12 @@ def estimate_with_method(bundle, method, seed=0, sweeps=200, burn_in=50, h="defa
     h is the bandwidth policy of "global"; "global-sure" always tunes, and
     seed, sweeps and burn_in reach only the local-K mixture sampler.
     """
-    parse_method(method)
+    k = _component_count(method)
+    if k is not None:
+        return local_shrink(bundle, k, sweeps=sweeps, burn_in=burn_in, seed=seed)
     if method == "ols":
         return fit_ols(bundle)
-    if method == "global":
-        return global_shrink(bundle, h)
-    if method == "global-sure":
-        return global_shrink(bundle, "auto")
-    k = int(method[len("local-"):])
-    return local_shrink(bundle, k, sweeps=sweeps, burn_in=burn_in, seed=seed)
+    return global_shrink(bundle, "auto" if method == "global-sure" else h)
 
 
 class ExperimentResult:
@@ -149,16 +165,13 @@ def _replication_seed(seed, *key):
 
 def check_experiment(n_sources, n_predictors, rho, n_samples, n_test, methods, reps, seed):
     """The checks of run_experiment's arguments that need no data: DomainError
-    unless every method parses, there is at least one method, the counts of
-    replications, test samples, sources, predictors and samples are whole
-    numbers of at least one (NaN is not), rho lies in [0, 1) and the seed is
-    a non-negative integer."""
-    methods = [parse_method(m) for m in methods]
-    counts = "need at least one method, replication and test sample"
-    if not methods:
-        raise DomainError(counts)
+    unless the methods pass parse_methods, the counts of replications, test
+    samples, sources, predictors and samples are whole numbers of at least
+    one (NaN is not), rho lies in [0, 1) and the seed is a non-negative
+    integer."""
+    parse_methods(methods)
     for count in (reps, n_test):
-        require_integer(count, counts, minimum=1)
+        require_integer(count, "need at least one replication and test sample", minimum=1)
     for size in (n_sources, n_predictors, n_samples):
         require_integer(size, "need at least one source, predictor and sample", minimum=1)
     _require_rho(rho)
@@ -213,11 +226,6 @@ def factor_model(p, rng=None):
     core = np.eye(N_FACTORS) + loadings.T @ loadings
     inverse = symmetrize(np.eye(p) - loadings @ np.linalg.solve(core, loadings.T))
     return loadings @ loadings.T + np.eye(p), inverse
-
-
-def factor_covariance(p, rng=None):
-    """The covariance of factor_model(p, rng)."""
-    return factor_model(p, rng)[0]
 
 
 def prial_cells(np_product, aspect_ratios, reps, policies, seed):

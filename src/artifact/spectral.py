@@ -123,12 +123,6 @@ def require_positive_definite(matrix, what):
     return decomp
 
 
-def spectral_inverse(matrix):
-    """Inverse through the eigensystem; positive definite input required."""
-    return spectral_apply(require_positive_definite(matrix, "inverse"),
-                          lambda v: 1.0 / v)
-
-
 def sample_covariance(data):
     """Second-moment matrix Z'Z / n for an n-by-p data matrix Z (rows = samples).
 

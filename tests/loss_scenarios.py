@@ -1,5 +1,7 @@
 """Loss-convergence scenarios for the simulation tests and criterion 5, and
-the dense inverse of a shrunk covariance that the tests use as an oracle.
+the oracles that several test modules share: the dense inverse of a shrunk
+covariance, the inverse through the eigensystem and the factor-model
+covariance.
 
 Only tests call them, so they are not part of the package API.
 """
@@ -8,14 +10,25 @@ import numpy as np
 
 from artifact.errors import DomainError
 from artifact.shrinkage import ShrinkageRule, default_bandwidth, empirical_loss, shrink_covariance
-from artifact.simlab import _replication_seed
-from artifact.spectral import sample_covariance, spectral_inverse
+from artifact.simlab import _replication_seed, factor_model
+from artifact.spectral import require_positive_definite, sample_covariance, spectral_apply
 
 
 def dense_inverse(shrunk):
     """The inverse of a shrunk covariance as a matrix: U diag(1 / values) U'."""
     u = shrunk.decomposition.eigenvectors
     return (u * (1.0 / shrunk.values)) @ u.T
+
+
+def spectral_inverse(matrix):
+    """Inverse through the eigensystem; positive definite input required."""
+    return spectral_apply(require_positive_definite(matrix, "inverse"),
+                          lambda v: 1.0 / v)
+
+
+def factor_covariance(p, rng=None):
+    """The covariance of factor_model(p, rng)."""
+    return factor_model(p, rng)[0]
 
 
 def true_covariance(model, p, rho=0.5, spike=0.5):

@@ -257,6 +257,9 @@ def test_fit_bad_local_token_reports_parse_error_before_seed(tmp_path, capsys):
     ("global,local-0", "component count must be positive in 'local-0'"),
     # an unknown token is not taken for a list without a local-K
     ("ols,ridge --sweeps 3", "unknown method 'ridge'"),
+    # a repeated estimator would print its line twice and pool both runs
+    ("ols,ols", "method 'ols' repeats 'ols'"),
+    ("local-2,global,local-02", "method 'local-02' repeats 'local-2'"),
 ])
 def test_simulate_bad_method_exits_3_without_output(tmp_path, capsys, methods, message):
     # the cast of --methods parses every token before any data is drawn
@@ -647,6 +650,7 @@ def test_negative_seed_exits_3(tmp_path, capsys, args):
     ["fit", "--method", "local-2"],
     ["crossval", "--seed", "0", "--folds", "1"],
     ["crossval", "--seed", "0", "--methods", "ols,ridge"],
+    ["crossval", "--seed", "0", "--methods", "ols,ols"],
     ["shrink-curve", "--h", "auto"],
     ["shrink-curve", "--points", "1"],
     ["tune", "--grid-size", "1"],

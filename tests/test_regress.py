@@ -8,6 +8,7 @@ the sampler's sweep loop with every component refitted on every sweep.
 """
 
 import itertools
+import re
 import threading
 import tracemalloc
 import weakref
@@ -21,10 +22,12 @@ from artifact import (
     DimensionError,
     DomainError,
     InsufficientDataError,
+    NumericalError,
     RegimeError,
     SingularityError,
     SourceBundle,
     default_bandwidth,
+    estimate_with_method,
     fit_ols,
     global_shrink,
     local_shrink,
@@ -72,6 +75,12 @@ def designed_matrix(rng, rows, singular_values):
     u = np.linalg.qr(rng.standard_normal((rows, p)))[0]
     v = np.linalg.qr(rng.standard_normal((p, p)))[0]
     return (u * singular_values) @ v.T
+
+
+def lstsq_coefficients(x, y):
+    """Per-source least squares (sources by predictors) by numpy's lstsq,
+    with no shared code with the bundle's SVD."""
+    return np.linalg.lstsq(x, y, rcond=None)[0].T
 
 
 def noise_from_q(q):
@@ -321,7 +330,7 @@ def test_bundle_exposes_counts_and_gram():
     x = rng.standard_normal((9, 2))
     bundle = SourceBundle(x, rng.standard_normal((9, 4)))
     assert (bundle.n_predictors, bundle.n_sources) == (2, 4)
-    assert bundle.coefficients.shape == bundle.standardized.shape == (4, 2)
+    assert fit_ols(bundle).coefficients.shape == bundle.standardized.shape == (4, 2)
     q_half_inv = np.linalg.inv(bundle.q_half)
     assert bundle.q_half.shape == q_half_inv.shape == (2, 2)
     # sigma2 Q^-1 = X'X
@@ -377,24 +386,52 @@ def test_ols_matches_cofactor_inverse_oracle():
     assert np.allclose(q, sigma2 * gram_inv, rtol=1e-10)
 
 
-def test_ols_fit_is_kept_on_the_bundle_read_only():
-    # the bundle is fitted once, so every estimator run on it shares the
-    # fit; the shared arrays cannot be written through
+def test_ols_fit_is_fresh_and_the_bundle_read_only():
+    # the bundle is fitted once and every estimator run on it shares its
+    # arrays, which cannot be written through; each OLS fit un-whitens them
+    # into arrays of its own, so writing to one estimate leaves the next as
+    # it was
     rng = np.random.default_rng(12)
     bundle, _ = whitened_bundle(rng, 30, 3, 8, 1.0)
     first = fit_ols(bundle)
     second = fit_ols(bundle)
-    assert second.coefficients is first.coefficients is bundle.coefficients
     assert second is not first and second.diagnostics is not first.diagnostics
-    for array in (bundle.coefficients, bundle.q_half, bundle.standardized):
+    assert not np.shares_memory(first.coefficients, second.coefficients)
+    for array in (bundle.q_half, bundle.standardized):
+        assert not np.shares_memory(first.coefficients, array)
+    assert np.array_equal(first.coefficients, second.coefficients)
+    first.coefficients[0, 0] += 1.0
+    assert np.array_equal(fit_ols(bundle).coefficients, second.coefficients)
+    for array in (bundle.q_half, bundle.standardized):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
+    assert type(bundle.sigma2) is float
 
 
-def unblocked_sigma2(x, y, bundle):
-    """The pooled residual variance from one N by n residual array, on the
-    bundle's own coefficients."""
-    resid = y - x @ bundle.coefficients.T
+@pytest.mark.parametrize("method, name", [
+    ("ols", "ols"),
+    ("global", "global"),
+    ("local-2", "local(2)"),
+])
+def test_non_finite_coefficients_raise_through_the_one_exit(method, name):
+    # a finite Q^1/2 scaled by 1e300 overflows each estimator's un-whitening
+    # of rows near 1e10 to inf, and the estimators' one exit refuses the
+    # estimate under the method's name
+    rng = np.random.default_rng(15)
+    bundle = scalar_noise_bundle(rng, 1e10 * rng.standard_normal((8, 3)), 1.0)
+    bundle.q_half = 1e300 * bundle.q_half
+    assert np.all(np.isfinite(bundle.q_half))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError,
+                           match="^%s coefficients are non-finite$" % re.escape(name)):
+            estimate_with_method(bundle, method, sweeps=6, burn_in=1)
+
+
+def unblocked_sigma2(x, y):
+    """The pooled residual variance from one N by n residual array Y - U U'Y,
+    with U from an SVD of the test's own."""
+    u = np.linalg.svd(x, full_matrices=False)[0]
+    resid = y - u @ (u.T @ y)
     samples, predictors = x.shape
     return max(float(np.mean(np.sum(resid * resid, axis=0) / (samples - predictors))),
                regress.NOISE_FLOOR)
@@ -415,7 +452,7 @@ def test_blocked_residual_sums_match_the_unblocked_formula(shape):
     x = rng.standard_normal((samples, p))
     y = x @ rng.standard_normal((p, sources)) + rng.standard_normal((samples, sources))
     bundle = SourceBundle(x, y)
-    assert bundle.sigma2 == unblocked_sigma2(x, y, bundle)
+    assert bundle.sigma2 == unblocked_sigma2(x, y)
 
 
 def test_bundle_keeps_no_reference_to_its_inputs():
@@ -431,11 +468,11 @@ def test_bundle_keeps_no_reference_to_its_inputs():
 
 
 def test_bundle_working_memory_is_a_fraction_of_the_responses():
-    # beyond its inputs, building the bundle allocates U'Y, the coefficients,
-    # the whitened rows (each p by n), a byte per entry of Y for the
-    # finiteness check and one N by BLOCK_SOURCES block of residuals: a peak
-    # of 0.38 N n doubles here (numpy 2.4.6, OpenBLAS), where one N by n
-    # residual array made it 1.30
+    # beyond its inputs, building the bundle allocates U'Y and the whitened
+    # rows (each p by n), a byte per entry of Y for the finiteness check and
+    # one N by BLOCK_SOURCES block of residuals: a peak of 0.28 N n doubles
+    # here (numpy 2.4.6, OpenBLAS), where one N by n residual array made it
+    # 1.30
     rng = np.random.default_rng(14)
     x = rng.standard_normal((200, 20))
     y = x @ rng.standard_normal((20, 6000)) + rng.standard_normal((200, 6000))
@@ -454,26 +491,27 @@ def test_noise_model_square_root_factors():
     # the whitened rows are the coefficients times Q^-1/2 from that eigh
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 3))
-    bundle = SourceBundle(x, rng.standard_normal((6, 4)))
+    y = rng.standard_normal((6, 4))
+    bundle = SourceBundle(x, y)
     q = bundle.sigma2 * inverse_3x3_oracle(x.T @ x)
     assert np.allclose(bundle.q_half @ bundle.q_half, q, atol=1e-12)
     q_half, q_half_inv = noise_from_q(q)
     assert np.allclose(bundle.q_half @ q_half_inv, np.eye(3), atol=1e-10)
     assert np.allclose(bundle.q_half, q_half, atol=1e-12)
-    assert np.allclose(bundle.standardized, bundle.coefficients @ q_half_inv, atol=1e-10)
+    assert np.allclose(bundle.standardized, lstsq_coefficients(x, y) @ q_half_inv, atol=1e-10)
 
 
 def test_standardize_identity_noise_is_identity_map():
     beta = np.array([[1.0, 2.0], [3.0, -1.0]])
     bundle = scalar_noise_bundle(np.random.default_rng(2), beta, 1.0)
-    assert np.allclose(bundle.coefficients, beta)
+    assert np.allclose(fit_ols(bundle).coefficients, beta)
     assert np.allclose(bundle.standardized, beta)
 
 
 def test_standardize_scalar_covariance():
     # Q = 4I halves every coordinate
     bundle = scalar_noise_bundle(np.random.default_rng(3), np.array([[2.0, 2.0]]), 2.0)
-    assert np.allclose(bundle.coefficients, [[2.0, 2.0]])
+    assert np.allclose(fit_ols(bundle).coefficients, [[2.0, 2.0]])
     assert np.allclose(bundle.standardized, [[1.0, 1.0]])
 
 
@@ -482,9 +520,10 @@ def test_standardize_round_trip():
     rng = np.random.default_rng(9)
     for sources in (2, 7):
         x = designed_matrix(rng, 12, [3.0, 1.0, 0.1])
-        bundle = SourceBundle(x, rng.standard_normal((12, sources)))
+        y = rng.standard_normal((12, sources))
+        bundle = SourceBundle(x, y)
         back = bundle.standardized @ bundle.q_half
-        assert np.allclose(back, bundle.coefficients, rtol=0, atol=1e-12)
+        assert np.allclose(back, lstsq_coefficients(x, y), rtol=0, atol=1e-12)
 
 
 def test_global_shrink_matches_manual_recomposition():
@@ -497,7 +536,7 @@ def test_global_shrink_matches_manual_recomposition():
     shrunk = shrink_covariance(s, 25, default_bandwidth(25, 3))
     q_half, q_half_inv = noise_from_q(bundle.sigma2 * np.linalg.inv(x.T @ x))
     rotate = q_half @ dense_inverse(shrunk) @ q_half_inv
-    expected = bundle.coefficients @ (np.eye(3) - rotate).T
+    expected = lstsq_coefficients(x, y) @ (np.eye(3) - rotate).T
     assert np.allclose(fit.coefficients, expected, rtol=0, atol=1e-12)
     assert fit.method == "global"
     assert fit.diagnostics["h"] == pytest.approx(default_bandwidth(25, 3))

@@ -18,7 +18,7 @@ from artifact import (
     design_error,
     equicorrelated_design,
     estimate_with_method,
-    factor_covariance,
+    fit_ols,
     global_shrink,
     local_shrink,
     matrix_error,
@@ -32,11 +32,11 @@ from artifact import (
 )
 from artifact.fileio import format_rows
 from artifact.shrinkage import empirical_loss
-from artifact.simlab import _replication_seed, check_experiment, factor_model
-from artifact.spectral import require_positive_definite, spectral_inverse
+from artifact.simlab import _replication_seed, check_experiment, factor_model, parse_methods
+from artifact.spectral import require_positive_definite
 
-from loss_scenarios import (dense_inverse, dense_loss, identity_loss, loss_convergence,
-                            true_covariance)
+from loss_scenarios import (dense_inverse, dense_loss, factor_covariance, identity_loss,
+                            loss_convergence, spectral_inverse, true_covariance)
 
 
 def matrix_error_oracle(coefficients, truth):
@@ -145,7 +145,7 @@ def test_simulate_sources_shapes_and_reproducibility():
     y = x @ truth.T + rng.standard_normal((30, 12))
     assert np.array_equal(x_test, equicorrelated_design(9, 4, 0.3, rng))
     oracle = SourceBundle(x, y)
-    assert np.array_equal(bundle.coefficients, oracle.coefficients)
+    assert np.array_equal(fit_ols(bundle).coefficients, fit_ols(oracle).coefficients)
     assert bundle.sigma2 == oracle.sigma2
     again, truth2, x_test2 = simulate_sources("all-small", 12, 4, rho=0.3,
                                               n_samples=30, n_test=9, rng=5)
@@ -181,14 +181,28 @@ def test_design_error_constant_offset_hand_value():
 
 
 def test_parse_method_accepts_known_tokens():
-    for name in ("ols", "global", "global-sure", "local-1", "local-12"):
+    for name in ("ols", "global", "global-sure", "local-1", "local-12", "local-02"):
         assert parse_method(name) == name
 
 
 def test_parse_method_rejects_bad_tokens():
-    for name in ("ridge", "local-0", "local-x", "local-"):
+    # K is ASCII decimal digits only: int() would take "2_0" as 20 and
+    # accept a sign or a digit of another script
+    for name in ("ridge", "local-0", "local-x", "local-", "local-2_0", "local-+2",
+                 "local-\u0663", "local- 2", "local-2.0"):
         with pytest.raises(DomainError):
             parse_method(name)
+
+
+def test_parse_methods_refuses_a_repeated_estimator():
+    # one estimator is its family and K, so local-2 and local-02 are one
+    assert parse_methods(["ols", "global", "global-sure", "local-2", "local-03"]) == [
+        "ols", "global", "global-sure", "local-2", "local-03"]
+    for methods in (["ols", "ols"], ["local-2", "global", "local-02"]):
+        with pytest.raises(DomainError, match="repeats"):
+            parse_methods(methods)
+        with pytest.raises(DomainError, match="repeats"):
+            check_experiment(10, 3, 0.5, 20, 5, methods, 2, 0)
 
 
 def test_estimate_with_method_dispatch():

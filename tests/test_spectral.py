@@ -10,10 +10,11 @@ from artifact.spectral import (
     require_positive_definite,
     sample_covariance,
     spectral_apply,
-    spectral_inverse,
     symmetrize,
     zero_tolerance,
 )
+
+from loss_scenarios import spectral_inverse
 
 
 def spd(dim, seed):

@@ -21,7 +21,6 @@ from artifact.shrinkage import (
     default_bandwidth,
     shrink_covariance,
 )
-from artifact.simlab import factor_covariance
 from artifact.spectral import SpectralDecomposition, eigh, sample_covariance
 from artifact.tuning import (
     COALESCENCE_RTOL,
@@ -32,6 +31,8 @@ from artifact.tuning import (
     select_bandwidth,
     zeta_derivative_trace,
 )
+
+from loss_scenarios import factor_covariance
 
 
 # Finite-difference oracles for the derivative trace.  zeta_j is the j-th
